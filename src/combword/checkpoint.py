@@ -42,6 +42,35 @@ def save_checkpoint(model: Network, path) -> None:
         fh.write(blob)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v, length: int | None = None) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v)) and (length is None or len(v) == length)
+
+
+def _is_spec(d) -> bool:
+    return (
+        isinstance(d, dict)
+        and isinstance(d.get("kind"), str)
+        and _is_int_list(d.get("kernel"), 2)
+        and _is_int(d.get("filters"))
+        and _is_int_list(d.get("pool"), 2)
+        and _is_int(d.get("units"))
+    )
+
+
+# Required header fields and their type checks; a file failing one is not a checkpoint.
+_HEADER_FIELDS = {
+    "specs": lambda v: isinstance(v, list) and all(map(_is_spec, v)),
+    "input_shape": lambda v: _is_int_list(v, 3),
+    "seed": _is_int,
+    "meta": lambda v: isinstance(v, dict),
+    "shapes": lambda v: isinstance(v, list) and all(map(_is_int_list, v)),
+}
+
+
 def load_checkpoint(path) -> Network:
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
@@ -51,11 +80,19 @@ def load_checkpoint(path) -> Network:
             header = json.loads(fh.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupted header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: corrupted header: not a JSON object")
         if header.get("version") != VERSION:
             raise CheckpointError(f"{path}: unsupported version {header.get('version')!r} (expected {VERSION})")
         blob = fh.read()
+    for key, valid in _HEADER_FIELDS.items():
+        if not valid(header.get(key)):
+            raise CheckpointError(f"{path}: corrupted header: field {key!r} is missing or ill-typed")
     specs = [LayerSpec.from_dict(d) for d in header["specs"]]
-    model = Network(specs, tuple(header["input_shape"]), int(header["seed"]), np.float32, header.get("meta"))
+    try:
+        model = Network(specs, tuple(header["input_shape"]), header["seed"], np.float32, header["meta"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: header declares an invalid architecture: {exc}") from exc
     shapes = [tuple(s) for s in header["shapes"]]
     params = model.params()
     if [p.shape for p in params] != shapes:

@@ -27,12 +27,6 @@ import numpy as np
 
 from .words import EPSILON, SubwordTable, Word, as_text, distinct_subwords
 
-# Empty singleton cells count toward the empty-subword channel. With this on,
-# every pair satisfies sum(len(nu) * count) + count_empty == s * t, because
-# the components partition the grid. Flip only in lockstep with tests.
-COUNT_EPSILON_SINGLETONS = True
-
-
 @dataclass(frozen=True)
 class MatchMatrix:
     """The s x t letter-agreement grid for a pair of non-empty subwords."""
@@ -125,8 +119,6 @@ def combinatorics_entry(table: SubwordTable, lam_idx: int, mu_idx: int) -> dict[
     m = match_matrix(table[lam_idx].content, table[mu_idx].content)
     counts: dict[int, int] = {}
     for comp in diagonal_components(m):
-        if comp.empty and not COUNT_EPSILON_SINGLETONS:
-            continue
         nu = table.index_of(produced_subword(comp, m))
         counts[nu] = counts.get(nu, 0) + 1
     return counts
@@ -279,8 +271,7 @@ def dense_counts(
         raise ValueError(f"channel axis of {channels} cannot hold nu index {int(nu.max())}")
     flat = (lam.astype(np.int64) * pad_to + mu) * channels + nu
     out = np.bincount(flat, minlength=pad_to * pad_to * channels).reshape(pad_to, pad_to, channels)
-    if COUNT_EPSILON_SINGLETONS:
-        out[1:d, 1:d, 0] = _empty_cell_counts(eq, table)
+    out[1:d, 1:d, 0] = _empty_cell_counts(eq, table)
     lengths = np.asarray([e.length for e in table.entries[1:]], dtype=np.int64)
     out[1:d, 0, 0] = lengths
     out[0, 1:d, 0] = lengths
@@ -303,10 +294,9 @@ def combinatorics_map(word: Word | str) -> CombinatoricsMap:
             lm, v = divmod(f, d)
             l, mm = divmod(lm, d)
             counts[(l, mm, v)] = c
-    if COUNT_EPSILON_SINGLETONS:
-        eps = _empty_cell_counts(eq, table)
-        for i, j in zip(*np.nonzero(eps)):
-            counts[(int(i) + 1, int(j) + 1, 0)] = int(eps[i, j])
+    eps = _empty_cell_counts(eq, table)
+    for i, j in zip(*np.nonzero(eps)):
+        counts[(int(i) + 1, int(j) + 1, 0)] = int(eps[i, j])
     for idx in range(1, d):
         counts[(idx, 0, 0)] = table[idx].length
         counts[(0, idx, 0)] = table[idx].length

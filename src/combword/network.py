@@ -142,11 +142,11 @@ class Network:
             x = layer.forward(x)
         return x[:, 0]
 
-    def backward(self, dprobs: np.ndarray) -> np.ndarray:
+    def backward(self, dprobs: np.ndarray) -> None:
+        """Fill every layer's parameter gradients; the input gradient is never built."""
         d = dprobs[:, None]
-        for layer in reversed(self.layers):
-            d = layer.backward(d)
-        return d
+        for i in range(len(self.layers) - 1, -1, -1):
+            d = self.layers[i].backward(d, input_grad=i > 0)
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]

@@ -1,13 +1,16 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything here is deliberately naive: explicit graphs, flood fill, and
-factorial search. Nothing imports the library's production paths.
+Everything here is deliberately naive: explicit graphs, flood fill,
+factorial search, and per-output-cell convolution loops. Nothing imports the
+library's production paths.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import permutations
+
+import numpy as np
 
 
 def enum_subwords(text: str) -> list[tuple[str, int, int]]:
@@ -103,3 +106,29 @@ def pattern_key(text: str) -> tuple[int, ...]:
             order[ch] = len(order)
         out.append(order[ch])
     return tuple(out)
+
+
+def conv2d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray, dout: np.ndarray | None = None):
+    """Valid stride-1 NHWC convolution, one output cell at a time, in float64.
+
+    Returns the output, or with ``dout`` the gradients (dw, db, dx) of
+    sum(output * dout), each window contributing only to its own cell.
+    """
+    x, w, b = (np.asarray(a, dtype=np.float64) for a in (x, w, b))
+    n, h, wd, _ = x.shape
+    kh, kw, _, cout = w.shape
+    oh, ow = h - kh + 1, wd - kw + 1
+    out = np.zeros((n, oh, ow, cout))
+    dw, dx = np.zeros_like(w), np.zeros_like(x)
+    for s in range(n):
+        for i in range(oh):
+            for j in range(ow):
+                window = x[s, i : i + kh, j : j + kw]
+                out[s, i, j] = np.einsum("hwc,hwcd->d", window, w) + b
+                if dout is not None:
+                    g = np.asarray(dout[s, i, j], dtype=np.float64)
+                    dw += np.einsum("hwc,d->hwcd", window, g)
+                    dx[s, i : i + kh, j : j + kw] += np.einsum("hwcd,d->hwc", w, g)
+    if dout is None:
+        return out
+    return dw, np.asarray(dout, dtype=np.float64).sum(axis=(0, 1, 2)), dx

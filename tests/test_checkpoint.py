@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -78,4 +80,52 @@ def test_truncated_blob_reports_sizes(model, tmp_path):
     data = p.read_bytes()
     p.write_bytes(data[:-4])
     with pytest.raises(CheckpointError, match=r"expected \d+"):
+        load_checkpoint(p)
+
+
+def _rewrite_header(path, edit):
+    magic, header, blob = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(magic + b"\n" + json.dumps(edit(json.loads(header))).encode("utf-8") + b"\n" + blob)
+
+
+def _drop(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _put(key, value):
+    return lambda h: {**h, key: value}
+
+
+def _put_spec_field(key, value):
+    return lambda h: {**h, "specs": [{**h["specs"][0], key: value}] + h["specs"][1:]}
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda h: [], "not a JSON object"),
+        (lambda h: "specs", "not a JSON object"),
+        *[(_drop(key), repr(key)) for key in ("specs", "input_shape", "seed", "shapes", "meta")],
+        (_put("specs", "conv"), "'specs'"),
+        (_put("specs", [1]), "'specs'"),
+        (_put_spec_field("kernel", "1x1"), "'specs'"),
+        (_put_spec_field("filters", 2.5), "'specs'"),
+        (_put_spec_field("kind", None), "'specs'"),
+        (_put("input_shape", [11, 11]), "'input_shape'"),
+        (_put("input_shape", "11x11x6"), "'input_shape'"),
+        (_put("seed", "17"), "'seed'"),
+        (_put("seed", True), "'seed'"),
+        (_put("meta", []), "'meta'"),
+        (_put("shapes", [[1, "a"]]), "'shapes'"),
+        (_put("shapes", None), "'shapes'"),
+        (_put_spec_field("kind", "bogus"), "invalid architecture"),
+        (_put_spec_field("filters", -4), "invalid architecture"),
+        (_put("seed", -1), "invalid architecture"),
+    ],
+)
+def test_malformed_header_raises_checkpoint_error(model, tmp_path, edit, match):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(model, p)
+    _rewrite_header(p, edit)
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(p)

@@ -4,6 +4,8 @@ import pytest
 from combword.gradcheck import DEFAULT_TOLERANCE, LAYER_KINDS, check_layer, run_gradcheck
 from combword.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sigmoid
 
+from oracles import conv2d_direct
+
 
 def test_conv_known_1x1():
     rng = np.random.default_rng(0)
@@ -41,6 +43,29 @@ def test_conv_rejects_channel_mismatch():
         conv.forward(np.zeros((1, 4, 4, 2), dtype=np.float32))
 
 
+@pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (3, 1), (2, 3)])
+def test_conv_matches_direct_reference(kernel):
+    # Batch > 1 and h != w: the flat layout's cropped rows straddle row wraps and samples.
+    rng = np.random.default_rng(sum(kernel))
+    conv = Conv2d(*kernel, 3, 4, rng, dtype=np.float64)
+    conv.b[...] = rng.standard_normal(4)
+    x = rng.standard_normal((3, 6, 5, 3))
+    x_before = x.copy()
+    out = conv.forward(x)
+    assert np.allclose(out, conv2d_direct(x, conv.w, conv.b), rtol=1e-12, atol=1e-12)
+    dout = rng.standard_normal(out.shape)
+    dout_before = dout.copy()
+    dx = conv.backward(dout)
+    dw, db, dx_ref = conv2d_direct(x, conv.w, conv.b, dout)
+    assert np.allclose(conv.dw, dw, rtol=1e-12, atol=1e-12)
+    assert np.allclose(conv.db, db, rtol=1e-12, atol=1e-12)
+    assert np.allclose(dx, dx_ref, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(x, x_before) and np.array_equal(dout, dout_before)
+    conv.dw[...] = 0.0
+    assert conv.backward(dout, input_grad=False) is None
+    assert np.allclose(conv.dw, dw, rtol=1e-12, atol=1e-12)
+
+
 def test_maxpool_picks_maxima_and_floors():
     pool = MaxPool2d(2, 2)
     x = np.arange(1 * 5 * 5 * 1, dtype=np.float64).reshape(1, 5, 5, 1)
@@ -57,6 +82,24 @@ def test_maxpool_backward_routes_to_argmax():
     dx = pool.backward(np.array([[[[7.0]]]]))
     assert dx[0, 0, 1, 0] == 7.0
     assert dx.sum() == 7.0
+
+
+def test_maxpool_ties_go_to_first_cell_once_and_floored_cells_get_zero():
+    pool = MaxPool2d(2, 3)
+    x = np.zeros((2, 5, 7, 2))  # floor drops row 4 and column 6
+    x[1, 2:4, 3:6, 1] = [[-0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]  # max 1.0 first at window cell 2
+    x[0, 0:2, 0:3, 0] = [[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]  # equal zeros, -0.0 first
+    out = pool.forward(x)
+    assert out.shape == (2, 2, 2, 2)
+    assert np.signbit(out[0, 0, 0, 0]) and out[1, 1, 1, 1] == 1.0
+    dout = -1.0 - np.arange(out.size, dtype=np.float64).reshape(out.shape)
+    dx = pool.backward(dout)
+    expected = np.zeros_like(x)
+    expected[:, 0:4:2, 0:6:3] = dout  # every all-equal window: its top-left cell
+    expected[1, 2:4, 3:6, 1] = 0.0
+    expected[1, 2, 5, 1] = dout[1, 1, 1, 1]
+    assert dx.tobytes() == expected.tobytes()  # also no -0.0 in unrouted cells
+    assert np.abs(dx).sum() == np.abs(dout).sum()
 
 
 def test_relu_and_sigmoid_values():
