@@ -3,16 +3,7 @@ from-scratch CNN that classifies words from the resulting tensors."""
 
 __version__ = "0.1.0"
 
-from .combinatorics import (
-    CombinatoricsMap,
-    Component,
-    MatchMatrix,
-    combinatorics_entry,
-    combinatorics_map,
-    diagonal_components,
-    match_matrix,
-    produced_subword,
-)
+from .combinatorics import CombinatoricsMap, combinatorics_map
 from .encoding import EncodingConfig, channel_count, encode_dense, encode_onehot
 from .equivalence import EquivalenceReport, check_theorem, equivalent_by_tensor, find_bijection
 from .words import (
@@ -31,25 +22,20 @@ __all__ = [
     "Alphabet",
     "Bijection",
     "CombinatoricsMap",
-    "Component",
     "EncodingConfig",
     "EquivalenceReport",
-    "MatchMatrix",
     "SubwordTable",
     "Word",
     "apply_bijection",
     "channel_count",
     "check_theorem",
-    "combinatorics_entry",
     "combinatorics_map",
-    "diagonal_components",
     "distinct_subwords",
     "encode_dense",
     "encode_onehot",
     "equivalent_by_tensor",
     "find_bijection",
     "is_palindrome",
-    "match_matrix",
     "max_table_size",
     "parse_word",
     "__version__",

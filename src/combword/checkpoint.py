@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 
+from .encoding import EncodingConfig, channel_count
 from .network import LayerSpec, Network
 
 MAGIC = b"combword-checkpoint v1"
@@ -71,6 +72,19 @@ _HEADER_FIELDS = {
 }
 
 
+def _check_encoding(path, model: Network) -> None:
+    """A tensor model's meta must rebuild an encoder that fits its input shape."""
+    if model.meta.get("model") == "char":
+        return
+    try:
+        cfg = EncodingConfig.from_dict(model.meta["encoding"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: corrupted header: meta has no valid 'encoding' ({exc!r})") from exc
+    # Plane sizes first: they bound the word length before channel_count loops over it.
+    if model.input_shape[:2] != (cfg.pad_to, cfg.pad_to) or channel_count(cfg) != model.input_shape[2]:
+        raise CheckpointError(f"{path}: corrupted header: meta 'encoding' does not match input_shape {list(model.input_shape)}")
+
+
 def load_checkpoint(path) -> Network:
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
@@ -93,6 +107,7 @@ def load_checkpoint(path) -> Network:
         model = Network(specs, tuple(header["input_shape"]), header["seed"], np.float32, header["meta"])
     except ValueError as exc:
         raise CheckpointError(f"{path}: header declares an invalid architecture: {exc}") from exc
+    _check_encoding(path, model)
     shapes = [tuple(s) for s in header["shapes"]]
     params = model.params()
     if [p.shape for p in params] != shapes:

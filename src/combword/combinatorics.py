@@ -1,4 +1,4 @@
-"""Subword-pair match grids, diagonal components, and the full count map.
+"""The subword-pair count map of a word, built in one vectorized pass.
 
 For two subwords lam = Y1..Ys and mu = Z1..Zt of the same word, the match
 grid holds Y_i at cell (i, j) when Y_i == Z_j and the empty mark otherwise.
@@ -8,151 +8,54 @@ reads off the empty subword. Counting, per subword pair, how many components
 read off each subword nu gives a three-index integer map. Pairs involving
 the empty subword are covered by fixed border rules rather than a grid.
 
-Two construction paths exist:
-
-* a per-pair path (``match_matrix`` / ``diagonal_components`` /
-  ``produced_subword`` / ``combinatorics_entry``) that scans one grid's
-  diagonals, kept small and auditable;
-* a vectorized whole-word path used by ``combinatorics_map`` and the tensor
-  encoder: every subword is a window into the word, so every chain in every
-  pair grid is a clip of one of the word's own diagonal equality runs, and
-  all D^2 clips of one run reduce to outer max/min over window bounds.
+``dense_counts`` is the only place that builds counts. Every subword is a
+window into the word, so every chain in every pair grid is a clip of one of
+the word's own diagonal equality runs, and all D^2 clips of one run reduce to
+outer max/min over window bounds; empty-cell counts come from a 2-D prefix
+sum of the equality matrix. ``combinatorics_map`` is its unpadded, uncapped
+(D, D, D) grid, and the tensor encoder pads it and caps its channel axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .words import EPSILON, SubwordTable, Word, as_text, distinct_subwords
-
-@dataclass(frozen=True)
-class MatchMatrix:
-    """The s x t letter-agreement grid for a pair of non-empty subwords."""
-
-    rows: str
-    cols: str
-    cells: tuple[tuple[str, ...], ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.rows)
-
-    @property
-    def t(self) -> int:
-        return len(self.cols)
+from .words import SubwordTable, Word, as_text, distinct_subwords
 
 
-@dataclass(frozen=True)
-class Component:
-    """A maximal diagonal chain of matching cells, or one empty cell.
-
-    Cells are 0-based (row, col) pairs in ascending diagonal order; the first
-    one is the component's minimal-index cell.
-    """
-
-    cells: tuple[tuple[int, int], ...]
-    empty: bool
-
-    @property
-    def start(self) -> tuple[int, int]:
-        return self.cells[0]
-
-
-def match_matrix(lam: Word | str, mu: Word | str) -> MatchMatrix:
-    """Build the letter-agreement grid for two non-empty subwords."""
-    a, b = as_text(lam), as_text(mu)
-    if not a or not b:
-        raise ValueError("match matrix operands must be non-empty; empty operands follow the border rules")
-    cells = tuple(tuple(ya if ya == zb else EPSILON for zb in b) for ya in a)
-    return MatchMatrix(a, b, cells)
-
-
-def diagonal_components(m: MatchMatrix) -> list[Component]:
-    """Partition all s*t cells into empty singletons and maximal chains.
-
-    Components are returned in row-major order of their starting cell.
-    """
-    s, t = m.s, m.t
-    comps: list[Component] = []
-    for i in range(s):
-        for j in range(t):
-            if m.cells[i][j] == EPSILON:
-                comps.append(Component(((i, j),), empty=True))
-                continue
-            if i > 0 and j > 0 and m.cells[i - 1][j - 1] != EPSILON:
-                continue  # interior of a chain that started further up-left
-            chain = [(i, j)]
-            while chain[-1][0] + 1 < s and chain[-1][1] + 1 < t and m.cells[chain[-1][0] + 1][chain[-1][1] + 1] != EPSILON:
-                chain.append((chain[-1][0] + 1, chain[-1][1] + 1))
-            comps.append(Component(tuple(chain), empty=False))
-    comps.sort(key=lambda c: c.start)
-    return comps
-
-
-def produced_subword(c: Component, m: MatchMatrix) -> str:
-    """Read the subword a component spells out, walking from its minimal cell."""
-    if c.empty:
-        return EPSILON
-    return "".join(m.cells[i][j] for i, j in c.cells)
-
-
-def combinatorics_entry(table: SubwordTable, lam_idx: int, mu_idx: int) -> dict[int, int]:
-    """Count, for one operand pair, how many components produce each subword.
-
-    Returns a sparse {nu_index: count} dict. Operand index 0 is the empty
-    subword and follows the border rules: only the empty output is produced,
-    with multiplicity equal to the other operand's length (or 1 when both
-    operands are empty).
-    """
-    d = len(table)
-    if not (0 <= lam_idx < d and 0 <= mu_idx < d):
-        raise ValueError(f"operand index out of range: ({lam_idx}, {mu_idx}) with D={d}")
-    if lam_idx == 0 and mu_idx == 0:
-        return {0: 1}
-    if mu_idx == 0:
-        return {0: table[lam_idx].length}
-    if lam_idx == 0:
-        return {0: table[mu_idx].length}
-
-    m = match_matrix(table[lam_idx].content, table[mu_idx].content)
-    counts: dict[int, int] = {}
-    for comp in diagonal_components(m):
-        nu = table.index_of(produced_subword(comp, m))
-        counts[nu] = counts.get(nu, 0) + 1
-    return counts
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CombinatoricsMap:
-    """Sparse counts over canonical index triples (lam, mu, nu).
+    """Raw counts over canonical index triples (lam, mu, nu) as a (D, D, D) grid.
 
-    Absent triples mean zero. Together with the table size D this is the
-    word's full combinatorial fingerprint.
+    Together with its table this is the word's full combinatorial fingerprint.
     """
 
     table: SubwordTable
-    counts: dict[tuple[int, int, int], int]
+    grid: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.table)
 
+    @cached_property
+    def counts(self) -> dict[tuple[int, int, int], int]:
+        """Sparse view: the nonzero triples, ascending, mapped to their counts."""
+        nz = np.nonzero(self.grid)
+        return dict(zip(zip(*(a.tolist() for a in nz)), self.grid[nz].tolist()))
+
     def count(self, lam_idx: int, mu_idx: int, nu_idx: int) -> int:
-        return self.counts.get((lam_idx, mu_idx, nu_idx), 0)
+        return int(self.grid[lam_idx, mu_idx, nu_idx])
 
     def same_counts(self, other: "CombinatoricsMap") -> bool:
-        return self.size == other.size and self.counts == other.counts
+        return np.array_equal(self.grid, other.grid)
 
     def sparse_lines(self) -> list[str]:
-        """One `lam mu nu count` line per stored triple, ascending by triple."""
-        return [f"{l} {m} {v} {c}" for (l, m, v), c in sorted(self.counts.items())]
+        """One `lam mu nu count` line per nonzero triple, ascending by triple."""
+        return [f"{l} {m} {v} {c}" for (l, m, v), c in self.counts.items()]
 
-
-# ---------------------------------------------------------------------------
-# Vectorized whole-word path.
-# ---------------------------------------------------------------------------
 
 _RUN_CHUNK = 16  # runs processed per broadcast block, bounds peak memory
 
@@ -260,7 +163,11 @@ def dense_counts(
     channels: int,
     nu_len_cap: int | None,
 ) -> np.ndarray:
-    """Raw counts as a dense zero-padded (pad_to, pad_to, channels) array."""
+    """Raw counts as a dense zero-padded (pad_to, pad_to, channels) array.
+
+    Chains producing a subword longer than nu_len_cap are left out. Channel 0
+    holds the empty-cell counts and the border rules of the empty operand.
+    """
     text = as_text(word)
     d = len(table)
     if pad_to < d:
@@ -280,25 +187,7 @@ def dense_counts(
 
 
 def combinatorics_map(word: Word | str) -> CombinatoricsMap:
-    """Assemble the full sparse map over all D^2 operand pairs of a word."""
+    """The full map over all D^2 operand pairs: the raw (D, D, D) count grid."""
     table = distinct_subwords(word)
-    text = as_text(word)
     d = len(table)
-    eq = _equality_matrix(text)
-    lam, mu, nu = _chain_contributions(eq, table, None)
-    counts: dict[tuple[int, int, int], int] = {}
-    if lam.size:
-        flat = (lam.astype(np.int64) * d + mu) * d + nu
-        uniq, cnt = np.unique(flat, return_counts=True)
-        for f, c in zip(uniq.tolist(), cnt.tolist()):
-            lm, v = divmod(f, d)
-            l, mm = divmod(lm, d)
-            counts[(l, mm, v)] = c
-    eps = _empty_cell_counts(eq, table)
-    for i, j in zip(*np.nonzero(eps)):
-        counts[(int(i) + 1, int(j) + 1, 0)] = int(eps[i, j])
-    for idx in range(1, d):
-        counts[(idx, 0, 0)] = table[idx].length
-        counts[(0, idx, 0)] = table[idx].length
-    counts[(0, 0, 0)] = 1
-    return CombinatoricsMap(table, counts)
+    return CombinatoricsMap(table, dense_counts(word, table, d, d, None))

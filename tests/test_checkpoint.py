@@ -100,6 +100,10 @@ def _put_spec_field(key, value):
     return lambda h: {**h, "specs": [{**h["specs"][0], key: value}] + h["specs"][1:]}
 
 
+def _put_encoding(**fields):
+    return lambda h: {**h, "meta": {**h["meta"], "encoding": {**h["meta"]["encoding"], **fields}}}
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
@@ -116,6 +120,14 @@ def _put_spec_field(key, value):
         (_put("seed", "17"), "'seed'"),
         (_put("seed", True), "'seed'"),
         (_put("meta", []), "'meta'"),
+        (_put("meta", {}), "'encoding'"),
+        (_put("meta", {"model": "combinatorial", "encoding": "log"}), "'encoding'"),
+        (_put_encoding(pad_to="eleven"), "'encoding'"),
+        (_put_encoding(normalization="cube-root"), "'encoding'"),
+        (_put_encoding(word_length=float("inf")), "'encoding'"),
+        (_put_encoding(nu_cap_len=1), "does not match input_shape"),
+        (_put_encoding(pad_to=29), "does not match input_shape"),
+        (_put_encoding(pad_to=29, nu_cap_len=6), "does not match input_shape"),
         (_put("shapes", [[1, "a"]]), "'shapes'"),
         (_put("shapes", None), "'shapes'"),
         (_put_spec_field("kind", "bogus"), "invalid architecture"),

@@ -160,16 +160,26 @@ def test_eval_permuted_equals_clean_for_combinatorial(mini_run, capsys):
     assert clean == permuted
 
 
-def test_eval_checkpoint_header_without_specs_exits_io(mini_run, tmp_path, capsys):
+def _eval_edited_header(capsys, mini_run, tmp_path, edit):
     data, out = mini_run
     magic, header, blob = (out / "model.ckpt").read_bytes().split(b"\n", 2)
     fields = json.loads(header)
-    del fields["specs"]
+    edit(fields)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(magic + b"\n" + json.dumps(fields).encode("utf-8") + b"\n" + blob)
-    code, text, err = run(capsys, "eval", "--checkpoint", str(bad), "--data", str(data / "val.tsv"))
+    return run(capsys, "eval", "--checkpoint", str(bad), "--data", str(data / "val.tsv"))
+
+
+def test_eval_checkpoint_header_without_specs_exits_io(mini_run, tmp_path, capsys):
+    code, text, err = _eval_edited_header(capsys, mini_run, tmp_path, lambda h: h.pop("specs"))
     assert code == 3 and text == ""
     assert err.startswith("error: io:") and "'specs'" in err and "Traceback" not in err
+
+
+def test_eval_checkpoint_with_empty_meta_exits_io(mini_run, tmp_path, capsys):
+    code, text, err = _eval_edited_header(capsys, mini_run, tmp_path, lambda h: h.update(meta={}))
+    assert code == 3 and text == ""
+    assert err.startswith("error: io:") and "'encoding'" in err and "Traceback" not in err
 
 
 def test_train_rerun_byte_identical(mini_run, tmp_path, capsys):

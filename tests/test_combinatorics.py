@@ -1,15 +1,13 @@
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combword.combinatorics import (
-    combinatorics_entry,
+    _chain_contributions,
+    _empty_cell_counts,
+    _equality_matrix,
     combinatorics_map,
-    diagonal_components,
-    match_matrix,
-    produced_subword,
 )
 from combword.words import distinct_subwords
 from oracles import brute_map, grid_components
@@ -18,82 +16,106 @@ words_abc = st.text(alphabet="abc", min_size=1, max_size=8)
 words_lower = st.text(alphabet="abcdefgh", min_size=1, max_size=10)
 
 
+def pair_counts(text: str, lam: str, mu: str) -> dict[int, int]:
+    """The map's nonzero {nu: count} entries for one operand pair of a word."""
+    m = combinatorics_map(text)
+    t = m.table
+    row = m.grid[t.index_of(lam), t.index_of(mu)]
+    return {nu: int(c) for nu, c in enumerate(row) if c}
+
+
+def match_grid(text: str, lam: str, mu: str) -> tuple[tuple[str, ...], ...]:
+    """The (lam, mu) match grid as the production equality matrix sees it.
+
+    Both operands are windows of ``text`` at their first occurrence; a
+    matching cell holds the letter and an empty cell holds ''.
+    """
+    eq = _equality_matrix(text)
+    p, q = text.index(lam), text.index(mu)
+    window = eq[p : p + len(lam), q : q + len(mu)]
+    return tuple(
+        tuple(lam[i] if window[i, j] else "" for j in range(len(mu))) for i in range(len(lam))
+    )
+
+
+def produced_subwords(text: str, lam: str, mu: str) -> list[str]:
+    """Subwords read off by the (lam, mu) grid's components, empty cells as ''."""
+    t = distinct_subwords(text)
+    eq = _equality_matrix(text)
+    lams, mus, nus = _chain_contributions(eq, t, None)
+    li, mi = t.index_of(lam), t.index_of(mu)
+    chains = [t[int(nu)].content for l, m, nu in zip(lams, mus, nus) if l == li and m == mi]
+    empties = int(_empty_cell_counts(eq, t)[li - 1, mi - 1])
+    return sorted(chains + [""] * empties)
+
+
 def test_match_matrix_ab_ab():
-    m = match_matrix("ab", "ab")
-    assert m.s == 2 and m.t == 2
-    assert m.cells == (("a", ""), ("", "b"))
+    assert match_grid("ab", "ab", "ab") == (("a", ""), ("", "b"))
 
 
 def test_match_matrix_aba_aba():
-    m = match_matrix("aba", "aba")
-    nonempty = {(i, j) for i in range(3) for j in range(3) if m.cells[i][j]}
+    grid = match_grid("aba", "aba", "aba")
+    nonempty = {(i, j) for i in range(3) for j in range(3) if grid[i][j]}
     assert nonempty == {(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)}
 
 
 def test_match_matrix_no_match():
-    assert match_matrix("a", "b").cells == (("",),)
-
-
-def test_match_matrix_rejects_empty_operand():
-    with pytest.raises(ValueError):
-        match_matrix("", "ab")
-
-
-def test_components_ab_ab():
-    m = match_matrix("ab", "ab")
-    comps = diagonal_components(m)
-    assert len(comps) == 3
-    chains = [c for c in comps if not c.empty]
-    assert len(chains) == 1 and chains[0].cells == ((0, 0), (1, 1))
-
-
-def test_components_aba_aba():
-    m = match_matrix("aba", "aba")
-    comps = diagonal_components(m)
-    assert len(comps) == 7
-    chains = sorted(c.cells for c in comps if not c.empty)
-    assert chains == [((0, 0), (1, 1), (2, 2)), ((0, 2),), ((2, 0),)]
-
-
-def test_components_single_empty_cell():
-    comps = diagonal_components(match_matrix("a", "b"))
-    assert len(comps) == 1 and comps[0].empty
-
-
-def test_components_partition_all_cells():
-    m = match_matrix("abab", "bab")
-    cells = [cell for c in diagonal_components(m) for cell in c.cells]
-    assert sorted(cells) == sorted((i, j) for i in range(4) for j in range(3))
+    assert match_grid("ab", "a", "b") == (("",),)
 
 
 def test_produced_subword():
-    m = match_matrix("ab", "ab")
-    comps = diagonal_components(m)
-    by_cells = {c.cells: c for c in comps}
-    assert produced_subword(by_cells[((0, 0), (1, 1))], m) == "ab"
-    assert produced_subword(by_cells[((0, 1),)], m) == ""
-    m2 = match_matrix("aba", "aba")
-    singleton = next(c for c in diagonal_components(m2) if c.cells == ((0, 2),))
-    assert produced_subword(singleton, m2) == "a"
+    assert produced_subwords("ab", "ab", "ab") == ["", "", "ab"]
+    assert produced_subwords("aba", "aba", "aba") == ["", "", "", "", "a", "a", "aba"]
+    assert produced_subwords("ab", "a", "b") == [""]
+    assert produced_subwords("abab", "abab", "bab") == sorted(grid_components("abab", "bab"))
+
+
+def test_components_ab_ab():
+    # Matching cells (0,0) and (1,1) chain into "ab"; (0,1) and (1,0) are empty.
+    assert sorted(grid_components("ab", "ab")) == ["", "", "ab"]
+    t = distinct_subwords("ab")
+    assert pair_counts("ab", "ab", "ab") == {t.index_of("ab"): 1, 0: 2}
+
+
+def test_components_aba_aba():
+    # Matching cells (0,0), (1,1), (2,2), (0,2), (2,0): one chain "aba",
+    # two singleton chains "a", and four empty cells.
+    assert sorted(grid_components("aba", "aba")) == ["", "", "", "", "a", "a", "aba"]
+    t = distinct_subwords("aba")
+    assert pair_counts("aba", "aba", "aba") == {t.index_of("aba"): 1, t.index_of("a"): 2, 0: 4}
+
+
+def test_components_single_empty_cell():
+    assert grid_components("a", "b") == [""]
+    assert pair_counts("ab", "a", "b") == {0: 1}
+
+
+def test_components_partition_all_cells():
+    # abab x bab: chains "bab" from (1,0), "ab" from (0,1), "b" at (3,0); six empty cells.
+    assert sorted(grid_components("abab", "bab")) == [""] * 6 + ["ab", "b", "bab"]
+    t = distinct_subwords("abab")
+    counts = pair_counts("abab", "abab", "bab")
+    assert counts == {t.index_of("bab"): 1, t.index_of("ab"): 1, t.index_of("b"): 1, 0: 6}
+    assert sum((t[nu].length or 1) * c for nu, c in counts.items()) == 4 * 3
 
 
 def test_entry_aba_full_pair():
-    t = distinct_subwords("aba")
+    m = combinatorics_map("aba")
+    t = m.table
     full = t.index_of("aba")
-    assert combinatorics_entry(t, full, full) == {t.index_of("aba"): 1, t.index_of("a"): 2, 0: 4}
+    assert m.count(full, full, full) == 1
+    assert m.count(full, full, t.index_of("a")) == 2
+    assert m.count(full, full, 0) == 4
+    assert int(m.grid[full, full].sum()) == 7
 
 
 def test_entry_border_rules():
-    t = distinct_subwords("ab")
-    assert combinatorics_entry(t, t.index_of("ab"), 0) == {0: 2}
-    assert combinatorics_entry(t, 0, t.index_of("ab")) == {0: 2}
-    assert combinatorics_entry(t, 0, 0) == {0: 1}
-
-
-def test_entry_index_out_of_range():
-    t = distinct_subwords("ab")
-    with pytest.raises(ValueError):
-        combinatorics_entry(t, 0, 99)
+    m = combinatorics_map("ab")
+    ab = m.table.index_of("ab")
+    assert m.count(ab, 0, 0) == 2
+    assert m.count(0, ab, 0) == 2
+    assert m.count(0, 0, 0) == 1
+    assert int(m.grid[ab, 0].sum()) == 2 and int(m.grid[0, ab].sum()) == 2 and int(m.grid[0, 0].sum()) == 1
 
 
 def test_map_aa_values():
@@ -145,13 +167,11 @@ def test_map_exhaustive_two_letters_up_to_five():
 @given(words_lower)
 @settings(max_examples=40, deadline=None)
 def test_map_agrees_with_per_pair_entries(text):
+    """Every operand pair's entries match the flood-fill oracle, over eight letters."""
+    d, expected = brute_map(text)
     m = combinatorics_map(text)
-    t = m.table
-    for li in range(len(t)):
-        for mi in range(len(t)):
-            entry = combinatorics_entry(t, li, mi)
-            stored = {nu: c for (l, mm, nu), c in m.counts.items() if l == li and mm == mi}
-            assert entry == stored, (text, li, mi)
+    assert m.size == d
+    assert m.counts == expected
 
 
 @given(words_lower)
@@ -172,24 +192,12 @@ def test_symmetry_and_conservation(text):
 
 @given(words_lower)
 @settings(max_examples=40, deadline=None)
-def test_every_produced_subword_is_in_table(text):
+def test_every_component_subword_is_in_table(text):
     t = distinct_subwords(text)
     for li in range(1, len(t)):
         for mi in range(1, len(t)):
-            m = match_matrix(t[li].content, t[mi].content)
-            for comp in diagonal_components(m):
-                assert produced_subword(comp, m) in t
-
-
-def test_produced_matches_flood_fill_per_pair():
-    text = "abcabd"
-    t = distinct_subwords(text)
-    for li in range(1, len(t)):
-        for mi in range(1, len(t)):
-            lam, mu = t[li].content, t[mi].content
-            m = match_matrix(lam, mu)
-            ours = sorted(produced_subword(c, m) for c in diagonal_components(m))
-            assert ours == sorted(grid_components(lam, mu))
+            for nu in grid_components(t[li].content, t[mi].content):
+                assert nu in t
 
 
 def test_sparse_lines_sorted_and_positive():
