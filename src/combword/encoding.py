@@ -83,11 +83,33 @@ def channel_count(cfg: EncodingConfig) -> int:
     return min(cfg.pad_to, 1 + sum(n - length + 1 for length in range(1, cap + 1)))
 
 
-def _norm_lookup(cfg: EncodingConfig) -> np.ndarray | None:
+def _norm_lookup(cfg: EncodingConfig, dtype) -> np.ndarray | None:
+    """Normalized value of every raw count 0..n^2, rounded to float32, then cast to dtype."""
     if cfg.normalization == NORM_NONE:
         return None
     top = cfg.word_length * cfg.word_length
-    return (np.log1p(np.arange(top + 1, dtype=np.float64)) / np.log1p(float(top))).astype(np.float32)
+    lut = np.log1p(np.arange(top + 1, dtype=np.float64)) / np.log1p(float(top))
+    return lut.astype(np.float32).astype(dtype)
+
+
+def _encode_into(word: Word | str, cfg: EncodingConfig, lut: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """Write one word's encoding into ``out``, a (pad_to, pad_to, channels) array.
+
+    ``lut`` is the normalization table already cast to ``out.dtype``, or None
+    for raw counts; np.take would not cast a float32 table into float64.
+    """
+    text = as_text(word)
+    if len(text) != cfg.word_length:
+        raise ValueError(f"word length {len(text)} does not match config length {cfg.word_length}")
+    table = distinct_subwords(text)
+    counts = dense_counts(text, table, cfg.pad_to, channel_count(cfg), cfg.nu_cap_len)
+    if lut is None:
+        out[...] = counts
+    else:
+        # No count exceeds n^2, the table's last index, so clipping changes
+        # nothing; the default mode="raise" would stage the result in a copy.
+        np.take(lut, counts, out=out, mode="clip")
+    return out
 
 
 def encode_dense(word: Word | str, cfg: EncodingConfig, dtype=np.float32) -> np.ndarray:
@@ -97,20 +119,18 @@ def encode_dense(word: Word | str, cfg: EncodingConfig, dtype=np.float32) -> np.
     table size are exactly zero, and the log-saturating normalization maps
     each raw count c to log(1+c)/log(1+n^2), keeping every value in [0, 1].
     """
-    text = as_text(word)
-    if len(text) != cfg.word_length:
-        raise ValueError(f"word length {len(text)} does not match config length {cfg.word_length}")
-    table = distinct_subwords(text)
-    counts = dense_counts(text, table, cfg.pad_to, channel_count(cfg), cfg.nu_cap_len)
-    lut = _norm_lookup(cfg)
-    if lut is None:
-        return counts.astype(dtype)
-    return lut[counts].astype(dtype, copy=False)
+    out = np.empty((cfg.pad_to, cfg.pad_to, channel_count(cfg)), dtype=dtype)
+    return _encode_into(word, cfg, _norm_lookup(cfg, dtype), out)
 
 
 def encode_batch(words, cfg: EncodingConfig, dtype=np.float32) -> np.ndarray:
-    """Stack per-word encodings in input order. Encoded lazily, per call."""
-    return np.stack([encode_dense(w, cfg, dtype) for w in words])
+    """Per-word encodings in input order, each written straight into its batch slot."""
+    words = list(words)
+    out = np.empty((len(words), cfg.pad_to, cfg.pad_to, channel_count(cfg)), dtype=dtype)
+    lut = _norm_lookup(cfg, dtype)
+    for word, slot in zip(words, out):
+        _encode_into(word, cfg, lut, slot)
+    return out
 
 
 def encode_onehot(word: Word | str, alphabet: Alphabet) -> np.ndarray:

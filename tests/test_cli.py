@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +197,27 @@ def test_train_rerun_byte_identical(mini_run, tmp_path, capsys):
     assert code == 0
     assert (out2 / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
     assert (out2 / "model.ckpt").read_bytes() == (out / "model.ckpt").read_bytes()
+
+
+def test_train_checkpoint_identical_across_blas_thread_counts(tmp_path, capsys):
+    # BLAS fixes its thread count when numpy loads, so each count trains in its own process.
+    data = tmp_path / "data"
+    assert main(["gen", "palindromes", "--len", "8", "--train", "100", "--val", "50", "--test", "50", "--seed", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    ckpts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [
+            sys.executable, "-c", "import sys; from combword.cli import main; sys.exit(main())",
+            "train", "--task", "palindrome", "--data", str(data), "--epochs", "2",
+            "--steps-per-epoch", "5", "--seed", "4", "--out", str(out),
+        ]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        ckpts.append((out / "model.ckpt").read_bytes())
+    assert ckpts[0] == ckpts[1]
 
 
 def test_char_model_cli_trains(tmp_path, capsys):

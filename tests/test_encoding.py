@@ -13,6 +13,7 @@ from combword.encoding import (
     EncodingConfig,
     channel_count,
     dense_text_lines,
+    encode_batch,
     encode_dense,
     encode_onehot,
 )
@@ -117,6 +118,19 @@ def test_determinism():
     cfg = EncodingConfig.for_length(8)
     word = "abacabad"
     assert encode_dense(word, cfg).tobytes() == encode_dense(word, cfg).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("normalization", [NORM_NONE, NORM_LOG])
+@pytest.mark.parametrize("nu_cap_len", [None, 2])
+def test_encode_batch_equals_stacked_encode_dense(dtype, normalization, nu_cap_len):
+    words = ["aaaaaaa", "abcdefg", "abcabca", "abbabba", "aabbaab"]  # table sizes 8 to 29
+    assert len({len(distinct_subwords(w)) for w in words}) == len(words)
+    cfg = EncodingConfig.for_length(7, nu_cap_len=nu_cap_len, normalization=normalization)
+    batch = encode_batch(iter(words), cfg, dtype)
+    stacked = np.stack([encode_dense(w, cfg, dtype) for w in words])
+    assert batch.dtype == stacked.dtype == dtype and batch.shape == stacked.shape
+    assert batch.tobytes() == stacked.tobytes()
 
 
 def test_word_length_mismatch():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from combword import layers
 from combword.gradcheck import DEFAULT_TOLERANCE, LAYER_KINDS, check_layer, run_gradcheck
 from combword.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sigmoid
 
@@ -43,19 +44,38 @@ def test_conv_rejects_channel_mismatch():
         conv.forward(np.zeros((1, 4, 4, 2), dtype=np.float32))
 
 
-@pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (3, 1), (2, 3)])
-def test_conv_matches_direct_reference(kernel):
+CONV_KERNELS = [(1, 1), (3, 3), (3, 1), (2, 3)]
+
+
+# Tile sizes in rows of the flat 90-row input: 1, 7 and one row below the kernel's
+# largest shift make shifted slices straddle tiles and leave a partial last tile.
+@pytest.mark.parametrize(
+    "kernel, tile",
+    [
+        pytest.param(kernel, tile, id=f"kernel{i}" if tile == "default" else f"kernel{i}-tile_{tile}")
+        for tile in ("default", 1, 7, "below_largest_shift")
+        for i, kernel in enumerate(CONV_KERNELS)
+    ],
+)
+def test_conv_matches_direct_reference(kernel, tile, monkeypatch):
     # Batch > 1 and h != w: the flat layout's cropped rows straddle row wraps and samples.
     rng = np.random.default_rng(sum(kernel))
     conv = Conv2d(*kernel, 3, 4, rng, dtype=np.float64)
     conv.b[...] = rng.standard_normal(4)
     x = rng.standard_normal((3, 6, 5, 3))
     x_before = x.copy()
-    out = conv.forward(x)
-    assert np.allclose(out, conv2d_direct(x, conv.w, conv.b), rtol=1e-12, atol=1e-12)
-    dout = rng.standard_normal(out.shape)
+    out_default = conv.forward(x)
+    dout = rng.standard_normal(out_default.shape)
     dout_before = dout.copy()
+    dx_default = conv.backward(dout)
+    if tile != "default":
+        largest_shift = (kernel[0] - 1) * x.shape[2] + kernel[1] - 1
+        monkeypatch.setattr(layers, "TILE_ROWS", max(largest_shift - 1, 1) if tile == "below_largest_shift" else tile)
+    out = conv.forward(x)
+    assert out.tobytes() == out_default.tobytes()
+    assert np.allclose(out, conv2d_direct(x, conv.w, conv.b), rtol=1e-12, atol=1e-12)
     dx = conv.backward(dout)
+    assert dx.tobytes() == dx_default.tobytes()
     dw, db, dx_ref = conv2d_direct(x, conv.w, conv.b, dout)
     assert np.allclose(conv.dw, dw, rtol=1e-12, atol=1e-12)
     assert np.allclose(conv.db, db, rtol=1e-12, atol=1e-12)
