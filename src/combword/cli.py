@@ -14,8 +14,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .combinatorics import combinatorics_map
@@ -129,16 +127,11 @@ def cmd_equiv(args) -> int:
     return EXIT_OK
 
 
-def _load_split(path: Path, task: str, split: str):
-    ds = read_dataset(path, task=task, split=split)
-    return ds
-
-
 def cmd_train(args) -> int:
     started = time.time()
     data = Path(args.data)
-    train_ds = _load_split(data / "train.tsv", args.task, "train")
-    val_ds = _load_split(data / "val.tsv", args.task, "val")
+    train_ds = read_dataset(data / "train.tsv", task=args.task, split="train")
+    val_ds = read_dataset(data / "val.tsv", task=args.task, split="val")
     n = train_ds.word_length
     if args.model == "char":
         model = build_char_cnn(n, len(task_alphabet(args.task)), seed=args.seed)

@@ -12,8 +12,11 @@ the empty subword are covered by fixed border rules rather than a grid.
 window into the word, so every chain in every pair grid is a clip of one of
 the word's own diagonal equality runs, and all D^2 clips of one run reduce to
 outer max/min over window bounds; empty-cell counts come from a 2-D prefix
-sum of the equality matrix. ``combinatorics_map`` is its unpadded, uncapped
-(D, D, D) grid, and the tensor encoder pads it and caps its channel axis.
+sum of the equality matrix. The runs, the window bounds and the index of each
+clipped window are arrays of the word's ``SubwordTable``, all read off one
+agreement matrix in ``words.subword_windows``. ``combinatorics_map`` is the
+unpadded, uncapped (D, D, D) grid, and the tensor encoder pads it and caps
+its channel axis.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .words import SubwordTable, Word, as_text, distinct_subwords
+from .words import SubwordTable, Word, distinct_subwords
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,50 +63,7 @@ class CombinatoricsMap:
 _RUN_CHUNK = 16  # runs processed per broadcast block, bounds peak memory
 
 
-def _equality_matrix(text: str) -> np.ndarray:
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    return codes[:, None] == codes[None, :]
-
-
-def _diagonal_runs(eq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximal diagonal runs of True cells, as (row, col, length) arrays."""
-    ones = {(int(x), int(y)) for x, y in np.argwhere(eq)}
-    starts = []
-    for x, y in ones:
-        if (x - 1, y - 1) in ones:
-            continue
-        k = 1
-        while (x + k, y + k) in ones:
-            k += 1
-        starts.append((x, y, k))
-    starts.sort()
-    if not starts:
-        return (np.zeros(0, np.int32),) * 3
-    arr = np.asarray(starts, dtype=np.int32)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
-
-
-def _window_bounds(table: SubwordTable) -> tuple[np.ndarray, np.ndarray]:
-    """First-occurrence (start, length) arrays for entries 1..D-1."""
-    p = np.asarray([e.start for e in table.entries[1:]], dtype=np.int32)
-    s = np.asarray([e.length for e in table.entries[1:]], dtype=np.int32)
-    return p, s
-
-
-def _span_index(table: SubwordTable) -> np.ndarray:
-    """(start, length) -> canonical index for every occurrence of a subword."""
-    text = table.word.text
-    n = len(text)
-    idx = np.zeros((n, n + 1), dtype=np.int32)
-    for start in range(n):
-        for length in range(1, n - start + 1):
-            idx[start, length] = table.index_of(text[start : start + length])
-    return idx
-
-
-def _chain_contributions(
-    eq: np.ndarray, table: SubwordTable, nu_len_cap: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chain_contributions(table: SubwordTable, nu_len_cap: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All non-empty component productions across all operand pairs.
 
     Returns parallel arrays (lam_idx, mu_idx, nu_idx), one element per
@@ -113,11 +73,10 @@ def _chain_contributions(
     contributes at most one component per pair and all pairs are handled
     with outer max/min over the window bounds.
     """
-    n = eq.shape[0]
-    p, s = _window_bounds(table)
-    pe = p + s
-    span = _span_index(table)
-    u, v, m = _diagonal_runs(eq)
+    n = len(table.word)
+    p = table.starts
+    pe = p + table.lengths
+    u, v, m = table.runs()
     cap = n if nu_len_cap is None else min(nu_len_cap, n)
     d1 = p.shape[0]
     row_ids = np.arange(1, d1 + 1, dtype=np.int32)
@@ -139,49 +98,41 @@ def _chain_contributions(
         where = np.nonzero(valid)
         lams.append(row_ids[where[1]])
         mus.append(row_ids[where[2]])
-        nus.append(span[lo[valid], k[valid]])
+        nus.append(table.span[lo[valid], k[valid]])
     if not lams:
         empty = np.zeros(0, np.int32)
         return empty, empty, empty
     return np.concatenate(lams), np.concatenate(mus), np.concatenate(nus)
 
 
-def _empty_cell_counts(eq: np.ndarray, table: SubwordTable) -> np.ndarray:
+def _empty_cell_counts(table: SubwordTable) -> np.ndarray:
     """M at nu = empty for every non-empty operand pair, as a (D-1, D-1) grid."""
-    p, s = _window_bounds(table)
+    p, s = table.starts, table.lengths
     pe = p + s
-    pref = np.zeros((eq.shape[0] + 1, eq.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(eq, axis=0), axis=1, out=pref[1:, 1:])
+    n = len(table.word)
+    pref = np.zeros((n + 1, n + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(table.agree > 0, axis=0), axis=1, out=pref[1:, 1:])
     ones = pref[np.ix_(pe, pe)] - pref[np.ix_(p, pe)] - pref[np.ix_(pe, p)] + pref[np.ix_(p, p)]
     return s[:, None].astype(np.int64) * s[None, :] - ones
 
 
-def dense_counts(
-    word: Word | str,
-    table: SubwordTable,
-    pad_to: int,
-    channels: int,
-    nu_len_cap: int | None,
-) -> np.ndarray:
+def dense_counts(table: SubwordTable, pad_to: int, channels: int, nu_len_cap: int | None) -> np.ndarray:
     """Raw counts as a dense zero-padded (pad_to, pad_to, channels) array.
 
     Chains producing a subword longer than nu_len_cap are left out. Channel 0
     holds the empty-cell counts and the border rules of the empty operand.
     """
-    text = as_text(word)
     d = len(table)
     if pad_to < d:
         raise ValueError(f"pad_to={pad_to} is smaller than the table size {d}")
-    eq = _equality_matrix(text)
-    lam, mu, nu = _chain_contributions(eq, table, nu_len_cap)
+    lam, mu, nu = _chain_contributions(table, nu_len_cap)
     if nu.size and int(nu.max()) >= channels:
         raise ValueError(f"channel axis of {channels} cannot hold nu index {int(nu.max())}")
     flat = (lam.astype(np.int64) * pad_to + mu) * channels + nu
     out = np.bincount(flat, minlength=pad_to * pad_to * channels).reshape(pad_to, pad_to, channels)
-    out[1:d, 1:d, 0] = _empty_cell_counts(eq, table)
-    lengths = np.asarray([e.length for e in table.entries[1:]], dtype=np.int64)
-    out[1:d, 0, 0] = lengths
-    out[0, 1:d, 0] = lengths
+    out[1:d, 1:d, 0] = _empty_cell_counts(table)
+    out[1:d, 0, 0] = table.lengths
+    out[0, 1:d, 0] = table.lengths
     out[0, 0, 0] = 1
     return out
 
@@ -190,4 +141,4 @@ def combinatorics_map(word: Word | str) -> CombinatoricsMap:
     """The full map over all D^2 operand pairs: the raw (D, D, D) count grid."""
     table = distinct_subwords(word)
     d = len(table)
-    return CombinatoricsMap(table, dense_counts(word, table, d, d, None))
+    return CombinatoricsMap(table, dense_counts(table, d, d, None))

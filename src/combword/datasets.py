@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import Alphabet, Bijection, Word, apply_bijection, as_text, is_palindrome
 
@@ -218,7 +218,7 @@ def read_dataset(
     The file stores records only; task is inferred from the character set
     unless given, and split/seed metadata must be supplied by the caller.
     """
-    records: list[tuple[int, str]] = []
+    records: list[tuple[int, int, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -229,14 +229,19 @@ def read_dataset(
                 raise DatasetFormatError(f"{path}: line {lineno}: expected <label><TAB><word>")
             if head not in ("0", "1"):
                 raise DatasetFormatError(f"{path}: line {lineno}: invalid label {head!r}")
-            records.append((int(head), word))
+            records.append((lineno, int(head), word))
     if not records:
         raise DatasetFormatError(f"{path}: empty dataset")
-    lengths = {len(w) for _, w in records}
+    lengths = {len(w) for _, _, w in records}
     if len(lengths) != 1:
         raise DatasetFormatError(f"{path}: mixed word lengths {sorted(lengths)}")
     if task is None:
-        task = _infer_task([w for _, w in records])
+        task = _infer_task([w for _, _, w in records])
     alphabet = task_alphabet(task)
-    items = [(Word(w, alphabet), y) for y, w in records]
+    items = []
+    for lineno, y, w in records:
+        try:
+            items.append((Word(w, alphabet), y))
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
     return LabeledDataset(items, task, split, seed, lengths.pop())

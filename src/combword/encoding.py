@@ -92,26 +92,6 @@ def _norm_lookup(cfg: EncodingConfig, dtype) -> np.ndarray | None:
     return lut.astype(np.float32).astype(dtype)
 
 
-def _encode_into(word: Word | str, cfg: EncodingConfig, lut: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-    """Write one word's encoding into ``out``, a (pad_to, pad_to, channels) array.
-
-    ``lut`` is the normalization table already cast to ``out.dtype``, or None
-    for raw counts; np.take would not cast a float32 table into float64.
-    """
-    text = as_text(word)
-    if len(text) != cfg.word_length:
-        raise ValueError(f"word length {len(text)} does not match config length {cfg.word_length}")
-    table = distinct_subwords(text)
-    counts = dense_counts(text, table, cfg.pad_to, channel_count(cfg), cfg.nu_cap_len)
-    if lut is None:
-        out[...] = counts
-    else:
-        # No count exceeds n^2, the table's last index, so clipping changes
-        # nothing; the default mode="raise" would stage the result in a copy.
-        np.take(lut, counts, out=out, mode="clip")
-    return out
-
-
 def encode_dense(word: Word | str, cfg: EncodingConfig, dtype=np.float32) -> np.ndarray:
     """Encode one word as a (pad_to, pad_to, channels) float tensor.
 
@@ -119,17 +99,25 @@ def encode_dense(word: Word | str, cfg: EncodingConfig, dtype=np.float32) -> np.
     table size are exactly zero, and the log-saturating normalization maps
     each raw count c to log(1+c)/log(1+n^2), keeping every value in [0, 1].
     """
-    out = np.empty((cfg.pad_to, cfg.pad_to, channel_count(cfg)), dtype=dtype)
-    return _encode_into(word, cfg, _norm_lookup(cfg, dtype), out)
+    return encode_batch([word], cfg, dtype)[0]
 
 
 def encode_batch(words, cfg: EncodingConfig, dtype=np.float32) -> np.ndarray:
     """Per-word encodings in input order, each written straight into its batch slot."""
-    words = list(words)
+    words = [as_text(w) for w in words]
     out = np.empty((len(words), cfg.pad_to, cfg.pad_to, channel_count(cfg)), dtype=dtype)
+    # The table comes in the output dtype: np.take would not cast float32 into float64.
     lut = _norm_lookup(cfg, dtype)
-    for word, slot in zip(words, out):
-        _encode_into(word, cfg, lut, slot)
+    for text, slot in zip(words, out):
+        if len(text) != cfg.word_length:
+            raise ValueError(f"word length {len(text)} does not match config length {cfg.word_length}")
+        counts = dense_counts(distinct_subwords(text), cfg.pad_to, slot.shape[2], cfg.nu_cap_len)
+        if lut is None:
+            slot[...] = counts
+        else:
+            # No count exceeds n^2, the table's last index, so clipping changes
+            # nothing; the default mode="raise" would stage the result in a copy.
+            np.take(lut, counts, out=slot, mode="clip")
     return out
 
 

@@ -13,11 +13,11 @@ input gradient is summed in the same order wherever the tiles fall; the
 weight gradient is summed tile by tile, in a fixed order. Pooling floors
 odd extents.
 
-``backward(dout, input_grad=False)`` computes only the parameter gradients
-and returns None; the network asks this of its first layer, whose input
-gradient nobody reads. No layer writes into its ``x`` or ``dout`` argument
-(so ReLU is not applied in place): gradient checks call the same layer again
-on the same arrays, and a conv keeps a view of its input. All layers
+A conv's or dense layer's ``backward(dout, input_grad=False)`` computes only
+the parameter gradients and returns None; the network asks this of its first
+layer, whose input gradient nobody reads. No layer writes into its ``x`` or
+``dout`` argument (so ReLU is not applied in place): gradient checks call the
+same layer again on the same arrays, and a conv keeps a view of its input. All layers
 preserve the dtype of their parameters/input, so the same code runs in
 float32 for training and float64 for finite-difference checks.
 """
@@ -201,9 +201,7 @@ class MaxPool2d:
         self._arg, self._in_shape = arg, x.shape
         return out
 
-    def backward(self, dout: np.ndarray, input_grad: bool = True):
-        if not input_grad:
-            return None
+    def backward(self, dout: np.ndarray):
         dx = np.zeros(self._in_shape, dtype=dout.dtype)
         for k, cell in enumerate(self._cells(dx)):
             _gate(dout, self._arg == k, out=cell)
@@ -226,9 +224,7 @@ class ReLU:
         self._out = np.maximum(x, 0)
         return self._out
 
-    def backward(self, dout, input_grad: bool = True):
-        if not input_grad:
-            return None
+    def backward(self, dout):
         return _gate(dout, self._out > 0)
 
 
@@ -246,9 +242,7 @@ class Flatten:
         self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dout, input_grad: bool = True):
-        if not input_grad:
-            return None
+    def backward(self, dout):
         return dout.reshape(self._in_shape)
 
 
@@ -297,9 +291,7 @@ class Sigmoid:
         self._out = out
         return out
 
-    def backward(self, dout, input_grad: bool = True):
-        if not input_grad:
-            return None
+    def backward(self, dout):
         # Clamp mirrors the loss clamp so the product (p - y) stays exact
         # and bounded even when the activation saturates in float32.
         q = np.clip(self._out, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)

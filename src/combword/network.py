@@ -145,8 +145,10 @@ class Network:
     def backward(self, dprobs: np.ndarray) -> None:
         """Fill every layer's parameter gradients; the input gradient is never built."""
         d = dprobs[:, None]
-        for i in range(len(self.layers) - 1, -1, -1):
-            d = self.layers[i].backward(d, input_grad=i > 0)
+        for layer in self.layers[:0:-1]:
+            d = layer.backward(d)
+        if self.layers[0].params():
+            self.layers[0].backward(d, input_grad=False)
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]

@@ -9,6 +9,7 @@ seeds reproduce identical epoch records byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class TrainConfig:
             raise ValueError("batch_size and steps_per_epoch must be >= 1")
         if self.optimizer not in ("adam", "sgd-momentum"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

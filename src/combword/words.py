@@ -5,6 +5,13 @@ The canonical ordering of subwords used everywhere downstream is
 That key depends only on where subwords occur, never on which letters they
 contain, which is what keeps every derived structure invariant under a
 one-to-one relabeling of the alphabet.
+
+``subword_windows`` is the one place that works the order out. It fills the
+word's agreement matrix (the common-prefix length of every pair of suffixes)
+and reads off it each window's first occurrence, the canonical index of
+every window, and the diagonal runs of equal letters that the count map is
+built from. A ``SubwordTable`` holds those arrays and builds its string
+entries only when asked for them.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
+
+import numpy as np
 
 EPSILON = ""
 
@@ -121,16 +130,27 @@ class SubwordEntry:
     start: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubwordTable:
     """All distinct contiguous subwords of a word, canonically ordered.
 
     Entry 0 is the empty subword; entries 1..D-1 are sorted ascending by
-    (length, first-occurrence start), a key that is unique per entry.
+    (length, first-occurrence start), a key that is unique per entry. The
+    table is the arrays ``subword_windows`` reads off the word's agreement
+    matrix; the string entries and their lookup are built only when asked for.
     """
 
     word: Word
-    entries: tuple[SubwordEntry, ...]
+    agree: np.ndarray  # (n, n): length of the common prefix of text[i:] and text[j:]
+    starts: np.ndarray  # (D-1,): first-occurrence start of entries 1..D-1
+    lengths: np.ndarray  # (D-1,): length of entries 1..D-1
+    span: np.ndarray  # (n, n+1): canonical index of text[i:i+L] at [i, L], 0 where it overruns
+
+    @cached_property
+    def entries(self) -> tuple[SubwordEntry, ...]:
+        text = self.word.text
+        rest = (SubwordEntry(text[p : p + s], s, p) for p, s in zip(self.starts.tolist(), self.lengths.tolist()))
+        return (SubwordEntry(EPSILON, 0, 0), *rest)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -146,10 +166,22 @@ class SubwordTable:
         return content in self._index
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.starts.shape[0] + 1
 
     def __getitem__(self, i: int) -> SubwordEntry:
         return self.entries[i]
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Maximal diagonal runs of equal letters, as (row, col, length) arrays in row-major order.
+
+        A run starts at each matching cell whose up-left neighbour does not
+        match, and its length is the agreement at that cell.
+        """
+        eq = self.agree > 0
+        head = eq.copy()
+        head[1:, 1:] &= ~eq[:-1, :-1]
+        rows, cols = np.nonzero(head)
+        return rows.astype(np.int32), cols.astype(np.int32), self.agree[rows, cols]
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
@@ -173,23 +205,40 @@ def max_table_size(n: int) -> int:
     return n * (n + 1) // 2 + 1
 
 
-def distinct_subwords(word: Word | str) -> SubwordTable:
-    """Enumerate every distinct contiguous subword, canonically ordered.
+def subword_windows(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical order of a word's subwords: (agree, starts, lengths, span).
 
-    Enumeration is the plain O(n^2) substring sweep into a dict; words here
-    are short and this keeps first-occurrence bookkeeping obvious.
+    ``agree[i, j]`` is the length of the common prefix of text[i:] and
+    text[j:], filled by one backward sweep over the rows of the equality
+    matrix. The window (i, L) first occurs at the smallest j with
+    agree[i, j] >= L; the windows that are their own first occurrence are the
+    distinct subwords, and counting them in (L, start) order gives each its
+    canonical index. Nothing here looks at which letters match, only where.
     """
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    n = codes.shape[0]
+    eq = codes[:, None] == codes[None, :]
+    agree = np.zeros((n + 1, n + 1), dtype=np.int32)
+    for i in range(n - 1, -1, -1):
+        np.multiply(eq[i], agree[i + 1, 1:] + 1, out=agree[i, :n])
+    agree = agree[:n, :n]
+    # first, fits, debut and rank below are (length, start) grids: row L-1, column i.
+    length = np.arange(1, n + 1, dtype=np.int32)[:, None]
+    start = np.arange(n, dtype=np.int32)[None, :]
+    first = (agree[None, :, :] >= length[:, :, None]).argmax(axis=2)
+    fits = start + length <= n
+    debut = fits & (first == start)
+    rank = np.cumsum(debut, dtype=np.int32).reshape(n, n)
+    span = np.zeros((n, n + 1), dtype=np.int32)
+    span[:, 1:] = np.where(fits, np.take_along_axis(rank, first, axis=1), 0).T
+    lengths, starts = np.nonzero(debut)
+    return agree, starts.astype(np.int32), (lengths + 1).astype(np.int32), span
+
+
+def distinct_subwords(word: Word | str) -> SubwordTable:
+    """Enumerate every distinct contiguous subword, canonically ordered."""
     w = word if isinstance(word, Word) else word_over_own_letters(word)
-    text = w.text
-    n = len(text)
-    firsts: dict[str, int] = {}
-    for length in range(1, n + 1):
-        for start in range(n - length + 1):
-            firsts.setdefault(text[start : start + length], start)
-    ordered = sorted(firsts.items(), key=lambda kv: (len(kv[0]), kv[1]))
-    entries = [SubwordEntry(EPSILON, 0, 0)]
-    entries.extend(SubwordEntry(s, len(s), i) for s, i in ordered)
-    return SubwordTable(w, tuple(entries))
+    return SubwordTable(w, *subword_windows(w.text))
 
 
 def apply_bijection(word: Word, phi: Bijection) -> Word:

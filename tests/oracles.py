@@ -25,6 +25,25 @@ def enum_subwords(text: str) -> list[tuple[str, int, int]]:
     return [("", 0, 0)] + [(s, len(s), i) for s, i in ordered]
 
 
+def equality_runs(text: str) -> list[tuple[int, int, int]]:
+    """Maximal diagonal runs of equal letters as (row, col, length), row-major.
+
+    Walks every cell of the word's equality matrix; a run starts at a
+    matching cell whose up-left neighbour is missing or does not match.
+    """
+    n = len(text)
+    runs = []
+    for i in range(n):
+        for j in range(n):
+            if text[i] != text[j] or (i > 0 and j > 0 and text[i - 1] == text[j - 1]):
+                continue
+            k = 1
+            while i + k < n and j + k < n and text[i + k] == text[j + k]:
+                k += 1
+            runs.append((i, j, k))
+    return runs
+
+
 def grid_components(lam: str, mu: str) -> list[str]:
     """Produced subwords of every component of the (lam, mu) grid.
 

@@ -118,6 +118,28 @@ def test_bad_word_symbol_in_dataset(tmp_path, capsys):
     assert code == 3 and "line 2" in err
 
 
+def test_word_symbol_outside_alphabet_in_dataset_exits_io(tmp_path, capsys):
+    data = tmp_path / "d"
+    data.mkdir()
+    (data / "train.tsv").write_text("1\tabc\n0\tabA\n")
+    (data / "val.tsv").write_text("1\tabc\n")
+    code, _, err = run(capsys, "train", "--task", "palindrome", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "r"))
+    assert code == 3
+    assert "train.tsv: line 2" in err and "'A'" in err
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.001"])
+def test_train_rejects_non_finite_or_non_positive_lr(tmp_path, capsys, lr):
+    data = tmp_path / "d"
+    data.mkdir()
+    (data / "train.tsv").write_text("1\tabccba\n0\tabcdef\n")
+    (data / "val.tsv").write_text("1\tabccba\n")
+    out = tmp_path / "r"
+    code, _, err = run(capsys, "train", "--task", "palindrome", "--data", str(data), "--epochs", "1", "--lr", lr, "--out", str(out))
+    assert code == 1 and "learning rate" in err
+    assert not (out / "model.ckpt").exists()
+
+
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("mini")

@@ -3,12 +3,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combword.combinatorics import (
-    _chain_contributions,
-    _empty_cell_counts,
-    _equality_matrix,
-    combinatorics_map,
-)
+from combword.combinatorics import _chain_contributions, _empty_cell_counts, combinatorics_map
 from combword.words import distinct_subwords
 from oracles import brute_map, grid_components
 
@@ -30,7 +25,7 @@ def match_grid(text: str, lam: str, mu: str) -> tuple[tuple[str, ...], ...]:
     Both operands are windows of ``text`` at their first occurrence; a
     matching cell holds the letter and an empty cell holds ''.
     """
-    eq = _equality_matrix(text)
+    eq = distinct_subwords(text).agree > 0
     p, q = text.index(lam), text.index(mu)
     window = eq[p : p + len(lam), q : q + len(mu)]
     return tuple(
@@ -41,11 +36,10 @@ def match_grid(text: str, lam: str, mu: str) -> tuple[tuple[str, ...], ...]:
 def produced_subwords(text: str, lam: str, mu: str) -> list[str]:
     """Subwords read off by the (lam, mu) grid's components, empty cells as ''."""
     t = distinct_subwords(text)
-    eq = _equality_matrix(text)
-    lams, mus, nus = _chain_contributions(eq, t, None)
+    lams, mus, nus = _chain_contributions(t, None)
     li, mi = t.index_of(lam), t.index_of(mu)
     chains = [t[int(nu)].content for l, m, nu in zip(lams, mus, nus) if l == li and m == mi]
-    empties = int(_empty_cell_counts(eq, t)[li - 1, mi - 1])
+    empties = int(_empty_cell_counts(t)[li - 1, mi - 1])
     return sorted(chains + [""] * empties)
 
 

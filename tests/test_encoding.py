@@ -17,6 +17,7 @@ from combword.encoding import (
     encode_dense,
     encode_onehot,
 )
+from combword import words
 from combword.words import Alphabet, Bijection, apply_bijection, distinct_subwords, word_over_own_letters
 
 words_abcd = st.text(alphabet="abcd", min_size=2, max_size=9)
@@ -131,6 +132,19 @@ def test_encode_batch_equals_stacked_encode_dense(dtype, normalization, nu_cap_l
     stacked = np.stack([encode_dense(w, cfg, dtype) for w in words])
     assert batch.dtype == stacked.dtype == dtype and batch.shape == stacked.shape
     assert batch.tobytes() == stacked.tobytes()
+
+
+def test_encode_batch_builds_no_subword_entries(monkeypatch):
+    """Encoding reads the table's arrays; its string entries are built only for inspection."""
+
+    def refuse(*args):
+        raise AssertionError("a SubwordEntry was built while encoding")
+
+    monkeypatch.setattr(words, "SubwordEntry", refuse)
+    batch = encode_batch(["abcab", "aaaaa"], EncodingConfig.for_length(5))
+    assert batch.shape[0] == 2
+    with pytest.raises(AssertionError, match="SubwordEntry"):
+        distinct_subwords("abcab").entries
 
 
 def test_word_length_mismatch():

@@ -11,14 +11,19 @@ from combword.words import (
     is_palindrome,
     max_table_size,
     parse_word,
+    subword_windows,
     word_over_own_letters,
 )
-from oracles import enum_subwords
+from oracles import enum_subwords, equality_runs
 
 ABC = Alphabet.of("abc")
 LOWER = Alphabet.of("abcdefghijklmnopqrstuvwxyz")
 
 words_abc = st.text(alphabet="abc", min_size=1, max_size=12)
+# Up to six letters, including accented, CJK and non-BMP ones.
+words_unicode = st.lists(st.sampled_from("abàé中😀"), min_size=1, max_size=6, unique=True).flatmap(
+    lambda letters: st.text(alphabet=letters, min_size=1, max_size=20)
+)
 
 
 def random_bijection(draw, text):
@@ -82,6 +87,28 @@ def test_distinct_subwords_aba():
 def test_table_matches_brute_force(text):
     got = [(e.content, e.length, e.start) for e in distinct_subwords(text).entries]
     assert got == enum_subwords(text)
+
+
+@given(words_unicode)
+@settings(max_examples=200, deadline=None)
+def test_subword_windows_match_brute_force(text):
+    agree, starts, lengths, span = subword_windows(text)
+    n = len(text)
+    for i in range(n):
+        for j in range(n):
+            k = 0
+            while max(i, j) + k < n and text[i + k] == text[j + k]:
+                k += 1
+            assert agree[i, j] == k
+    table = enum_subwords(text)
+    assert list(zip(starts.tolist(), lengths.tolist())) == [(start, length) for _, length, start in table[1:]]
+    index = {content: k for k, (content, _, _) in enumerate(table)}
+    for i in range(n):
+        assert span[i, 0] == 0
+        for length in range(1, n + 1):
+            assert span[i, length] == (index[text[i : i + length]] if i + length <= n else 0)
+    rows, cols, runs = distinct_subwords(text).runs()
+    assert list(zip(rows.tolist(), cols.tolist(), runs.tolist())) == equality_runs(text)
 
 
 @given(words_abc)
