@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 
+from .datasets import TASKS
 from .encoding import EncodingConfig, channel_count
 from .network import LayerSpec, Network
 
@@ -72,12 +73,24 @@ _HEADER_FIELDS = {
 }
 
 
-def _check_encoding(path, model: Network) -> None:
-    """A tensor model's meta must rebuild an encoder that fits its input shape."""
-    if model.meta.get("model") == "char":
+def _check_meta(path, model: Network) -> None:
+    """The meta may name only a known task, and must describe the model's input.
+
+    A char model's word length and alphabet size must be its input shape; a
+    tensor model's meta must rebuild an encoder that fits its input shape.
+    """
+    meta = model.meta
+    if "task" in meta and meta["task"] not in TASKS:
+        raise CheckpointError(f"{path}: corrupted header: meta names an unknown task {meta['task']!r}")
+    if meta.get("model") == "char":
+        shape = (meta.get("word_length"), 1, meta.get("alphabet_size"))
+        if not (_is_int(shape[0]) and _is_int(shape[2]) and shape == model.input_shape):
+            raise CheckpointError(
+                f"{path}: corrupted header: meta 'word_length'/'alphabet_size' do not match input_shape {list(model.input_shape)}"
+            )
         return
     try:
-        cfg = EncodingConfig.from_dict(model.meta["encoding"])
+        cfg = EncodingConfig.from_dict(meta["encoding"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: corrupted header: meta has no valid 'encoding' ({exc!r})") from exc
     # Plane sizes first: they bound the word length before channel_count loops over it.
@@ -107,7 +120,7 @@ def load_checkpoint(path) -> Network:
         model = Network(specs, tuple(header["input_shape"]), header["seed"], np.float32, header["meta"])
     except ValueError as exc:
         raise CheckpointError(f"{path}: header declares an invalid architecture: {exc}") from exc
-    _check_encoding(path, model)
+    _check_meta(path, model)
     shapes = [tuple(s) for s in header["shapes"]]
     params = model.params()
     if [p.shape for p in params] != shapes:

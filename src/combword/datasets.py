@@ -22,6 +22,7 @@ PASSWORD_ALPHABET = Alphabet(tuple(chr(c) for c in range(0x21, 0x7F)))  # 94 pri
 TASK_PALINDROME = "palindrome"
 TASK_PASSWORD = "password"
 _TASK_ALPHABETS = {TASK_PALINDROME: PALINDROME_ALPHABET, TASK_PASSWORD: PASSWORD_ALPHABET}
+TASKS = tuple(_TASK_ALPHABETS)
 
 STRONG_THRESHOLD = 0.7
 _WEAK_POOL_RANGE = (2, 11)

@@ -5,6 +5,12 @@ operand subwords lam and mu, the third axis is the produced subword nu acting
 as the channel dimension. Axes are zero-padded to the worst case for the word
 length so that words with different table sizes batch together, and channels
 may be capped to subwords of bounded length to keep long-word tensors small.
+
+A tensor depends on the word's repetition pattern alone, so ``BatchEncoder``
+counts each pattern once, keeps the sparse upper half that
+``combinatorics.dense_counts`` returns, and builds every batch by scattering
+it and its mirror into zeros. ``encode_batch`` and ``encode_dense`` are one
+fresh encoder's call, so there is one way to build a tensor.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import dense_counts
-from .words import Alphabet, Word, as_text, distinct_subwords, max_table_size
+from .combinatorics import SparseCounts, dense_counts
+from .words import Alphabet, Word, as_text, distinct_subwords, max_table_size, pattern_key
 
 NORM_NONE = "none"
 NORM_LOG = "log-saturating"
@@ -103,22 +109,65 @@ def encode_dense(word: Word | str, cfg: EncodingConfig, dtype=np.float32) -> np.
 
 
 def encode_batch(words, cfg: EncodingConfig, dtype=np.float32) -> np.ndarray:
-    """Per-word encodings in input order, each written straight into its batch slot."""
-    words = [as_text(w) for w in words]
-    out = np.empty((len(words), cfg.pad_to, cfg.pad_to, channel_count(cfg)), dtype=dtype)
-    # The table comes in the output dtype: np.take would not cast float32 into float64.
-    lut = _norm_lookup(cfg, dtype)
-    for text, slot in zip(words, out):
-        if len(text) != cfg.word_length:
-            raise ValueError(f"word length {len(text)} does not match config length {cfg.word_length}")
-        counts = dense_counts(distinct_subwords(text), cfg.pad_to, slot.shape[2], cfg.nu_cap_len)
-        if lut is None:
-            slot[...] = counts
-        else:
-            # No count exceeds n^2, the table's last index, so clipping changes
-            # nothing; the default mode="raise" would stage the result in a copy.
-            np.take(lut, counts, out=slot, mode="clip")
-    return out
+    """Per-word encodings in input order: one fresh ``BatchEncoder``'s call."""
+    return BatchEncoder(cfg, dtype)(words)
+
+
+class BatchEncoder:
+    """Encodes batches of words, computing each repetition pattern's counts once.
+
+    A word's tensor depends only on its pattern (``words.pattern_key``), so
+    the encoder keeps one read-only ``SparseCounts`` per pattern it has seen
+    and builds every batch from those: zero-fill, scatter the upper half and
+    its mirror, and map the counts through the normalization table. A pattern
+    seen for the first time is counted and stored, then placed like any
+    other, so a batch's bits never depend on what the encoder saw before.
+    """
+
+    def __init__(self, cfg: EncodingConfig, dtype=np.float32):
+        self.cfg = cfg
+        self.dtype = np.dtype(dtype)
+        self.channels = channel_count(cfg)
+        # The table comes in the output dtype, rounded as float32 first.
+        self._lut = _norm_lookup(cfg, self.dtype)
+        p, c = cfg.pad_to, self.channels
+        rows, cols = np.triu_indices(p)
+        # Flat offset of channel 0 at every upper-half cell and at its mirror.
+        self._cells = ((rows * p + cols) * c, (cols * p + rows) * c)
+        self._patterns: dict[tuple[int, ...], SparseCounts] = {}
+
+    def __len__(self) -> int:
+        return len(self._patterns)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the cached count forms."""
+        return sum(s.nbytes for s in self._patterns.values())
+
+    def counts(self, word: Word | str) -> SparseCounts:
+        """The word's pattern's count form, computed on first sight."""
+        text = as_text(word)
+        if len(text) != self.cfg.word_length:
+            raise ValueError(f"word length {len(text)} does not match config length {self.cfg.word_length}")
+        key = pattern_key(text)
+        found = self._patterns.get(key)
+        if found is None:
+            found = dense_counts(distinct_subwords(text), self.cfg.pad_to, self.channels, self.cfg.nu_cap_len)
+            self._patterns[key] = found
+        return found
+
+    def __call__(self, words) -> np.ndarray:
+        forms = [self.counts(w) for w in words]
+        out = np.zeros((len(forms), self.cfg.pad_to, self.cfg.pad_to, self.channels), dtype=self.dtype)
+        upper, lower = self._cells
+        for slot, s in zip(out, forms):
+            flat = slot.reshape(-1)
+            chains, empty = (s.counts, s.empty) if self._lut is None else (self._lut[s.counts], self._lut[s.empty])
+            flat[upper] = empty
+            flat[lower] = empty
+            flat[np.repeat(upper, s.sizes) + s.nus] = chains
+            flat[np.repeat(lower, s.sizes) + s.nus] = chains
+        return out
 
 
 def encode_onehot(word: Word | str, alphabet: Alphabet) -> np.ndarray:

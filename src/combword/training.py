@@ -2,9 +2,15 @@
 
 Each epoch draws a fresh seeded shuffle of the training split and consumes a
 fixed number of fixed-size batches, cycling the shuffle if the split is
-smaller than one epoch's worth. Inputs are encoded per batch, never
-materialized for a whole dataset. Everything is sequential, so identical
-seeds reproduce identical epoch records byte for byte.
+smaller than one epoch's worth. Dense inputs are built per batch, never for
+a whole dataset. The tensor model's encoder (``encoding.BatchEncoder``)
+keeps the sparse upper-half counts of every repetition pattern it has seen,
+so a word that comes back in a later epoch, in validation or as an
+alphabet-permuted twin is not counted again. That cache grows with the
+distinct patterns of a run: about 7 KB each at n=10, 38 KB at n=15 and
+220 KB at n=20 with channels capped at length 3. It never changes a bit of
+a batch. Everything is sequential, so identical seeds reproduce identical
+epoch records byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset, task_alphabet
-from .encoding import EncodingConfig, encode_batch, onehot_batch
+from .encoding import BatchEncoder, EncodingConfig, onehot_batch
 from .network import Network, binary_cross_entropy
 
 
@@ -90,8 +96,8 @@ def make_optimizer(cfg: TrainConfig, params: list[np.ndarray]):
     return SGDMomentum(params, cfg.learning_rate, cfg.momentum)
 
 
-def combinatorial_encoder(cfg: EncodingConfig):
-    return lambda words: encode_batch(words, cfg)
+def combinatorial_encoder(cfg: EncodingConfig) -> BatchEncoder:
+    return BatchEncoder(cfg)
 
 
 def char_encoder(task: str):

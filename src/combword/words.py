@@ -255,6 +255,16 @@ def apply_bijection(word: Word, phi: Bijection) -> Word:
     return word_over_own_letters(mapped)
 
 
+def pattern_key(text: str) -> tuple[int, ...]:
+    """The word's repetition pattern: each position numbered by its letter's first occurrence.
+
+    Two words have the same key exactly when one is the letterwise image of
+    the other under an injective map, which is when their count maps agree.
+    """
+    order: dict[str, int] = {}
+    return tuple(order.setdefault(ch, len(order)) for ch in text)
+
+
 def is_palindrome(word: Word | str) -> bool:
     text = as_text(word)
     return text == text[::-1]

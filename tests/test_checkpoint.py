@@ -100,6 +100,10 @@ def _put_spec_field(key, value):
     return lambda h: {**h, "specs": [{**h["specs"][0], key: value}] + h["specs"][1:]}
 
 
+def _put_meta(**fields):
+    return lambda h: {**h, "meta": {**h["meta"], **fields}}
+
+
 def _put_encoding(**fields):
     return lambda h: {**h, "meta": {**h["meta"], "encoding": {**h["meta"]["encoding"], **fields}}}
 
@@ -133,6 +137,8 @@ def _put_encoding(**fields):
         (_put_spec_field("kind", "bogus"), "invalid architecture"),
         (_put_spec_field("filters", -4), "invalid architecture"),
         (_put("seed", -1), "invalid architecture"),
+        (_put_meta(task="anagram"), "unknown task"),
+        (_put_meta(task=["palindrome"]), "unknown task"),
     ],
 )
 def test_malformed_header_raises_checkpoint_error(model, tmp_path, edit, match):
@@ -141,3 +147,35 @@ def test_malformed_header_raises_checkpoint_error(model, tmp_path, edit, match):
     _rewrite_header(p, edit)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(p)
+
+
+@pytest.fixture(scope="module")
+def char_model():
+    m = build_char_cnn(8, 26, seed=3)
+    m.meta["task"] = "palindrome"
+    return m
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (_put_meta(word_length=9), "'word_length'/'alphabet_size' do not match"),
+        (_put_meta(alphabet_size=94), "'word_length'/'alphabet_size' do not match"),
+        (_put_meta(word_length="8"), "'word_length'/'alphabet_size' do not match"),
+        (lambda h: {**h, "meta": {"model": "char", "alphabet_size": 26}}, "'word_length'/'alphabet_size' do not match"),
+        (_put_meta(task="anagram"), "unknown task"),
+    ],
+)
+def test_char_model_meta_must_match_input_shape(char_model, tmp_path, edit, match):
+    p = tmp_path / "c.ckpt"
+    save_checkpoint(char_model, p)
+    _rewrite_header(p, edit)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(p)
+
+
+def test_model_without_task_loads(tmp_path):
+    for m in (build_combinatorial_cnn(EncodingConfig.for_length(5), seed=1), build_char_cnn(5, 26, seed=1)):
+        assert "task" not in m.meta
+        save_checkpoint(m, tmp_path / "m.ckpt")
+        assert load_checkpoint(tmp_path / "m.ckpt").meta == m.meta

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from combword.checkpoint import load_checkpoint
+from combword.checkpoint import load_checkpoint, save_checkpoint
 from combword.cli import main
 from combword.combinatorics import combinatorics_map
 from combword.encoding import EncodingConfig, channel_count
+from combword.network import build_char_cnn
 
 
 def run(capsys, *argv):
@@ -206,6 +207,23 @@ def test_eval_checkpoint_with_empty_meta_exits_io(mini_run, tmp_path, capsys):
     code, text, err = _eval_edited_header(capsys, mini_run, tmp_path, lambda h: h.update(meta={}))
     assert code == 3 and text == ""
     assert err.startswith("error: io:") and "'encoding'" in err and "Traceback" not in err
+
+
+def test_eval_checkpoint_with_unknown_task_exits_io(mini_run, tmp_path, capsys):
+    code, text, err = _eval_edited_header(capsys, mini_run, tmp_path, lambda h: h["meta"].update(task="anagram"))
+    assert code == 3 and text == ""
+    assert err.startswith("error: io:") and "unknown task 'anagram'" in err and "Traceback" not in err
+
+
+def test_eval_char_checkpoint_with_wrong_word_length_exits_io(mini_run, tmp_path, capsys):
+    data, _ = mini_run
+    ckpt = tmp_path / "char.ckpt"
+    model = build_char_cnn(6, 26, seed=1)
+    model.meta.update(task="palindrome", word_length=7)
+    save_checkpoint(model, ckpt)
+    code, text, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data / "val.tsv"))
+    assert code == 3 and text == ""
+    assert err.startswith("error: io:") and "'word_length'/'alphabet_size'" in err and "Traceback" not in err
 
 
 def test_train_rerun_byte_identical(mini_run, tmp_path, capsys):

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combword.combinatorics import _chain_contributions, _empty_cell_counts, combinatorics_map
+from combword.combinatorics import CombinatoricsMap, _chain_contributions, _empty_cell_counts, combinatorics_map
 from combword.words import distinct_subwords
 from oracles import brute_map, grid_components
 
@@ -11,11 +13,23 @@ words_abc = st.text(alphabet="abc", min_size=1, max_size=8)
 words_lower = st.text(alphabet="abcdefgh", min_size=1, max_size=10)
 
 
+def dense_grid(m) -> np.ndarray:
+    """The map as a dense (D, D, D) grid, scattered straight from its sparse upper half."""
+    s, d = m.sparse, m.size
+    rows, cols = np.triu_indices(d)
+    g = np.zeros((d, d, d), dtype=np.int64)
+    g[rows, cols, 0] = s.empty
+    cells = np.repeat(np.arange(len(rows)), s.sizes)
+    g[rows[cells], cols[cells], s.nus] = s.counts
+    # The lower half is still zero and every count is >= 0, so max adds the mirror.
+    return np.maximum(g, g.transpose(1, 0, 2))
+
+
 def pair_counts(text: str, lam: str, mu: str) -> dict[int, int]:
     """The map's nonzero {nu: count} entries for one operand pair of a word."""
     m = combinatorics_map(text)
     t = m.table
-    row = m.grid[t.index_of(lam), t.index_of(mu)]
+    row = dense_grid(m)[t.index_of(lam), t.index_of(mu)]
     return {nu: int(c) for nu, c in enumerate(row) if c}
 
 
@@ -34,10 +48,14 @@ def match_grid(text: str, lam: str, mu: str) -> tuple[tuple[str, ...], ...]:
 
 
 def produced_subwords(text: str, lam: str, mu: str) -> list[str]:
-    """Subwords read off by the (lam, mu) grid's components, empty cells as ''."""
+    """Subwords read off by the (lam, mu) grid's components, empty cells as ''.
+
+    Chains are produced for lam <= mu only; the (mu, lam) grid is the
+    transpose and reads off the same subwords.
+    """
     t = distinct_subwords(text)
     lams, mus, nus = _chain_contributions(t, None)
-    li, mi = t.index_of(lam), t.index_of(mu)
+    li, mi = sorted((t.index_of(lam), t.index_of(mu)))
     chains = [t[int(nu)].content for l, m, nu in zip(lams, mus, nus) if l == li and m == mi]
     empties = int(_empty_cell_counts(t)[li - 1, mi - 1])
     return sorted(chains + [""] * empties)
@@ -100,7 +118,7 @@ def test_entry_aba_full_pair():
     assert m.count(full, full, full) == 1
     assert m.count(full, full, t.index_of("a")) == 2
     assert m.count(full, full, 0) == 4
-    assert int(m.grid[full, full].sum()) == 7
+    assert int(dense_grid(m)[full, full].sum()) == 7
 
 
 def test_entry_border_rules():
@@ -109,7 +127,8 @@ def test_entry_border_rules():
     assert m.count(ab, 0, 0) == 2
     assert m.count(0, ab, 0) == 2
     assert m.count(0, 0, 0) == 1
-    assert int(m.grid[ab, 0].sum()) == 2 and int(m.grid[0, ab].sum()) == 2 and int(m.grid[0, 0].sum()) == 1
+    g = dense_grid(m)
+    assert int(g[ab, 0].sum()) == 2 and int(g[0, ab].sum()) == 2 and int(g[0, 0].sum()) == 1
 
 
 def test_map_aa_values():
@@ -166,6 +185,31 @@ def test_map_agrees_with_per_pair_entries(text):
     m = combinatorics_map(text)
     assert m.size == d
     assert m.counts == expected
+
+
+# Half unrelated pairs, half a word and its image under a permutation of abc.
+word_pairs = st.one_of(
+    st.tuples(words_abc, words_abc),
+    words_abc.flatmap(lambda t: st.permutations("abc").map(lambda perm: (t, t.translate(str.maketrans("abc", "".join(perm)))))),
+)
+
+
+@given(word_pairs)
+@settings(max_examples=150, deadline=None)
+def test_same_counts_iff_grids_equal(pair):
+    ma, mb = (combinatorics_map(w) for w in pair)
+    ga, gb = dense_grid(ma), dense_grid(mb)
+    assert ma.same_counts(mb) == (ga.shape == gb.shape and np.array_equal(ga, gb))
+
+
+def test_same_counts_compares_every_array():
+    m = combinatorics_map("abcab")
+    for name in ("sizes", "nus", "counts", "empty"):
+        changed = getattr(m.sparse, name).copy()
+        changed[-1] += 1
+        other = CombinatoricsMap(m.table, dataclasses.replace(m.sparse, **{name: changed}))
+        assert not m.same_counts(other), name
+    assert m.same_counts(combinatorics_map("cabca"))
 
 
 @given(words_lower)

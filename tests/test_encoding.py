@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combword.combinatorics import combinatorics_map
+from combword.datasets import gen_palindrome_dataset, gen_password_dataset, permute_dataset
 from combword.encoding import (
     NORM_LOG,
     NORM_NONE,
+    BatchEncoder,
     EncodingConfig,
     channel_count,
     dense_text_lines,
@@ -132,6 +134,53 @@ def test_encode_batch_equals_stacked_encode_dense(dtype, normalization, nu_cap_l
     stacked = np.stack([encode_dense(w, cfg, dtype) for w in words])
     assert batch.dtype == stacked.dtype == dtype and batch.shape == stacked.shape
     assert batch.tobytes() == stacked.tobytes()
+    # One encoder over several calls: new and repeated patterns inside a batch,
+    # then only cached ones, then a short last batch.
+    encoder = BatchEncoder(cfg, dtype)
+    for call in (words[:3] + ["bbbbbbb", "xyzxyzx", "abcdefg"], words[2:], ["zzzzzzz"]):
+        got = encoder(iter(call))
+        assert got.dtype == dtype
+        assert got.tobytes() == np.stack([encode_dense(w, cfg, dtype) for w in call]).tobytes()
+    assert len(encoder) == len(words)
+
+
+def test_cached_counts_are_read_only():
+    encoder = BatchEncoder(EncodingConfig.for_length(6))
+    encoder(["abcabd"])
+    cached = encoder.counts("xyzxyw")
+    assert cached is encoder.counts("abcabd") and len(encoder) == 1
+    for a in (cached.sizes, cached.nus, cached.counts, cached.empty):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+
+
+def test_cached_pattern_bytes_at_n15():
+    """The cache's memory per pattern: the upper half of the counts only."""
+    words = gen_password_dataset((32, 1, 1), 5, n=15)[0].words()
+    assert len(words) == 64
+    encoder = BatchEncoder(EncodingConfig.for_length(15))
+    for w in words:
+        encoder.counts(w)
+    assert encoder.nbytes / len(encoder) <= 60_000
+
+
+def test_permuted_split_adds_no_cache_entry():
+    val = gen_palindrome_dataset(8, (1, 24, 1), seed=4)[1]
+    permuted = permute_dataset(val, 9)
+    assert len(val.words()) == 48
+    assert [w.text for w in val.words()] != [w.text for w in permuted.words()]
+    cfg = EncodingConfig.for_length(8)
+    encoder = BatchEncoder(cfg)
+    clean_batches = [val.words()[i : i + 16] for i in range(0, 48, 16)]
+    permuted_batches = [permuted.words()[i : i + 16] for i in range(0, 48, 16)]
+    clean = [encoder(b).tobytes() for b in clean_batches]
+    seen = len(encoder)
+    assert [encoder(b).tobytes() for b in permuted_batches] == clean
+    assert len(encoder) == seen
+    assert [encode_batch(b, cfg).tobytes() for b in permuted_batches] == clean
 
 
 def test_encode_batch_builds_no_subword_entries(monkeypatch):

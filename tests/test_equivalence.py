@@ -10,9 +10,19 @@ from combword.equivalence import (
     find_bijection,
     find_bijection_exhaustive,
 )
+from combword.combinatorics import combinatorics_map
+from combword import words
 from oracles import brute_bijection, pattern_key
 
 words_abc = st.text(alphabet="abc", min_size=1, max_size=7)
+# Unrelated pairs, same-length pairs, and a word with its image under an injective map into abcd.
+word_pairs = st.one_of(
+    st.tuples(words_abc, words_abc),
+    words_abc.flatmap(lambda t: st.tuples(st.just(t), st.text(alphabet="abc", min_size=len(t), max_size=len(t)))),
+    words_abc.flatmap(
+        lambda t: st.permutations("abcd").map(lambda perm: (t, t.translate(str.maketrans("abc", "".join(perm[:3])))))
+    ),
+)
 
 
 def test_find_bijection_examples():
@@ -102,3 +112,13 @@ def test_exhaustive_length_four_theorem():
     for a, b in itertools.combinations(words, 2):
         same_pattern = len(a) == len(b) and pattern_key(a) == pattern_key(b)
         assert equivalent_by_tensor(a, b) == same_pattern, (a, b)
+
+
+@given(word_pairs)
+@settings(max_examples=200, deadline=None)
+def test_pattern_key_iff_bijection_iff_same_counts(pair):
+    a, b = pair
+    same_key = words.pattern_key(a) == words.pattern_key(b)
+    assert words.pattern_key(a) == pattern_key(a)
+    assert same_key == (find_bijection(a, b) is not None)
+    assert same_key == combinatorics_map(a).same_counts(combinatorics_map(b))
