@@ -7,18 +7,19 @@ Layout, all little-endian:
     <raw '<f4' parameter values, C order, in declaration order>
 
 Parameters are stored as 32-bit reals; loading a checkpoint restores them
-bit for bit.
+bit for bit. A file whose parameters are not all finite is rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .datasets import TASKS
 from .encoding import EncodingConfig, channel_count
-from .network import LayerSpec, Network
+from .network import LayerSpec, Network, param_shapes
 
 MAGIC = b"combword-checkpoint v1"
 VERSION = 1
@@ -73,20 +74,19 @@ _HEADER_FIELDS = {
 }
 
 
-def _check_meta(path, model: Network) -> None:
+def _check_meta(path, meta: dict, input_shape: tuple) -> None:
     """The meta may name only a known task, and must describe the model's input.
 
     A char model's word length and alphabet size must be its input shape; a
     tensor model's meta must rebuild an encoder that fits its input shape.
     """
-    meta = model.meta
     if "task" in meta and meta["task"] not in TASKS:
         raise CheckpointError(f"{path}: corrupted header: meta names an unknown task {meta['task']!r}")
     if meta.get("model") == "char":
         shape = (meta.get("word_length"), 1, meta.get("alphabet_size"))
-        if not (_is_int(shape[0]) and _is_int(shape[2]) and shape == model.input_shape):
+        if not (_is_int(shape[0]) and _is_int(shape[2]) and shape == input_shape):
             raise CheckpointError(
-                f"{path}: corrupted header: meta 'word_length'/'alphabet_size' do not match input_shape {list(model.input_shape)}"
+                f"{path}: corrupted header: meta 'word_length'/'alphabet_size' do not match input_shape {list(input_shape)}"
             )
         return
     try:
@@ -94,11 +94,17 @@ def _check_meta(path, model: Network) -> None:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: corrupted header: meta has no valid 'encoding' ({exc!r})") from exc
     # Plane sizes first: they bound the word length before channel_count loops over it.
-    if model.input_shape[:2] != (cfg.pad_to, cfg.pad_to) or channel_count(cfg) != model.input_shape[2]:
-        raise CheckpointError(f"{path}: corrupted header: meta 'encoding' does not match input_shape {list(model.input_shape)}")
+    if input_shape[:2] != (cfg.pad_to, cfg.pad_to) or channel_count(cfg) != input_shape[2]:
+        raise CheckpointError(f"{path}: corrupted header: meta 'encoding' does not match input_shape {list(input_shape)}")
 
 
 def load_checkpoint(path) -> Network:
+    """Read a checkpoint, checking the header, the sizes and the values before building the model.
+
+    The parameter shapes follow from the specs and the input shape, so a
+    header that declares more parameters than the file holds is rejected
+    before anything is allocated; a non-finite parameter is rejected too.
+    """
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != MAGIC:
@@ -116,22 +122,26 @@ def load_checkpoint(path) -> Network:
         if not valid(header.get(key)):
             raise CheckpointError(f"{path}: corrupted header: field {key!r} is missing or ill-typed")
     specs = [LayerSpec.from_dict(d) for d in header["specs"]]
+    input_shape = tuple(header["input_shape"])
     try:
-        model = Network(specs, tuple(header["input_shape"]), header["seed"], np.float32, header["meta"])
+        shapes = param_shapes(specs, input_shape)
     except ValueError as exc:
         raise CheckpointError(f"{path}: header declares an invalid architecture: {exc}") from exc
-    _check_meta(path, model)
-    shapes = [tuple(s) for s in header["shapes"]]
-    params = model.params()
-    if [p.shape for p in params] != shapes:
+    if [tuple(s) for s in header["shapes"]] != shapes:
         raise CheckpointError(f"{path}: header shapes do not match the declared architecture")
-    expected = sum(int(np.prod(s)) for s in shapes) * 4
+    expected = sum(math.prod(s) for s in shapes) * 4
     if len(blob) != expected:
         raise CheckpointError(f"{path}: parameter blob is {len(blob)} bytes, expected {expected}")
+    values = np.frombuffer(blob, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"{path}: parameter blob holds non-finite values")
+    _check_meta(path, header["meta"], input_shape)
+    try:
+        model = Network(specs, input_shape, header["seed"], np.float32, header["meta"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: header declares an invalid architecture: {exc}") from exc
     offset = 0
-    for p in params:
-        nbytes = p.size * 4
-        values = np.frombuffer(blob, dtype="<f4", count=p.size, offset=offset).reshape(p.shape)
-        np.copyto(p, values)
-        offset += nbytes
+    for p in model.params():
+        np.copyto(p, values[offset : offset + p.size].reshape(p.shape))
+        offset += p.size
     return model

@@ -99,6 +99,17 @@ def _check_feasible(n: int, per_class: tuple[int, int, int], alphabet_size: int)
         raise ValueError(f"cannot draw {total} distinct non-palindromes of length {n}: only {non_palindromes} exist")
 
 
+def _min_strong_length() -> int:
+    """The shortest length at which a password can pass the strong draw.
+
+    A strong draw needs _MIN_STRONG_DISTINCT distinct characters and a score
+    above STRONG_THRESHOLD; at a given length, all-distinct characters score
+    highest.
+    """
+    letters = PASSWORD_ALPHABET.letters
+    return next(n for n in range(_MIN_STRONG_DISTINCT, len(letters) + 1) if strength_score("".join(letters[:n])).strong)
+
+
 def _draw_unique(seen: set[str], make, what: str) -> str:
     for _ in range(_MAX_ATTEMPTS_PER_ITEM):
         w = make()
@@ -151,8 +162,9 @@ def gen_password_dataset(
     strong items are drawn from all 94 characters and resampled until they
     use at least 12 distinct ones. Every label is re-verified by the scorer.
     """
-    if n < 2:
-        raise ValueError(f"password task needs word length >= 2, got {n}")
+    shortest = _min_strong_length()
+    if n < shortest:
+        raise ValueError(f"password task needs word length >= {shortest} for strong passwords to exist, got {n}")
     if any(c < 1 for c in counts):
         raise ValueError("every split needs at least one item per class")
     rng = random.Random(seed)

@@ -10,8 +10,11 @@ nothing to the weight or input gradients. The GEMMs run over tiles of
 TILE_ROWS result rows, every offset for one tile before the next tile, so
 that the partial products stay in cache. A row of the output or of the
 input gradient is summed in the same order wherever the tiles fall; the
-weight gradient is summed tile by tile, in a fixed order. Pooling floors
-odd extents.
+weight gradient is summed tile by tile, in a fixed order. A dense layer's
+forward runs as GEMMs of DENSE_ROWS rows. So every layer computes a sample's
+output row the same way whatever the size of its batch and wherever the
+sample sits in it, which lets training run each distinct input once. Pooling
+floors odd extents.
 
 A conv's or dense layer's ``backward(dout, input_grad=False)`` computes only
 the parameter gradients and returns None; the network asks this of its first
@@ -36,6 +39,14 @@ SIGMOID_CLAMP = 1e-7
 # OpenBLAS gives the same bits at one and two threads, so checkpoints do not
 # depend on the thread count; with 2048-row tiles n=10 gradients differed.
 TILE_ROWS = 1024
+
+# Rows of every forward GEMM of a dense layer; a short last tile is padded with
+# zero rows. OpenBLAS picks its kernels by a product's size (and numpy sends a
+# one-column product to GEMV), so rows of one (n, nin) @ (nin, nout) product
+# differ in their last bits as n changes. With every GEMM the same size, a
+# row's output does not depend on the size of its batch, and a full batch of
+# 32 gets the same bits as one whole-batch product.
+DENSE_ROWS = 32
 
 
 def _gate(values: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -247,6 +258,8 @@ class Flatten:
 
 
 class Dense:
+    """Affine map ``x @ w + b``, run as GEMMs of DENSE_ROWS rows each."""
+
     def __init__(self, nin: int, nout: int, rng: np.random.Generator, dtype=np.float32):
         scale = np.sqrt(2.0 / nin)
         self.w = (rng.standard_normal((nin, nout)) * scale).astype(dtype)
@@ -265,7 +278,17 @@ class Dense:
         if x.shape[1] != self.w.shape[0]:
             raise ValueError(f"dense: expected {self.w.shape[0]} inputs, got {x.shape[1]}")
         self._x = x
-        return x @ self.w + self.b
+        n = x.shape[0]
+        out = np.empty((n, self.w.shape[1]), dtype=np.result_type(x, self.w))
+        for r0 in range(0, n, DENSE_ROWS):
+            tile = x[r0 : r0 + DENSE_ROWS]
+            if tile.shape[0] == DENSE_ROWS:
+                np.matmul(tile, self.w, out=out[r0 : r0 + DENSE_ROWS])
+            else:
+                pad = np.zeros((DENSE_ROWS - tile.shape[0], tile.shape[1]), dtype=tile.dtype)
+                out[r0:] = (np.concatenate([tile, pad]) @ self.w)[: tile.shape[0]]
+        out += self.b
+        return out
 
     def backward(self, dout, input_grad: bool = True):
         self.dw[...] = self._x.T @ dout

@@ -68,17 +68,24 @@ def sigmoid() -> LayerSpec:
     return LayerSpec("sigmoid")
 
 
+def _check_positive(where: str, spec: LayerSpec, what: str, values) -> None:
+    if any(v < 1 for v in values):
+        raise ValueError(f"{where}: {spec.kind} {what} must be >= 1, got {list(values)}")
+
+
 def shape_after(spec: LayerSpec, shape: tuple, where: str) -> tuple:
-    """Propagate one layer through a sample shape, rejecting underflows."""
+    """Propagate one layer through a sample shape, rejecting underflows and empty layers."""
     if spec.kind == "conv2d":
         h, w, c = shape
         kh, kw = spec.kernel
+        _check_positive(where, spec, "kernel and filters", (kh, kw, spec.filters))
         if h < kh or w < kw:
             raise ValueError(f"{where}: conv2d kernel {kh}x{kw} does not fit input plane {h}x{w}")
         return (h - kh + 1, w - kw + 1, spec.filters)
     if spec.kind == "maxpool2d":
         h, w, c = shape
         ph, pw = spec.pool
+        _check_positive(where, spec, "pool", (ph, pw))
         if h // ph < 1 or w // pw < 1:
             raise ValueError(f"{where}: maxpool2d window {ph}x{pw} does not fit input plane {h}x{w}")
         return (h // ph, w // pw, c)
@@ -90,8 +97,34 @@ def shape_after(spec: LayerSpec, shape: tuple, where: str) -> tuple:
             size *= d
         return (size,)
     if spec.kind == "dense":
+        _check_positive(where, spec, "units", (spec.units,))
+        if len(shape) != 1:
+            raise ValueError(f"{where}: dense needs a flat input, got shape {shape}")
         return (spec.units,)
     raise ValueError(f"{where}: unknown layer kind {spec.kind!r}")
+
+
+def sample_shapes(specs: list[LayerSpec], input_shape: tuple) -> list[tuple]:
+    """The per-sample shape entering each layer, then the network's output shape.
+
+    Shape arithmetic alone: raises ValueError for a stack that does not fit
+    its input before anything is allocated.
+    """
+    shapes = [tuple(input_shape)]
+    for i, spec in enumerate(specs):
+        shapes.append(shape_after(spec, shapes[-1], f"layer {i} ({spec.kind})"))
+    return shapes
+
+
+def param_shapes(specs: list[LayerSpec], input_shape: tuple) -> list[tuple[int, ...]]:
+    """The shapes of a network's parameters, in ``Network.params`` order."""
+    shapes = []
+    for spec, shape in zip(specs, sample_shapes(specs, input_shape)):
+        if spec.kind == "conv2d":
+            shapes += [(*spec.kernel, shape[2], spec.filters), (spec.filters,)]
+        elif spec.kind == "dense":
+            shapes += [(shape[0], spec.units), (spec.units,)]
+    return shapes
 
 
 class Network:
@@ -110,11 +143,13 @@ class Network:
         self.seed = seed
         self.dtype = np.dtype(dtype)
         self.meta = dict(meta or {})
+        shapes = sample_shapes(self.specs, self.input_shape)
+        if shapes[-1] != (1,):
+            raise ValueError(f"network must end in a single sigmoid unit, got output shape {shapes[-1]}")
+        self.output_shape = shapes[-1]
         rng = np.random.default_rng(seed)
         self.layers = []
-        shape = self.input_shape
-        for i, spec in enumerate(self.specs):
-            where = f"layer {i} ({spec.kind})"
+        for spec, shape in zip(self.specs, shapes):
             if spec.kind == "conv2d":
                 self.layers.append(Conv2d(*spec.kernel, shape[2], spec.filters, rng, dtype))
             elif spec.kind == "maxpool2d":
@@ -125,14 +160,8 @@ class Network:
                 self.layers.append(Flatten())
             elif spec.kind == "dense":
                 self.layers.append(Dense(shape[0], spec.units, rng, dtype))
-            elif spec.kind == "sigmoid":
-                self.layers.append(Sigmoid())
             else:
-                raise ValueError(f"{where}: unknown layer kind")
-            shape = shape_after(spec, shape, where)
-        if shape != (1,):
-            raise ValueError(f"network must end in a single sigmoid unit, got output shape {shape}")
-        self.output_shape = shape
+                self.layers.append(Sigmoid())
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Per-sample probabilities, shape (batch,)."""

@@ -9,8 +9,20 @@ so a word that comes back in a later epoch, in validation or as an
 alphabet-permuted twin is not counted again. That cache grows with the
 distinct patterns of a run: about 7 KB each at n=10, 38 KB at n=15 and
 220 KB at n=20 with channels capped at length 3. It never changes a bit of
-a batch. Everything is sequential, so identical seeds reproduce identical
-epoch records byte for byte.
+a batch.
+
+A batch runs through the network once per distinct input: the encoder gets
+one representative word per key of ``input_key`` (the repetition pattern
+for the tensor model, the letters for the char baseline), and the
+probabilities are gathered back to every word of the batch. A row's bits do
+not depend on the batch it runs in (see ``layers``), so each word gets the
+probability a full forward pass would give it. The loss and accuracy stay
+means over all the batch's words; backward gets each representative's
+summed loss gradient, which is the full batch's parameter gradient up to
+rounding, since duplicate rows have identical activations. A batch of 32
+holds about 20 patterns on n=10 palindromes and 27-28 on n=15 passwords.
+Everything is sequential, so identical seeds reproduce identical epoch
+records byte for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ import numpy as np
 from .datasets import LabeledDataset, task_alphabet
 from .encoding import BatchEncoder, EncodingConfig, onehot_batch
 from .network import Network, binary_cross_entropy
+from .words import as_text, pattern_key
 
 
 class TrainingDiverged(RuntimeError):
@@ -112,16 +125,61 @@ def encoder_for(model: Network, task: str):
     return combinatorial_encoder(EncodingConfig.from_dict(model.meta["encoding"]))
 
 
+def input_key(model: Network):
+    """Per word, the key that determines the model's input row.
+
+    The tensor model's input is a function of the word's repetition pattern,
+    so pattern twins share a row; any other model (the char baseline) reads
+    the letters, and only equal words do.
+    """
+    if "encoding" in model.meta:
+        return lambda w: pattern_key(as_text(w))
+    return as_text
+
+
+def _forward_distinct(model: Network, words: list, encoder) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of one forward row per distinct input, and each word's row.
+
+    The rows are the first word of each ``input_key``, in batch order.
+    """
+    key = input_key(model)
+    slots: dict = {}
+    reps = []
+    inv = np.empty(len(words), dtype=np.intp)
+    for i, w in enumerate(words):
+        k = key(w)
+        if k not in slots:
+            slots[k] = len(reps)
+            reps.append(w)
+        inv[i] = slots[k]
+    return model.forward(encoder(reps)), inv
+
+
+def batch_gradients(model: Network, words: list, labels: np.ndarray, encoder) -> tuple[np.ndarray, float]:
+    """Fill the model's gradients of the batch's mean BCE; return each word's probability and the loss.
+
+    Forward and backward run once per distinct input row, and a row's loss
+    gradient is the sum over the words that share it.
+    """
+    rows, inv = _forward_distinct(model, words, encoder)
+    probs = rows[inv]
+    loss, dprobs = binary_cross_entropy(probs, labels)
+    model.backward(np.bincount(inv, weights=dprobs).astype(probs.dtype))
+    return probs, loss
+
+
 def evaluate(model: Network, ds: LabeledDataset, encoder, batch_size: int = 32) -> float:
     """Fraction of samples with (probability > 0.5) == label; 0.5 counts as class 0."""
     return _accuracy(predict_probs(model, ds, encoder, batch_size), np.asarray(ds.labels()))
 
 
 def predict_probs(model: Network, ds: LabeledDataset, encoder, batch_size: int = 32) -> np.ndarray:
+    """Per-word probabilities, batch by batch, one forward row per distinct input."""
     words = ds.words()
     out = []
     for i in range(0, len(words), batch_size):
-        out.append(model.forward(encoder(words[i : i + batch_size])))
+        rows, inv = _forward_distinct(model, words[i : i + batch_size], encoder)
+        out.append(rows[inv])
     return np.concatenate(out)
 
 
@@ -141,6 +199,7 @@ def train(
     Train loss and accuracy are accumulated from each batch's pre-update
     forward pass; validation accuracy is measured after each epoch. Stops
     early once stop_at_val_acc is reached, and aborts on non-finite loss.
+    Each batch is encoded and run once per distinct input (module docstring).
     """
     params = model.params()
     opt = make_optimizer(cfg, params)
@@ -159,11 +218,9 @@ def train(
             take = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
             words = [items[i][0] for i in take]
             y = labels_all[take]
-            probs = model.forward(encoder(words))
-            loss, dprobs = binary_cross_entropy(probs, y)
+            probs, loss = batch_gradients(model, words, y, encoder)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch} step {step + 1}")
-            model.backward(dprobs.astype(probs.dtype, copy=False))
             opt.step(model.grads())
             losses.append(loss)
             correct += int(np.sum((probs > 0.5).astype(np.int64) == y.astype(np.int64)))

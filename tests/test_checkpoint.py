@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from combword import checkpoint
 from combword.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from combword.datasets import gen_palindrome_dataset
 from combword.encoding import EncodingConfig
@@ -100,6 +101,10 @@ def _put_spec_field(key, value):
     return lambda h: {**h, "specs": [{**h["specs"][0], key: value}] + h["specs"][1:]}
 
 
+def _put_spec(i, **fields):
+    return lambda h: {**h, "specs": [{**d, **fields} if j == i else d for j, d in enumerate(h["specs"])]}
+
+
 def _put_meta(**fields):
     return lambda h: {**h, "meta": {**h["meta"], **fields}}
 
@@ -137,6 +142,9 @@ def _put_encoding(**fields):
         (_put_spec_field("kind", "bogus"), "invalid architecture"),
         (_put_spec_field("filters", -4), "invalid architecture"),
         (_put("seed", -1), "invalid architecture"),
+        (_put_spec(4, pool=[0, 2]), "invalid architecture"),
+        (_put_spec(9, units=0), "invalid architecture"),
+        (_put_spec(8, kind="relu"), "invalid architecture"),  # dense on an unflattened plane
         (_put_meta(task="anagram"), "unknown task"),
         (_put_meta(task=["palindrome"]), "unknown task"),
     ],
@@ -179,3 +187,51 @@ def test_model_without_task_loads(tmp_path):
         assert "task" not in m.meta
         save_checkpoint(m, tmp_path / "m.ckpt")
         assert load_checkpoint(tmp_path / "m.ckpt").meta == m.meta
+
+
+# The tensor CNN's first dense layer, widened to 10^12 units: ~18 TB of float32.
+_HUGE = 10**12
+
+
+def _huge_dense(h):
+    return _put_spec(9, units=_HUGE)(h)
+
+
+def _huge_dense_with_shapes(h):
+    h = _huge_dense(h)
+    shapes = list(h["shapes"])
+    shapes[6:9] = [[shapes[6][0], _HUGE], [_HUGE], [_HUGE, 1]]
+    return {**h, "shapes": shapes}
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (_huge_dense, "header shapes do not match"),
+        (_huge_dense_with_shapes, r"blob is \d+ bytes, expected \d{13,}$"),
+    ],
+)
+def test_oversized_header_rejected_before_allocation(model, tmp_path, monkeypatch, edit, match):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(model, p)
+    _rewrite_header(p, edit)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the model was built before its size was checked")
+
+    monkeypatch.setattr(checkpoint, "Network", no_build)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_non_finite_parameter_raises_checkpoint_error(model, tmp_path, value, where):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(model, p)
+    data = bytearray(p.read_bytes())
+    at = len(data) - 4 if where == "last" else len(data) - 4 * model.param_count()
+    data[at : at + 4] = np.float32(value).astype("<f4").tobytes()
+    p.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_checkpoint(p)

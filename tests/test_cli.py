@@ -215,6 +215,20 @@ def test_eval_checkpoint_with_unknown_task_exits_io(mini_run, tmp_path, capsys):
     assert err.startswith("error: io:") and "unknown task 'anagram'" in err and "Traceback" not in err
 
 
+def test_eval_checkpoint_with_nan_parameter_exits_io(mini_run, tmp_path, capsys):
+    data, out = mini_run
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes((out / "model.ckpt").read_bytes()[:-4] + np.float32(np.nan).tobytes())
+    code, text, err = run(capsys, "eval", "--checkpoint", str(bad), "--data", str(data / "val.tsv"))
+    assert code == 3 and text == ""
+    assert err.startswith("error: io:") and "non-finite" in err and "Traceback" not in err
+
+
+def test_gen_passwords_shorter_than_a_strong_password_is_rejected(tmp_path, capsys):
+    code, _, err = run(capsys, "gen", "passwords", "--len", "13", "--train", "2", "--val", "1", "--test", "1", "--out", str(tmp_path / "d"))
+    assert code == 1 and ">= 14" in err and "Traceback" not in err
+
+
 def test_eval_char_checkpoint_with_wrong_word_length_exits_io(mini_run, tmp_path, capsys):
     data, _ = mini_run
     ckpt = tmp_path / "char.ckpt"

@@ -90,6 +90,20 @@ def test_gen_passwords_shapes_and_labels():
             assert strength_score(w).strong == bool(y)
 
 
+def test_gen_passwords_rejects_lengths_without_strong_passwords():
+    # 13 distinct characters give 13 * log2(13) = 48.1 bits, short of the 52.1 a score above 0.7 needs.
+    with pytest.raises(ValueError, match=">= 14"):
+        gen_password_dataset((1, 1, 1), seed=1, n=13)
+
+
+def test_gen_passwords_at_the_shortest_strong_length():
+    tr, va, te = gen_password_dataset((3, 1, 1), seed=1, n=14)
+    for ds in (tr, va, te):
+        assert all(len(w) == 14 for w in ds.words())
+        assert all(strength_score(w).strong == bool(y) for w, y in ds.items)
+        assert sum(ds.labels()) * 2 == len(ds)
+
+
 def test_gen_passwords_deterministic():
     a = gen_password_dataset((10, 4, 4), seed=7)
     b = gen_password_dataset((10, 4, 4), seed=7)

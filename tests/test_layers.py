@@ -149,6 +149,20 @@ def test_dense_affine():
     assert list(out[0]) == [14.0, 25.0]
 
 
+@pytest.mark.parametrize("nin, nout", [(1152, 64), (64, 1)], ids=["L9", "L11"])
+def test_dense_rows_do_not_depend_on_batch_size(nin, nout):
+    # The two dense shapes of the n=10 tensor CNN; the 64->1 head is a one-column product.
+    rng = np.random.default_rng(nin)
+    d = Dense(nin, nout, rng)
+    d.b[...] = rng.standard_normal(nout)
+    x = np.maximum(rng.standard_normal((33, nin)), 0).astype(np.float32)
+    rows = d.forward(x)
+    assert rows[:32].tobytes() == (x[:32] @ d.w + d.b).tobytes()  # a full batch of 32 keeps its bits
+    for n in range(1, 34):
+        assert d.forward(x[:n]).tobytes() == rows[:n].tobytes(), n
+        assert d.forward(x[33 - n :]).tobytes() == rows[33 - n :].tobytes(), n
+
+
 @pytest.mark.parametrize("kind", LAYER_KINDS)
 def test_layer_gradients_small(kind):
     rng = np.random.default_rng(123)

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
-from combword.datasets import gen_palindrome_dataset
+from combword.datasets import PALINDROME_ALPHABET, LabeledDataset, gen_palindrome_dataset, permute_dataset
 from combword.encoding import EncodingConfig
-from combword.network import build_combinatorial_cnn
+from combword.network import binary_cross_entropy, build_char_cnn, build_combinatorial_cnn
 from combword.training import (
     EpochRecord,
     TrainConfig,
     TrainingDiverged,
+    batch_gradients,
+    char_encoder,
     combinatorial_encoder,
     evaluate,
     predict_probs,
     records_to_csv_lines,
     train,
 )
+from combword.words import Word, pattern_key
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +117,74 @@ def test_evaluate_tie_counts_as_class_zero(tiny_task):
 
 
 def test_predict_probs_batching_consistent(tiny_task):
+    # A word's probability does not depend on the size of its batch, to the bit.
     tr, _, cfg_enc = tiny_task
     model = fresh_model(cfg_enc, seed=9)
     enc = combinatorial_encoder(cfg_enc)
-    small = predict_probs(model, tr, enc, batch_size=5)
-    large = predict_probs(model, tr, enc, batch_size=64)
-    assert np.allclose(small, large, atol=1e-6)
+    reference = predict_probs(model, tr, enc, batch_size=32)
+    for batch_size in (1, 5, 7, 64):
+        assert predict_probs(model, tr, enc, batch_size=batch_size).tobytes() == reference.tobytes(), batch_size
+
+
+class RecordingEncoder:
+    """Wraps an encoder and keeps the word texts of every call."""
+
+    def __init__(self, encode):
+        self.encode = encode
+        self.calls: list[list[str]] = []
+
+    def __call__(self, words):
+        self.calls.append([w.text for w in words])
+        return self.encode(words)
+
+
+def twin_batch(tr, size=16):
+    """``size`` training words and their alphabet-permuted twins: every pattern at least twice."""
+    head = LabeledDataset(tr.items[:size], tr.task, tr.split, tr.seed, tr.word_length)
+    items = head.items + permute_dataset(head, seed=4).items
+    return [w for w, _ in items], np.asarray([y for _, y in items], dtype=np.float64)
+
+
+def test_deduplicated_step_matches_full_batch(tiny_task):
+    tr, _, cfg_enc = tiny_task
+    words, labels = twin_batch(tr)
+    enc = RecordingEncoder(combinatorial_encoder(cfg_enc))
+    model, ref = fresh_model(cfg_enc, seed=4), fresh_model(cfg_enc, seed=4)
+    probs, loss = batch_gradients(model, words, labels, enc)
+    assert len(enc.calls) == 1 and len(enc.calls[0]) == len({pattern_key(w.text) for w in words}) < len(words)
+
+    full = ref.forward(enc.encode(words))
+    ref_loss, dprobs = binary_cross_entropy(full, labels)
+    ref.backward(dprobs.astype(full.dtype))
+    assert probs.tobytes() == full.tobytes()
+    assert loss == ref_loss
+    for g, g_ref in zip(model.grads(), ref.grads()):
+        assert np.allclose(g, g_ref, rtol=1e-4, atol=1e-7)
+
+
+def test_train_encodes_each_pattern_once_per_call(tiny_task):
+    tr, va, cfg_enc = tiny_task
+    enc = RecordingEncoder(combinatorial_encoder(cfg_enc))
+    cfg = TrainConfig(epochs=2, batch_size=8, steps_per_epoch=3, seed=11)
+    _, records = train(fresh_model(cfg_enc), tr, va, cfg, enc)
+    val_batches = -(-len(va) // cfg.batch_size)
+    assert len(enc.calls) == len(records) * (cfg.steps_per_epoch + val_batches)
+    for texts in enc.calls:
+        keys = [pattern_key(t) for t in texts]
+        assert texts and len(set(keys)) == len(keys)
+    assert sum(map(len, enc.calls)) < len(enc.calls) * cfg.batch_size  # some batch repeated a pattern
+
+
+def test_char_model_runs_pattern_twins_as_separate_rows():
+    # The char baseline reads letters, so only equal words share a row.
+    texts = ["abcabc", "xyzxyz", "abcabc", "abccba"]
+    ds = LabeledDataset([(Word(t, PALINDROME_ALPHABET), 0) for t in texts], "palindrome", "test", None, 6)
+    model = build_char_cnn(6, len(PALINDROME_ALPHABET), seed=2)
+    enc = RecordingEncoder(char_encoder("palindrome"))
+    probs = predict_probs(model, ds, enc)
+    assert enc.calls == [["abcabc", "xyzxyz", "abccba"]]
+    assert probs.tobytes() == model.forward(enc.encode(ds.words())).tobytes()
+    assert probs[0] != probs[1]
 
 
 def test_csv_lines_format():
