@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -150,6 +151,10 @@ def cmd_train(args) -> int:
     )
     encoder = encoder_for(model, args.task)
     model, records = train(model, train_ds, val_ds, cfg, encoder)
+    # Memory goes to the manifest only: metrics.csv and the checkpoint stay byte-identical across reruns.
+    memory = {"peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6, 1)}
+    if args.model == "combinatorial":
+        memory["encoder_cache"] = {"patterns": len(encoder), "cache_mb": round(encoder.nbytes / 1e6, 3)}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text("\n".join(records_to_csv_lines(records)) + "\n", encoding="utf-8")
@@ -172,6 +177,7 @@ def cmd_train(args) -> int:
             "outputs": ["metrics.csv", "model.ckpt"],
             "artifact_version": __version__,
             "wall_clock_seconds": round(time.time() - started, 3),
+            **memory,
         },
     )
     if records:
@@ -189,6 +195,12 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     task = model.meta.get("task", "palindrome")
     ds = read_dataset(args.data, task=task, split="eval")
+    char = model.meta.get("model") == "char"
+    n = model.meta["word_length"] if char else EncodingConfig.from_dict(model.meta["encoding"]).word_length
+    if ds.word_length != n:
+        raise DatasetFormatError(
+            f"{args.data}: words of length {ds.word_length} do not fit the model {args.checkpoint}, built for length {n}"
+        )
     if args.permute_seed is not None:
         ds = permute_dataset(ds, args.permute_seed)
     acc = evaluate(model, ds, encoder_for(model, task))

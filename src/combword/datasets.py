@@ -10,6 +10,7 @@ repetitions and survive any relabeling of the alphabet.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -110,6 +111,18 @@ def _min_strong_length() -> int:
     return next(n for n in range(_MIN_STRONG_DISTINCT, len(letters) + 1) if strength_score("".join(letters[:n])).strong)
 
 
+def _max_weak_length() -> int:
+    """The longest length at which a password can pass the weak draw.
+
+    A weak draw uses at least two of the smallest pool's _WEAK_POOL_RANGE[0]
+    characters, save one draw in 2^(n-1) that repeats a single character,
+    and two distinct characters score lowest; beyond this length they score
+    strong.
+    """
+    letters = PASSWORD_ALPHABET.letters[: _WEAK_POOL_RANGE[0]]
+    return next(n for n in itertools.count(len(letters)) if strength_score((letters * n)[:n]).strong) - 1
+
+
 def _draw_unique(seen: set[str], make, what: str) -> str:
     for _ in range(_MAX_ATTEMPTS_PER_ITEM):
         w = make()
@@ -161,10 +174,14 @@ def gen_password_dataset(
     Weak items are drawn from a small per-item pool (2 to 11 characters);
     strong items are drawn from all 94 characters and resampled until they
     use at least 12 distinct ones. Every label is re-verified by the scorer.
+    Lengths run from 14, the shortest with a strong password, to 52, the
+    longest at which a draw from a 2-character pool still scores weak.
     """
-    shortest = _min_strong_length()
+    shortest, longest = _min_strong_length(), _max_weak_length()
     if n < shortest:
         raise ValueError(f"password task needs word length >= {shortest} for strong passwords to exist, got {n}")
+    if n > longest:
+        raise ValueError(f"password task needs word length <= {longest} for weak passwords to exist, got {n}")
     if any(c < 1 for c in counts):
         raise ValueError("every split needs at least one item per class")
     rng = random.Random(seed)
@@ -232,9 +249,14 @@ def read_dataset(
     unless given, and split/seed metadata must be supplied by the caller.
     """
     records: list[tuple[int, int, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes come through as lone surrogates, so the error can name its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DatasetFormatError(f"{path}: line {lineno}: not valid UTF-8 at character {exc.start + 1}") from None
             if not line:
                 raise DatasetFormatError(f"{path}: line {lineno}: empty record")
             head, tab, word = line.partition("\t")

@@ -16,13 +16,22 @@ output row the same way whatever the size of its batch and wherever the
 sample sits in it, which lets training run each distinct input once. Pooling
 floors odd extents.
 
+Every ``forward`` takes ``train``. With it (the default), a layer keeps what
+its backward reads until its next forward: a conv a view of its input, a
+dense layer its input, ReLU and sigmoid their output, a pool the index of
+each window's first maximum. Without it, the pass is inference only: the
+layer drops what an earlier pass kept and keeps nothing, the pool builds no
+index, and ReLU rectifies its input in place when that input is writable.
+The network hands its layers a read-only view of the caller's batch, so an
+inference pass rectifies in place only arrays it made itself. Apart from
+that, no layer writes into its ``x`` or ``dout`` argument: gradient checks
+call the same layer again on the same arrays.
+
 A conv's or dense layer's ``backward(dout, input_grad=False)`` computes only
 the parameter gradients and returns None; the network asks this of its first
-layer, whose input gradient nobody reads. No layer writes into its ``x`` or
-``dout`` argument (so ReLU is not applied in place): gradient checks call the
-same layer again on the same arrays, and a conv keeps a view of its input. All layers
-preserve the dtype of their parameters/input, so the same code runs in
-float32 for training and float64 for finite-difference checks.
+layer, whose input gradient nobody reads. All layers preserve the dtype of
+their parameters/input, so the same code runs in float32 for training and
+float64 for finite-difference checks.
 """
 
 from __future__ import annotations
@@ -129,17 +138,20 @@ class Conv2d:
         kh, kw = self.w.shape[:2]
         return [ki * wd + kj for ki in range(kh) for kj in range(kw)]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         kh, kw, cin, cout = self.w.shape
         n, h, wd, c = x.shape
         if c != cin:
             raise ValueError(f"conv2d: expected {cin} input channels, got {c}")
         if h < kh or wd < kw:
             raise ValueError(f"conv2d: input {h}x{wd} smaller than kernel {kh}x{kw}")
+        if not train:
+            self._xf = self._in_shape = None
         xf = x.reshape(-1, cin)
         out = _shifted_gemms(xf, self.w.reshape(-1, cin, cout), self._shifts(wd))
         out += self.b
-        self._xf, self._in_shape = xf, x.shape
+        if train:
+            self._xf, self._in_shape = xf, x.shape
         return out.reshape(n, h, wd, cout)[:, : h - kh + 1, : wd - kw + 1]
 
     def backward(self, dout: np.ndarray, input_grad: bool = True):
@@ -175,9 +187,9 @@ class Conv2d:
 class MaxPool2d:
     """Max pooling with window (ph, pw), stride equal to the window.
 
-    Each window cell is one strided view of the input. Forward keeps, per
-    output cell, the row-major index of the first window cell holding the
-    max, which is where backward sends the whole gradient.
+    Each window cell is one strided view of the input. A training forward
+    keeps, per output cell, the row-major index of the first window cell
+    holding the max, which is where backward sends the whole gradient.
     """
 
     def __init__(self, ph: int, pw: int):
@@ -197,14 +209,18 @@ class MaxPool2d:
         hc, wc = x.shape[1] // ph * ph, x.shape[2] // pw * pw
         return [x[:, di:hc:ph, dj:wc:pw] for di in range(ph) for dj in range(pw)]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         n, h, w, c = x.shape
         if h // self.ph < 1 or w // self.pw < 1:
             raise ValueError(f"maxpool2d: input {h}x{w} smaller than window {self.ph}x{self.pw}")
+        if not train:
+            self._arg = self._in_shape = None
         cells = self._cells(x)
         out = cells[0].copy()
         for cell in cells[1:]:
             np.maximum(cell, out, out=out)  # on equal values this keeps out, the earlier cell
+        if not train:
+            return out
         # Index of the first cell equal to the max, by Horner's rule from the last cell back.
         arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(cells) - 1))
         for cell in reversed(cells[:-1]):
@@ -231,9 +247,12 @@ class ReLU:
     def grads(self):
         return []
 
-    def forward(self, x):
-        self._out = np.maximum(x, 0)
-        return self._out
+    def forward(self, x, train: bool = True):
+        if train:
+            self._out = np.maximum(x, 0)
+            return self._out
+        self._out = None
+        return np.maximum(x, 0, out=x if x.flags.writeable else None)
 
     def backward(self, dout):
         return _gate(dout, self._out > 0)
@@ -249,8 +268,8 @@ class Flatten:
     def grads(self):
         return []
 
-    def forward(self, x):
-        self._in_shape = x.shape
+    def forward(self, x, train: bool = True):
+        self._in_shape = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout):
@@ -274,10 +293,10 @@ class Dense:
     def grads(self):
         return [self.dw, self.db]
 
-    def forward(self, x):
+    def forward(self, x, train: bool = True):
         if x.shape[1] != self.w.shape[0]:
             raise ValueError(f"dense: expected {self.w.shape[0]} inputs, got {x.shape[1]}")
-        self._x = x
+        self._x = x if train else None
         n = x.shape[0]
         out = np.empty((n, self.w.shape[1]), dtype=np.result_type(x, self.w))
         for r0 in range(0, n, DENSE_ROWS):
@@ -308,10 +327,10 @@ class Sigmoid:
     def grads(self):
         return []
 
-    def forward(self, x):
+    def forward(self, x, train: bool = True):
         e = np.exp(-np.abs(x))
         out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        self._out = out
+        self._out = out if train else None
         return out
 
     def backward(self, dout):

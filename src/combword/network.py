@@ -4,6 +4,12 @@ A network is an ordered layer list built from declarative specs, so the same
 description drives construction, shape validation, and checkpointing. The
 classifier head is always a single sigmoid unit; training minimizes mean
 binary cross-entropy with probabilities clamped away from 0 and 1.
+
+``Network.forward(x, train)`` passes ``train`` to every layer. A training
+pass leaves each layer holding what backward reads (see ``layers``); an
+inference pass leaves nothing behind, so an evaluation batch never holds
+memory beyond its own pass, and its ReLUs rectify in place the arrays the
+pass made, never the caller's ``x``.
 """
 
 from __future__ import annotations
@@ -163,12 +169,18 @@ class Network:
             else:
                 self.layers.append(Sigmoid())
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Per-sample probabilities, shape (batch,)."""
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """Per-sample probabilities, shape (batch,); without ``train`` no layer keeps anything.
+
+        The layers get a read-only view of ``x``, which an inference pass's
+        ReLUs therefore never rectify in place.
+        """
         if tuple(x.shape[1:]) != self.input_shape:
             raise ValueError(f"input shape {x.shape[1:]} does not match model input {self.input_shape}")
+        x = x.view()
+        x.flags.writeable = False
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, train)
         return x[:, 0]
 
     def backward(self, dprobs: np.ndarray) -> None:

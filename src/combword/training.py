@@ -23,6 +23,12 @@ rounding, since duplicate rows have identical activations. A batch of 32
 holds about 20 patterns on n=10 palindromes and 27-28 on n=15 passwords.
 Everything is sequential, so identical seeds reproduce identical epoch
 records byte for byte.
+
+A training step's forward keeps every layer's activations for its backward,
+and they stay until the next forward. ``predict_probs`` (and so
+``evaluate`` and each epoch's validation) runs inference passes, which keep
+nothing and free what the last step kept, so a validation batch is not
+stacked on the arrays of the step or batch before it.
 """
 
 from __future__ import annotations
@@ -137,10 +143,11 @@ def input_key(model: Network):
     return as_text
 
 
-def _forward_distinct(model: Network, words: list, encoder) -> tuple[np.ndarray, np.ndarray]:
+def _forward_distinct(model: Network, words: list, encoder, train: bool) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities of one forward row per distinct input, and each word's row.
 
-    The rows are the first word of each ``input_key``, in batch order.
+    The rows are the first word of each ``input_key``, in batch order; with
+    ``train`` the layers keep what backward reads (``Network.forward``).
     """
     key = input_key(model)
     slots: dict = {}
@@ -152,7 +159,7 @@ def _forward_distinct(model: Network, words: list, encoder) -> tuple[np.ndarray,
             slots[k] = len(reps)
             reps.append(w)
         inv[i] = slots[k]
-    return model.forward(encoder(reps)), inv
+    return model.forward(encoder(reps), train), inv
 
 
 def batch_gradients(model: Network, words: list, labels: np.ndarray, encoder) -> tuple[np.ndarray, float]:
@@ -161,7 +168,7 @@ def batch_gradients(model: Network, words: list, labels: np.ndarray, encoder) ->
     Forward and backward run once per distinct input row, and a row's loss
     gradient is the sum over the words that share it.
     """
-    rows, inv = _forward_distinct(model, words, encoder)
+    rows, inv = _forward_distinct(model, words, encoder, train=True)
     probs = rows[inv]
     loss, dprobs = binary_cross_entropy(probs, labels)
     model.backward(np.bincount(inv, weights=dprobs).astype(probs.dtype))
@@ -178,7 +185,7 @@ def predict_probs(model: Network, ds: LabeledDataset, encoder, batch_size: int =
     words = ds.words()
     out = []
     for i in range(0, len(words), batch_size):
-        rows, inv = _forward_distinct(model, words[i : i + batch_size], encoder)
+        rows, inv = _forward_distinct(model, words[i : i + batch_size], encoder, train=False)
         out.append(rows[inv])
     return np.concatenate(out)
 

@@ -2,13 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combword import checkpoint
 from combword.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from combword.datasets import gen_palindrome_dataset
+from combword.cli import main
+from combword.datasets import gen_palindrome_dataset, write_dataset
 from combword.encoding import EncodingConfig
-from combword.network import build_char_cnn, build_combinatorial_cnn
+from combword.network import build_char_cnn, build_combinatorial_cnn, param_shapes
 from combword.training import combinatorial_encoder, predict_probs
+
+from damage import flipped, truncated
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +240,47 @@ def test_non_finite_parameter_raises_checkpoint_error(model, tmp_path, value, wh
     p.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="non-finite"):
         load_checkpoint(p)
+
+
+@pytest.fixture(scope="module")
+def saved_small(tmp_path_factory):
+    """A saved n=4 tensor model (~30 KB) and a dataset it can evaluate."""
+    root = tmp_path_factory.mktemp("fuzz")
+    m = build_combinatorial_cnn(EncodingConfig.for_length(4), seed=5)
+    m.meta["task"] = "palindrome"
+    save_checkpoint(m, root / "m.ckpt")
+    write_dataset(gen_palindrome_dataset(4, (1, 2, 1), seed=1)[1], root / "val.tsv")
+    return root, (root / "m.ckpt").read_bytes()
+
+
+@st.composite
+def digit_edits(draw, data: bytes, lo: int, hi: int) -> bytes:
+    """``data`` with one digit between bytes ``lo`` and ``hi`` changed to another digit."""
+    at = draw(st.sampled_from([i for i in range(lo, hi) if chr(data[i]).isdigit()]))
+    digit = draw(st.sampled_from(b"0123456789".replace(data[at : at + 1], b"")))
+    return data[:at] + bytes([digit]) + data[at + 1 :]
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_raises_checkpoint_error(saved_small, data):
+    root, good = saved_small
+    header_end = good.index(b"\n", len(MAGIC) + 1) + 1
+    bad = data.draw(
+        st.one_of(
+            truncated(good),
+            flipped(good, 0, header_end),
+            flipped(good, header_end),
+            digit_edits(good, len(MAGIC) + 1, header_end),
+        )
+    )
+    path = root / "bad.ckpt"
+    path.write_bytes(bad)
+    try:
+        loaded = load_checkpoint(path)
+    except CheckpointError:
+        argv = ["eval", "--checkpoint", str(path), "--data", str(root / "val.tsv"), "--out", str(root)]
+        assert main(argv) == 3
+        return
+    assert [p.shape for p in loaded.params()] == param_shapes(loaded.specs, loaded.input_shape)
+    assert all(np.isfinite(p).all() for p in loaded.params())

@@ -6,12 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from combword.checkpoint import load_checkpoint, save_checkpoint
 from combword.cli import main
 from combword.combinatorics import combinatorics_map
 from combword.encoding import EncodingConfig, channel_count
+from combword.datasets import DatasetFormatError, read_dataset
 from combword.network import build_char_cnn
+
+from damage import damaged
 
 
 def run(capsys, *argv):
@@ -166,8 +170,11 @@ def test_train_outputs(mini_run):
     assert len(csv) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "train" and manifest["epochs_run"] == 2
+    assert manifest["peak_rss_mb"] > 0
+    assert manifest["encoder_cache"]["patterns"] > 0 and manifest["encoder_cache"]["cache_mb"] > 0
     model = load_checkpoint(out / "model.ckpt")
     assert model.meta["task"] == "palindrome"
+    assert "peak_rss_mb" not in json.dumps(model.meta) and "cache" not in json.dumps(model.meta)
 
 
 def test_eval_prints_accuracy(mini_run, capsys):
@@ -229,6 +236,65 @@ def test_gen_passwords_shorter_than_a_strong_password_is_rejected(tmp_path, caps
     assert code == 1 and ">= 14" in err and "Traceback" not in err
 
 
+def test_gen_passwords_longer_than_a_weak_password_is_rejected(tmp_path, capsys):
+    code, _, err = run(capsys, "gen", "passwords", "--len", "53", "--train", "2", "--val", "1", "--test", "1", "--out", str(tmp_path / "d"))
+    assert code == 1 and "<= 52" in err and "Traceback" not in err
+    code, _, _ = run(capsys, "gen", "passwords", "--len", "52", "--train", "2", "--val", "1", "--test", "1", "--out", str(tmp_path / "d"))
+    assert code == 0
+    assert all(len(line) == 2 + 52 for line in (tmp_path / "d" / "train.tsv").read_text().splitlines())
+
+
+@pytest.mark.parametrize("name", ["train.tsv", "val.tsv"])
+def test_train_dataset_not_utf8_exits_io(tmp_path, capsys, name):
+    data = tmp_path / "d"
+    data.mkdir()
+    (data / "train.tsv").write_bytes(b"1\tabba\n0\tabcd\n")
+    (data / "val.tsv").write_bytes(b"1\tabba\n")
+    (data / name).write_bytes(b"0\tabcd\n1\tab\xffba\n")
+    code, _, err = run(capsys, "train", "--task", "palindrome", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "r"))
+    assert code == 3 and f"{name}: line 2: not valid UTF-8" in err and "Traceback" not in err
+
+
+def test_eval_dataset_not_utf8_exits_io(mini_run, tmp_path, capsys):
+    _, out = mini_run
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"1\tab\xffba\n")
+    code, text, err = run(capsys, "eval", "--checkpoint", str(out / "model.ckpt"), "--data", str(bad))
+    assert code == 3 and text == ""
+    assert err.startswith("error: io:") and "bad.tsv: line 1: not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("model", ["combinatorial", "char"])
+def test_eval_rejects_dataset_of_another_word_length(tmp_path, capsys, model):
+    small, large = tmp_path / "d6", tmp_path / "d8"
+    for n, data in ((6, small), (8, large)):
+        assert main(["gen", "palindromes", "--len", str(n), "--train", "8", "--val", "4", "--test", "4", "--out", str(data)]) == 0
+    out = tmp_path / "run"
+    argv = ["train", "--task", "palindrome", "--data", str(small), "--epochs", "1", "--model", model, "--out", str(out)]
+    assert main(argv + ["--batch-size", "8", "--steps-per-epoch", "1"]) == 0
+    capsys.readouterr()
+    code, text, err = run(capsys, "eval", "--checkpoint", str(out / "model.ckpt"), "--data", str(large / "val.tsv"))
+    assert code == 3 and text == ""
+    assert err.startswith("error: io:") and "Traceback" not in err
+    assert str(large / "val.tsv") in err and str(out / "model.ckpt") in err
+    assert "length 8" in err and "length 6" in err
+
+
+@settings(max_examples=60)
+@given(bad=damaged(b"1\tabccba\n0\tabcdef\n1\tqwwwwq\n0\txyzzyq\n"))
+def test_eval_on_a_damaged_dataset_exits_io_or_evaluates(mini_run, bad):
+    _, out = mini_run
+    path = out.parent / "damaged.tsv"
+    path.write_bytes(bad)
+    code = main(["eval", "--checkpoint", str(out / "model.ckpt"), "--data", str(path), "--out", str(out.parent / "fuzz")])
+    try:
+        ds = read_dataset(path, task="palindrome")
+    except DatasetFormatError:
+        assert code == 3
+        return
+    assert code == (0 if ds.word_length == 6 else 3)
+
+
 def test_eval_char_checkpoint_with_wrong_word_length_exits_io(mini_run, tmp_path, capsys):
     data, _ = mini_run
     ckpt = tmp_path / "char.ckpt"
@@ -288,3 +354,5 @@ def test_char_model_cli_trains(tmp_path, capsys):
     assert code == 0
     model = load_checkpoint(out / "model.ckpt")
     assert model.meta["model"] == "char"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["peak_rss_mb"] > 0 and "encoder_cache" not in manifest

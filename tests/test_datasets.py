@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combword.datasets import (
     DatasetFormatError,
@@ -16,6 +18,8 @@ from combword.datasets import (
     write_dataset,
 )
 from combword.words import Bijection, is_palindrome
+
+from damage import damaged
 
 
 def test_password_alphabet_is_94_printable():
@@ -104,6 +108,20 @@ def test_gen_passwords_at_the_shortest_strong_length():
         assert sum(ds.labels()) * 2 == len(ds)
 
 
+def test_gen_passwords_rejects_lengths_without_weak_passwords():
+    # Two distinct characters give 53 bits at length 53, above the 52.1 a score above 0.7 needs.
+    with pytest.raises(ValueError, match="<= 52"):
+        gen_password_dataset((1, 1, 1), seed=1, n=53)
+
+
+def test_gen_passwords_at_the_longest_weak_length():
+    tr, va, te = gen_password_dataset((2, 1, 1), seed=1, n=52)
+    for ds in (tr, va, te):
+        assert all(len(w) == 52 for w in ds.words())
+        assert all(strength_score(w).strong == bool(y) for w, y in ds.items)
+        assert sum(ds.labels()) * 2 == len(ds)
+
+
 def test_gen_passwords_deterministic():
     a = gen_password_dataset((10, 4, 4), seed=7)
     b = gen_password_dataset((10, 4, 4), seed=7)
@@ -177,3 +195,31 @@ def test_read_rejects_missing_tab(tmp_path):
     p.write_text("1abc\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="line 1"):
         read_dataset(p)
+
+
+def test_read_rejects_bytes_that_are_not_utf8_naming_the_line(tmp_path):
+    p = tmp_path / "bad.tsv"
+    p.write_bytes(b"0\tabcde\n1\tab\xffba\n")
+    with pytest.raises(DatasetFormatError, match=r"bad.tsv: line 2: not valid UTF-8"):
+        read_dataset(p)
+
+
+def _valid_files():
+    pal = gen_palindrome_dataset(6, (4, 1, 1), seed=3)[0]
+    pwd = gen_password_dataset((2, 1, 1), seed=3)[0]
+    return [b"".join(f"{y}\t{w.text}\n".encode() for w, y in ds.items) for ds in (pal, pwd)]
+
+
+VALID_FILES = _valid_files()
+
+
+@settings(max_examples=150)
+@given(data=st.sampled_from(VALID_FILES).flatmap(damaged), task=st.sampled_from([None, "palindrome", "password"]))
+def test_read_damaged_file_loads_or_raises_format_error(tmp_path_factory, data, task):
+    path = tmp_path_factory.mktemp("fuzz") / "d.tsv"
+    path.write_bytes(data)
+    try:
+        ds = read_dataset(path, task=task)
+    except DatasetFormatError:
+        return
+    assert len(ds) >= 1 and all(len(w) == ds.word_length for w in ds.words())

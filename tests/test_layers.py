@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,75 @@ def test_run_gradcheck_covers_all_kinds():
     errors = run_gradcheck(seed=5)
     assert set(errors) == set(LAYER_KINDS)
     assert max(errors.values()) < DEFAULT_TOLERANCE
+
+
+def batch_state(layer) -> list[str]:
+    """Names of the arrays a layer holds besides its parameters and their gradients."""
+    own = [id(a) for a in layer.params() + layer.grads()]
+    return [k for k, v in vars(layer).items() if isinstance(v, np.ndarray) and id(v) not in own]
+
+
+def one_of_each_layer(rng):
+    """(layer, input) per layer kind, float64, with negative inputs for ReLU and ties for pooling."""
+    plane = rng.standard_normal((3, 6, 5, 4))
+    plane[0, :2, :2, 0] = 0.5
+    return [
+        (Conv2d(3, 3, 4, 2, rng, dtype=np.float64), plane),
+        (MaxPool2d(2, 2), plane),
+        (ReLU(), plane),
+        (Flatten(), plane),
+        (Dense(4, 3, rng, dtype=np.float64), rng.standard_normal((5, 4))),
+        (Sigmoid(), rng.standard_normal((5, 1))),
+    ]
+
+
+def test_inference_forward_keeps_nothing_and_matches_training_forward():
+    for layer, x in one_of_each_layer(np.random.default_rng(11)):
+        kept = layer.forward(x).copy()
+        assert batch_state(layer) or isinstance(layer, Flatten)
+        out = layer.forward(x.copy(), train=False)  # a copy: ReLU may rectify it in place
+        assert out.tobytes() == kept.tobytes(), type(layer).__name__
+        assert batch_state(layer) == [], type(layer).__name__
+
+
+@pytest.mark.parametrize("layer", [ReLU(), MaxPool2d(2, 2)], ids=["relu", "maxpool2d"])
+def test_standalone_forward_leaves_x_intact_and_backward_runs(layer):
+    # Gradient checks call a layer on their own arrays, then again on the same ones.
+    x = np.random.default_rng(12).standard_normal((2, 4, 6, 3))
+    x_before = x.copy()
+    out = layer.forward(x)
+    assert np.array_equal(x, x_before)
+    dx = layer.backward(np.ones_like(out))
+    assert dx.shape == x.shape and np.array_equal(x, x_before)
+    assert np.array_equal(dx != 0, x > 0) if isinstance(layer, ReLU) else dx.sum() == out.size
+
+
+def test_inference_relu_rectifies_writable_input_in_place_and_never_a_read_only_one():
+    x = np.random.default_rng(13).standard_normal((2, 7))
+    expected = np.maximum(x, 0)
+    guarded = x.copy()
+    guarded.flags.writeable = False
+    out = ReLU().forward(guarded, train=False)
+    assert out.tobytes() == expected.tobytes() and not np.shares_memory(out, guarded)
+    assert ReLU().forward(x, train=False) is x
+    assert x.tobytes() == expected.tobytes()
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes that ``fn()`` allocates above what is live when it starts."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_pool_and_relu_allocate_only_their_output():
+    # Without a backward to come, the pool builds no first-max index and ReLU no new array.
+    x = np.random.default_rng(14).standard_normal((8, 128, 128, 8)).astype(np.float32)
+    pooled = x[:, ::2, ::2].nbytes
+    index = x.size // 4  # one byte per output cell
+    assert _peak_bytes(lambda: MaxPool2d(2, 2).forward(x)) > pooled + index  # with the index, for contrast
+    assert _peak_bytes(lambda: MaxPool2d(2, 2).forward(x, train=False)) < pooled + index // 2
+    assert _peak_bytes(lambda: ReLU().forward(x, train=False)) < 4096

@@ -10,6 +10,7 @@ from combword.network import (
     build_combinatorial_cnn,
     dense,
     flatten,
+    relu,
     sigmoid,
 )
 
@@ -136,3 +137,14 @@ def test_char_model_gradient_check():
     x = rng.random((2, 8, 1, 5))
     y = np.array([0.0, 1.0])
     assert check_model_gradients(model, x, y) < 1e-4
+
+
+def test_network_starting_with_relu_never_writes_into_its_input():
+    # An inference pass rectifies in place only the arrays it made itself.
+    model = Network([relu(), flatten(), dense(1), sigmoid()], (3, 2, 1), seed=3, dtype=np.float64)
+    x = np.random.default_rng(4).standard_normal((5, 3, 2, 1))
+    before = x.copy()
+    kept = model.forward(x)
+    assert np.array_equal(x, before)
+    assert model.forward(x, train=False).tobytes() == kept.tobytes()
+    assert np.array_equal(x, before)

@@ -126,6 +126,70 @@ def test_predict_probs_batching_consistent(tiny_task):
         assert predict_probs(model, tr, enc, batch_size=batch_size).tobytes() == reference.tobytes(), batch_size
 
 
+def batch_state(model) -> dict[int, list[str]]:
+    """Per layer index, the arrays it holds besides its parameters and their gradients."""
+    out = {}
+    for i, layer in enumerate(model.layers):
+        own = [id(a) for a in layer.params() + layer.grads()]
+        names = [k for k, v in vars(layer).items() if isinstance(v, np.ndarray) and id(v) not in own]
+        if names:
+            out[i] = names
+    return out
+
+
+class KeepingEncoder:
+    """Wraps an encoder and keeps every batch it hands out, with a copy of it."""
+
+    def __init__(self, encode):
+        self.encode = encode
+        self.batches: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def __call__(self, words):
+        x = self.encode(words)
+        self.batches.append((x, x.copy()))
+        return x
+
+
+def model_and_encoder(cfg_enc, kind: str):
+    if kind == "char":
+        return build_char_cnn(6, len(PALINDROME_ALPHABET), seed=8), char_encoder("palindrome")
+    return fresh_model(cfg_enc, seed=8), combinatorial_encoder(cfg_enc)
+
+
+@pytest.mark.parametrize("kind", ["tensor", "char"])
+def test_inference_drops_the_training_state_and_keeps_none(tiny_task, kind):
+    tr, va, cfg_enc = tiny_task
+    model, enc = model_and_encoder(cfg_enc, kind)
+    words, labels = tr.words()[:8], np.asarray(tr.labels()[:8], dtype=np.float64)
+    batch_gradients(model, words, labels, enc)
+    assert len(batch_state(model)) == len(model.layers) - 1  # all but Flatten keep what backward reads
+    predict_probs(model, va, enc, batch_size=7)
+    assert batch_state(model) == {}
+    batch_gradients(model, words, labels, enc)
+    evaluate(model, va, enc)
+    assert batch_state(model) == {}
+
+
+@pytest.mark.parametrize("kind", ["tensor", "char"])
+def test_inference_leaves_the_encoded_batches_intact(tiny_task, kind):
+    tr, _, cfg_enc = tiny_task
+    model, enc = model_and_encoder(cfg_enc, kind)
+    keeping = KeepingEncoder(enc)
+    predict_probs(model, tr, keeping, batch_size=32)
+    assert len(keeping.batches) == 3
+    for x, before in keeping.batches:
+        assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["tensor", "char"])
+def test_predict_probs_equals_the_state_keeping_forward(tiny_task, kind):
+    tr, _, cfg_enc = tiny_task
+    model, enc = model_and_encoder(cfg_enc, kind)
+    kept = model.forward(enc(tr.words()))  # the training pass: every layer keeps its arrays
+    for batch_size in (1, 7, 32, 64):
+        assert predict_probs(model, tr, enc, batch_size=batch_size).tobytes() == kept.tobytes(), batch_size
+
+
 class RecordingEncoder:
     """Wraps an encoder and keeps the word texts of every call."""
 
