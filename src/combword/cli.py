@@ -34,6 +34,7 @@ from .network import build_char_cnn, build_combinatorial_cnn
 from .training import (
     TrainConfig,
     TrainingDiverged,
+    accuracy_by_pattern,
     encoder_for,
     evaluate,
     records_to_csv_lines,
@@ -62,6 +63,12 @@ def _fail(kind: str, message: str) -> None:
 
 def _write_manifest(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _memory() -> dict:
+    """This process's peak resident memory and minor page faults so far."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {"peak_rss_mb": round(usage.ru_maxrss * 1024 / 1e6, 1), "minor_page_faults": usage.ru_minflt}
 
 
 def _norm_flag(value: str) -> str:
@@ -151,8 +158,9 @@ def cmd_train(args) -> int:
     )
     encoder = encoder_for(model, args.task)
     model, records = train(model, train_ds, val_ds, cfg, encoder)
-    # Memory goes to the manifest only: metrics.csv and the checkpoint stay byte-identical across reruns.
-    memory = {"peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6, 1)}
+    # Memory and the pattern split go to the manifest only: metrics.csv and the checkpoint stay byte-identical.
+    val_by_pattern = accuracy_by_pattern(model, train_ds, val_ds, encoder, cfg.batch_size)
+    memory = _memory()
     if args.model == "combinatorial":
         memory["encoder_cache"] = {"patterns": len(encoder), "cache_mb": round(encoder.nbytes / 1e6, 3)}
     out = Path(args.out)
@@ -177,6 +185,7 @@ def cmd_train(args) -> int:
             "outputs": ["metrics.csv", "model.ckpt"],
             "artifact_version": __version__,
             "wall_clock_seconds": round(time.time() - started, 3),
+            "val_by_pattern": val_by_pattern,
             **memory,
         },
     )
@@ -217,6 +226,7 @@ def cmd_eval(args) -> int:
             "accuracy": acc,
             "artifact_version": __version__,
             "wall_clock_seconds": round(time.time() - started, 3),
+            **_memory(),
         },
     )
     return EXIT_OK

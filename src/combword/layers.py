@@ -22,10 +22,26 @@ dense layer its input, ReLU and sigmoid their output, a pool the index of
 each window's first maximum. Without it, the pass is inference only: the
 layer drops what an earlier pass kept and keeps nothing, the pool builds no
 index, and ReLU rectifies its input in place when that input is writable.
-The network hands its layers a read-only view of the caller's batch, so an
-inference pass rectifies in place only arrays it made itself. Apart from
-that, no layer writes into its ``x`` or ``dout`` argument: gradient checks
-call the same layer again on the same arrays.
+
+A layer's ``ws`` is None, except inside a workspace scope
+(``Network.workspace``), which gives each layer a ``Workspace``. Outside a
+scope every pass allocates its outputs afresh. Inside one:
+
+- a conv and a pool write their forward output into their workspace array,
+  which every later pass of the scope reuses (grown when a pass runs more
+  rows), so an output stays valid only until the layer's next forward;
+- ReLU rectifies its input in place in training passes too, and gates its
+  ``dout`` in place. No layer keeps its output for backward except ReLU and
+  sigmoid, whose outputs rectification leaves as they are;
+- a conv's backward builds its zero-padded output gradient in its forward
+  output array. Every later layer's backward has read that output by then;
+- backward-only arrays (a conv's or a pool's input gradient, ReLU's mask)
+  are still made per step.
+
+The network hands its layers read-only views of the caller's batch and
+loss gradient, which no layer then writes into, in a scope or not. Outside
+a scope no layer but an inference ReLU writes into its ``x``, and none into
+its ``dout``: gradient checks call the same layer again on the same arrays.
 
 A conv's or dense layer's ``backward(dout, input_grad=False)`` computes only
 the parameter gradients and returns None; the network asks this of its first
@@ -35,6 +51,8 @@ float64 for finite-difference checks.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -84,16 +102,18 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shifted_gemms(src: np.ndarray, mats: np.ndarray, shifts: list[int]) -> np.ndarray:
+def _shifted_gemms(src: np.ndarray, mats: np.ndarray, shifts: list[int], out: np.ndarray | None = None) -> np.ndarray:
     """Row r of the result is the sum over k of ``src[r + shifts[k]] @ mats[k]``.
 
     Terms whose source row falls outside ``src`` are left out. ``shifts[0]``
     must be 0 and the shifts' magnitudes ascend. Runs tile by tile of
     TILE_ROWS result rows, every offset's product into one cached scratch
-    tile, and adds each row's terms in offset order.
+    tile, and adds each row's terms in offset order. Writes into ``out``
+    when given.
     """
     rows = src.shape[0]
-    out = np.empty((rows, mats.shape[2]), dtype=np.result_type(src, mats))
+    if out is None:
+        out = np.empty((rows, mats.shape[2]), dtype=np.result_type(src, mats))
     part = np.empty((min(rows, TILE_ROWS), mats.shape[2]), dtype=out.dtype)
     for r0 in range(0, rows, TILE_ROWS):
         r1 = min(r0 + TILE_ROWS, rows)
@@ -106,7 +126,49 @@ def _shifted_gemms(src: np.ndarray, mats: np.ndarray, shifts: list[int]) -> np.n
     return out
 
 
-class Conv2d:
+class Workspace:
+    """One array a layer reuses across the passes of a scope, grown to fit."""
+
+    def __init__(self):
+        self._buf = None
+
+    def array(self, shape: tuple, dtype) -> np.ndarray:
+        """A writable ``shape`` view of the head of the array, which is replaced when too small."""
+        size = math.prod(shape)
+        if self._buf is None or self._buf.size < size or self._buf.dtype != dtype:
+            self._buf = np.empty(size, dtype)
+        return self._buf[:size].reshape(shape)
+
+
+class Layer:
+    """What every layer shares: no parameters, the arrays it keeps, its workspace.
+
+    ``kept`` names the attributes a training forward fills for backward.
+    """
+
+    kept: tuple[str, ...] = ()
+    ws: Workspace | None = None
+
+    def __init__(self):
+        self.forget()
+
+    def params(self):
+        return []
+
+    def grads(self):
+        return []
+
+    def forget(self) -> None:
+        """Drop what the last training pass kept."""
+        for name in self.kept:
+            setattr(self, name, None)
+
+    def _empty(self, shape: tuple, dtype) -> np.ndarray:
+        """A new array outside a scope; inside one, the layer's workspace array."""
+        return np.empty(shape, dtype) if self.ws is None else self.ws.array(shape, dtype)
+
+
+class Conv2d(Layer):
     """Valid 2-D convolution, kernel (kh, kw), weights (kh, kw, cin, cout).
 
     Forward and backward both run one GEMM per kernel offset on row-shifted
@@ -118,14 +180,15 @@ class Conv2d:
     slower in forward at that shape.
     """
 
+    kept = ("_xf", "_in_shape")
+
     def __init__(self, kh: int, kw: int, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
+        super().__init__()
         scale = np.sqrt(2.0 / (kh * kw * cin))
         self.w = (rng.standard_normal((kh, kw, cin, cout)) * scale).astype(dtype)
         self.b = np.zeros(cout, dtype=dtype)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._xf = None
-        self._in_shape = None
 
     def params(self):
         return [self.w, self.b]
@@ -146,9 +209,10 @@ class Conv2d:
         if h < kh or wd < kw:
             raise ValueError(f"conv2d: input {h}x{wd} smaller than kernel {kh}x{kw}")
         if not train:
-            self._xf = self._in_shape = None
+            self.forget()
         xf = x.reshape(-1, cin)
-        out = _shifted_gemms(xf, self.w.reshape(-1, cin, cout), self._shifts(wd))
+        out = self._empty((xf.shape[0], cout), np.result_type(x, self.w))
+        _shifted_gemms(xf, self.w.reshape(-1, cin, cout), self._shifts(wd), out)
         out += self.b
         if train:
             self._xf, self._in_shape = xf, x.shape
@@ -162,7 +226,10 @@ class Conv2d:
         if (oh, ow) == (h, wd):
             gf = dout.reshape(xf.shape[0], -1)
         else:
-            g = np.zeros((n, h, wd, dout.shape[3]), dtype=dout.dtype)
+            # In a scope this is the forward output's array, which no layer reads any more.
+            g = self._empty((n, h, wd, dout.shape[3]), dout.dtype)
+            g[:, oh:] = 0
+            g[:, :oh, ow:] = 0
             g[:, :oh, :ow] = dout
             gf = g.reshape(xf.shape[0], -1)
         rows = gf.shape[0]
@@ -184,7 +251,7 @@ class Conv2d:
         return _shifted_gemms(gf, wt, [-s for s in shifts]).reshape(self._in_shape)
 
 
-class MaxPool2d:
+class MaxPool2d(Layer):
     """Max pooling with window (ph, pw), stride equal to the window.
 
     Each window cell is one strided view of the input. A training forward
@@ -192,16 +259,11 @@ class MaxPool2d:
     holding the max, which is where backward sends the whole gradient.
     """
 
+    kept = ("_arg", "_in_shape")
+
     def __init__(self, ph: int, pw: int):
+        super().__init__()
         self.ph, self.pw = ph, pw
-        self._arg = None
-        self._in_shape = None
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
     def _cells(self, x: np.ndarray) -> list[np.ndarray]:
         """Strided views of x, one per window cell in row-major order."""
@@ -214,9 +276,10 @@ class MaxPool2d:
         if h // self.ph < 1 or w // self.pw < 1:
             raise ValueError(f"maxpool2d: input {h}x{w} smaller than window {self.ph}x{self.pw}")
         if not train:
-            self._arg = self._in_shape = None
+            self.forget()
         cells = self._cells(x)
-        out = cells[0].copy()
+        out = self._empty(cells[0].shape, x.dtype)
+        out[...] = cells[0]
         for cell in cells[1:]:
             np.maximum(cell, out, out=out)  # on equal values this keeps out, the earlier cell
         if not train:
@@ -235,38 +298,28 @@ class MaxPool2d:
         return dx
 
 
-class ReLU:
-    """Rectifier; backward gates on the kept output, which is > 0 exactly where x > 0."""
+class ReLU(Layer):
+    """Rectifier; backward gates on the kept output, which is > 0 exactly where x > 0.
 
-    def __init__(self):
-        self._out = None
+    Works in place on a writable ``x`` in an inference pass or in a scope,
+    and on a writable ``dout`` in a scope.
+    """
 
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
+    kept = ("_out",)
 
     def forward(self, x, train: bool = True):
-        if train:
-            self._out = np.maximum(x, 0)
-            return self._out
-        self._out = None
-        return np.maximum(x, 0, out=x if x.flags.writeable else None)
+        in_place = (self.ws is not None or not train) and x.flags.writeable
+        out = np.maximum(x, 0, out=x if in_place else None)
+        self._out = out if train else None
+        return out
 
     def backward(self, dout):
-        return _gate(dout, self._out > 0)
+        in_place = self.ws is not None and dout.flags.writeable
+        return _gate(dout, self._out > 0, out=dout if in_place else None)
 
 
-class Flatten:
-    def __init__(self):
-        self._in_shape = None
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
+class Flatten(Layer):
+    kept = ("_in_shape",)
 
     def forward(self, x, train: bool = True):
         self._in_shape = x.shape if train else None
@@ -276,16 +329,18 @@ class Flatten:
         return dout.reshape(self._in_shape)
 
 
-class Dense:
+class Dense(Layer):
     """Affine map ``x @ w + b``, run as GEMMs of DENSE_ROWS rows each."""
 
+    kept = ("_x",)
+
     def __init__(self, nin: int, nout: int, rng: np.random.Generator, dtype=np.float32):
+        super().__init__()
         scale = np.sqrt(2.0 / nin)
         self.w = (rng.standard_normal((nin, nout)) * scale).astype(dtype)
         self.b = np.zeros(nout, dtype=dtype)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._x = None
 
     def params(self):
         return [self.w, self.b]
@@ -317,15 +372,8 @@ class Dense:
         return dout @ self.w.T
 
 
-class Sigmoid:
-    def __init__(self):
-        self._out = None
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
+class Sigmoid(Layer):
+    kept = ("_out",)
 
     def forward(self, x, train: bool = True):
         e = np.exp(-np.abs(x))

@@ -10,16 +10,24 @@ pass leaves each layer holding what backward reads (see ``layers``); an
 inference pass leaves nothing behind, so an evaluation batch never holds
 memory beyond its own pass, and its ReLUs rectify in place the arrays the
 pass made, never the caller's ``x``.
+
+Passes inside ``with network.workspace():`` write the conv and pool outputs
+into arrays that the next passes of the scope reuse, rectify and gate in
+place, and pad a conv's output gradient in its spent output (see
+``layers``). The scope drops those arrays, and whatever the last pass kept,
+when it ends, also on an exception; outside a scope every pass allocates
+afresh. ``training.train`` and ``training.predict_probs`` each run in one.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import EncodingConfig, channel_count
-from .layers import SIGMOID_CLAMP, Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sigmoid
+from .layers import SIGMOID_CLAMP, Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sigmoid, Workspace
 
 
 @dataclass(frozen=True)
@@ -184,12 +192,35 @@ class Network:
         return x[:, 0]
 
     def backward(self, dprobs: np.ndarray) -> None:
-        """Fill every layer's parameter gradients; the input gradient is never built."""
+        """Fill every layer's parameter gradients; the input gradient is never built.
+
+        The layers get a read-only view of ``dprobs``, which no ReLU then gates in place.
+        """
         d = dprobs[:, None]
+        d.flags.writeable = False
         for layer in self.layers[:0:-1]:
             d = layer.backward(d)
         if self.layers[0].params():
             self.layers[0].backward(d, input_grad=False)
+
+    @contextmanager
+    def workspace(self):
+        """A scope whose passes reuse the layers' arrays; one opened inside it shares it.
+
+        Leaving the outermost scope, every layer drops its workspace and what
+        its last pass kept, so the network then holds no batch-sized array.
+        """
+        if self.layers[0].ws is not None:
+            yield
+            return
+        for layer in self.layers:
+            layer.ws = Workspace()
+        try:
+            yield
+        finally:
+            for layer in self.layers:
+                layer.ws = None
+                layer.forget()
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]

@@ -29,6 +29,15 @@ and they stay until the next forward. ``predict_probs`` (and so
 ``evaluate`` and each epoch's validation) runs inference passes, which keep
 nothing and free what the last step kept, so a validation batch is not
 stacked on the arrays of the step or batch before it.
+
+``train`` and ``predict_probs`` each run inside one workspace scope of the
+model (``Network.workspace``; validation shares the one of ``train``): the
+conv and pool outputs of every step and batch of the call go into the same
+arrays, ReLU works in place, and a conv pads its output gradient in its
+spent output, so a step allocates only its batch and its backward-only
+arrays. When the call returns, or raises, the model holds no batch-sized
+array. ``batch_gradients`` called on its own runs outside any scope and
+allocates every array afresh, with the same bits.
 """
 
 from __future__ import annotations
@@ -177,21 +186,39 @@ def batch_gradients(model: Network, words: list, labels: np.ndarray, encoder) ->
 
 def evaluate(model: Network, ds: LabeledDataset, encoder, batch_size: int = 32) -> float:
     """Fraction of samples with (probability > 0.5) == label; 0.5 counts as class 0."""
-    return _accuracy(predict_probs(model, ds, encoder, batch_size), np.asarray(ds.labels()))
+    return float(np.mean(_hits(predict_probs(model, ds, encoder, batch_size), np.asarray(ds.labels()))))
 
 
 def predict_probs(model: Network, ds: LabeledDataset, encoder, batch_size: int = 32) -> np.ndarray:
     """Per-word probabilities, batch by batch, one forward row per distinct input."""
     words = ds.words()
     out = []
-    for i in range(0, len(words), batch_size):
-        rows, inv = _forward_distinct(model, words[i : i + batch_size], encoder, train=False)
-        out.append(rows[inv])
+    with model.workspace():
+        for i in range(0, len(words), batch_size):
+            rows, inv = _forward_distinct(model, words[i : i + batch_size], encoder, train=False)
+            out.append(rows[inv])
     return np.concatenate(out)
 
 
-def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean((probs > 0.5).astype(np.int64) == labels))
+def _hits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return (probs > 0.5).astype(np.int64) == labels
+
+
+def accuracy_by_pattern(model: Network, seen_ds: LabeledDataset, ds: LabeledDataset, encoder, batch_size: int = 32) -> dict:
+    """``ds``'s words, correct predictions and accuracy, split by whether a word's pattern occurs in ``seen_ds``.
+
+    The tensor model is a function of the repetition pattern, so on a word
+    whose pattern was trained on it recalls that pattern; only the "unseen"
+    group measures generalization. An empty group's accuracy is None.
+    """
+    seen = {pattern_key(as_text(w)) for w in seen_ds.words()}
+    hits = _hits(predict_probs(model, ds, encoder, batch_size), np.asarray(ds.labels()))
+    known = np.array([pattern_key(as_text(w)) in seen for w in ds.words()], dtype=bool)
+    out = {}
+    for group, mask in (("seen", known), ("unseen", ~known)):
+        words, correct = int(mask.sum()), int(hits[mask].sum())
+        out[group] = {"words": words, "correct": correct, "accuracy": correct / words if words else None}
+    return out
 
 
 def train(
@@ -206,7 +233,8 @@ def train(
     Train loss and accuracy are accumulated from each batch's pre-update
     forward pass; validation accuracy is measured after each epoch. Stops
     early once stop_at_val_acc is reached, and aborts on non-finite loss.
-    Each batch is encoded and run once per distinct input (module docstring).
+    Each batch is encoded and run once per distinct input, and the steps and
+    validation batches share one workspace scope (module docstring).
     """
     params = model.params()
     opt = make_optimizer(cfg, params)
@@ -215,33 +243,34 @@ def train(
     labels_all = np.asarray(train_ds.labels(), dtype=np.float64)
     per_epoch = cfg.batch_size * cfg.steps_per_epoch
     records: list[EpochRecord] = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(items))
-        while order.size < per_epoch:
-            order = np.concatenate([order, rng.permutation(len(items))])
-        losses = []
-        correct = 0
-        for step in range(cfg.steps_per_epoch):
-            take = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
-            words = [items[i][0] for i in take]
-            y = labels_all[take]
-            probs, loss = batch_gradients(model, words, y, encoder)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch} step {step + 1}")
-            opt.step(model.grads())
-            losses.append(loss)
-            correct += int(np.sum((probs > 0.5).astype(np.int64) == y.astype(np.int64)))
-        val_acc = evaluate(model, val_ds, encoder, cfg.batch_size)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=float(np.mean(losses)),
-                train_acc=correct / (cfg.steps_per_epoch * cfg.batch_size),
-                val_acc=val_acc,
+    with model.workspace():
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(len(items))
+            while order.size < per_epoch:
+                order = np.concatenate([order, rng.permutation(len(items))])
+            losses = []
+            correct = 0
+            for step in range(cfg.steps_per_epoch):
+                take = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
+                words = [items[i][0] for i in take]
+                y = labels_all[take]
+                probs, loss = batch_gradients(model, words, y, encoder)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch} step {step + 1}")
+                opt.step(model.grads())
+                losses.append(loss)
+                correct += int(np.sum((probs > 0.5).astype(np.int64) == y.astype(np.int64)))
+            val_acc = evaluate(model, val_ds, encoder, cfg.batch_size)
+            records.append(
+                EpochRecord(
+                    epoch=epoch,
+                    train_loss=float(np.mean(losses)),
+                    train_acc=correct / (cfg.steps_per_epoch * cfg.batch_size),
+                    val_acc=val_acc,
+                )
             )
-        )
-        if cfg.stop_at_val_acc is not None and val_acc >= cfg.stop_at_val_acc:
-            break
+            if cfg.stop_at_val_acc is not None and val_acc >= cfg.stop_at_val_acc:
+                break
     return model, records
 
 

@@ -170,11 +170,25 @@ def test_train_outputs(mini_run):
     assert len(csv) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "train" and manifest["epochs_run"] == 2
-    assert manifest["peak_rss_mb"] > 0
+    assert manifest["peak_rss_mb"] > 0 and manifest["minor_page_faults"] > 0
     assert manifest["encoder_cache"]["patterns"] > 0 and manifest["encoder_cache"]["cache_mb"] > 0
     model = load_checkpoint(out / "model.ckpt")
     assert model.meta["task"] == "palindrome"
-    assert "peak_rss_mb" not in json.dumps(model.meta) and "cache" not in json.dumps(model.meta)
+    for field in ("peak_rss_mb", "minor_page_faults", "cache", "val_by_pattern"):
+        assert field not in json.dumps(model.meta)
+
+
+def test_train_manifest_splits_val_accuracy_by_seen_pattern(mini_run):
+    data, out = mini_run
+    split = json.loads((out / "manifest.json").read_text())["val_by_pattern"]
+    val_words = (data / "val.tsv").read_text().splitlines()
+    last_val_acc = float((out / "metrics.csv").read_text().splitlines()[-1].split(",")[-1])
+    assert split["seen"]["words"] + split["unseen"]["words"] == len(val_words)
+    assert split["seen"]["correct"] + split["unseen"]["correct"] == round(last_val_acc * len(val_words))
+    for group in split.values():
+        assert set(group) == {"words", "correct", "accuracy"}
+        assert group["accuracy"] == (group["correct"] / group["words"] if group["words"] else None)
+    assert "seen" not in (out / "metrics.csv").read_text()
 
 
 def test_eval_prints_accuracy(mini_run, capsys):
@@ -182,7 +196,8 @@ def test_eval_prints_accuracy(mini_run, capsys):
     code, text, _ = run(capsys, "eval", "--checkpoint", str(out / "model.ckpt"), "--data", str(data / "val.tsv"))
     assert code == 0
     assert text.startswith("accuracy=")
-    assert (out / "manifest-eval.json").exists()
+    manifest = json.loads((out / "manifest-eval.json").read_text())
+    assert manifest["peak_rss_mb"] > 0 and manifest["minor_page_faults"] > 0
 
 
 def test_eval_permuted_equals_clean_for_combinatorial(mini_run, capsys):
@@ -355,4 +370,6 @@ def test_char_model_cli_trains(tmp_path, capsys):
     model = load_checkpoint(out / "model.ckpt")
     assert model.meta["model"] == "char"
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["peak_rss_mb"] > 0 and "encoder_cache" not in manifest
+    assert manifest["peak_rss_mb"] > 0 and manifest["minor_page_faults"] > 0 and "encoder_cache" not in manifest
+    val_words = len((data / "val.tsv").read_text().splitlines())
+    assert manifest["val_by_pattern"]["seen"]["words"] + manifest["val_by_pattern"]["unseen"]["words"] == val_words

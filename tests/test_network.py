@@ -148,3 +148,56 @@ def test_network_starting_with_relu_never_writes_into_its_input():
     assert np.array_equal(x, before)
     assert model.forward(x, train=False).tobytes() == kept.tobytes()
     assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("build", ["tensor", "char"])
+def test_model_gradient_check_inside_a_workspace(build):
+    if build == "tensor":
+        cfg = EncodingConfig(word_length=4, pad_to=11, nu_cap_len=None, normalization="none")
+        model = build_combinatorial_cnn(cfg, seed=6, dtype=np.float64, filters=(4, 3, 2), dense_units=5)
+    else:
+        model = build_char_cnn(8, 5, seed=8, dtype=np.float64)
+    x = np.random.default_rng(7).random((2, *model.input_shape))
+    with model.workspace():
+        assert check_model_gradients(model, x, np.array([1.0, 0.0])) < 1e-4
+
+
+def step_bits(model, x, dprobs) -> bytes:
+    probs = model.forward(x)
+    model.backward(dprobs)
+    return probs.tobytes() + b"".join(g.tobytes() for g in model.grads())
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [relu(), flatten(), dense(4), relu(), dense(1), sigmoid()],
+        [flatten(), dense(1), relu()],  # backward starts at a ReLU
+    ],
+    ids=["relu-first", "relu-last"],
+)
+def test_scoped_step_matches_unscoped_and_writes_no_caller_array(specs):
+    model = Network(specs, (3, 2, 1), seed=5, dtype=np.float64)
+    x = np.random.default_rng(6).standard_normal((5, 3, 2, 1))
+    dprobs = np.random.default_rng(7).standard_normal(5)
+    x_before, d_before = x.copy(), dprobs.copy()
+    unscoped = step_bits(model, x, dprobs)
+    with model.workspace():
+        for _ in range(2):
+            assert step_bits(model, x, dprobs) == unscoped
+    assert x.tobytes() == x_before.tobytes() and dprobs.tobytes() == d_before.tobytes()
+
+
+def test_workspace_reuses_conv_and_pool_outputs_and_grows_on_demand():
+    model = build_char_cnn(10, 4, seed=1)
+    conv, pool = model.layers[0], model.layers[2]
+    x = np.random.default_rng(2).random((6, *model.input_shape), dtype=np.float32)
+    with model.workspace():
+        with model.workspace():  # a nested scope shares the outer one
+            model.forward(x[:3])
+        conv_buf, pool_buf = conv.ws._buf, pool.ws._buf
+        model.forward(x[:2], train=False)
+        assert conv.ws._buf is conv_buf and pool.ws._buf is pool_buf  # fewer rows fit in the same arrays
+        model.forward(x)
+        assert conv.ws._buf is not conv_buf and conv.ws._buf.size == 6 * 10 * 1 * 32  # the full input plane
+    assert all(layer.ws is None for layer in model.layers)

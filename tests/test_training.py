@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from combword.datasets import PALINDROME_ALPHABET, LabeledDataset, gen_palindrome_dataset, permute_dataset
 from combword.encoding import EncodingConfig
-from combword.network import binary_cross_entropy, build_char_cnn, build_combinatorial_cnn
+from combword.network import binary_cross_entropy, build_char_cnn, build_combinatorial_cnn, sample_shapes
 from combword.training import (
     EpochRecord,
     TrainConfig,
     TrainingDiverged,
+    accuracy_by_pattern,
     batch_gradients,
     char_encoder,
     combinatorial_encoder,
     evaluate,
+    make_optimizer,
     predict_probs,
     records_to_csv_lines,
     train,
@@ -188,6 +192,183 @@ def test_predict_probs_equals_the_state_keeping_forward(tiny_task, kind):
     kept = model.forward(enc(tr.words()))  # the training pass: every layer keeps its arrays
     for batch_size in (1, 7, 32, 64):
         assert predict_probs(model, tr, enc, batch_size=batch_size).tobytes() == kept.tobytes(), batch_size
+
+
+def unscoped_train(model, tr, va, cfg, enc) -> list[EpochRecord]:
+    """``train``'s loop by hand, outside any workspace scope: every pass allocates afresh."""
+    opt = make_optimizer(cfg, model.params())
+    rng = np.random.default_rng(cfg.seed)
+    labels = np.asarray(tr.labels(), dtype=np.float64)
+    val_x, val_y = enc(va.words()), np.asarray(va.labels())
+    per_epoch = cfg.batch_size * cfg.steps_per_epoch
+    records = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(tr))
+        while order.size < per_epoch:
+            order = np.concatenate([order, rng.permutation(len(tr))])
+        losses, correct = [], 0
+        for step in range(cfg.steps_per_epoch):
+            take = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
+            probs, loss = batch_gradients(model, [tr.items[i][0] for i in take], labels[take], enc)
+            opt.step(model.grads())
+            losses.append(loss)
+            correct += int(np.sum((probs > 0.5) == (labels[take] > 0.5)))
+        # A row's bits do not depend on its batch, so one whole-split pass gives validation's probabilities.
+        val_acc = float(np.mean((model.forward(val_x, train=False) > 0.5).astype(np.int64) == val_y))
+        records.append(EpochRecord(epoch, float(np.mean(losses)), correct / per_epoch, val_acc))
+    return records
+
+
+@pytest.mark.parametrize("kind", ["tensor", "char"])
+def test_train_matches_an_unscoped_loop_bit_for_bit(tiny_task, kind):
+    tr, va, cfg_enc = tiny_task
+    cfg = TrainConfig(epochs=2, batch_size=7, steps_per_epoch=3, seed=12)
+    model, enc = model_and_encoder(cfg_enc, kind)
+    ref, _ = model_and_encoder(cfg_enc, kind)
+    _, records = train(model, tr, va, cfg, enc)
+    assert records == unscoped_train(ref, tr, va, cfg, enc)
+    for p, q in zip(model.params(), ref.params()):
+        assert p.tobytes() == q.tobytes()
+
+
+def held_arrays(model) -> list[str]:
+    """Where the network and its layers, at any depth, hold an array that is not a parameter or gradient."""
+    own = {id(a) for a in model.params() + model.grads()}
+    found, seen = [], set()
+
+    def walk(obj, path):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if id(obj) not in own:
+                found.append(path)
+        elif isinstance(obj, (list, tuple)):
+            for i, v in enumerate(obj):
+                walk(v, f"{path}[{i}]")
+        elif isinstance(obj, dict):
+            for k, v in obj.items():
+                walk(v, f"{path}[{k!r}]")
+        elif hasattr(obj, "__dict__"):
+            for k, v in vars(obj).items():
+                walk(v, f"{path}.{k}")
+
+    walk(model, "model")
+    return found
+
+
+@pytest.mark.parametrize("kind", ["tensor", "char"])
+def test_no_batch_array_outlives_train_predict_probs_or_evaluate(tiny_task, kind):
+    tr, va, cfg_enc = tiny_task
+    model, enc = model_and_encoder(cfg_enc, kind)
+    words, labels = tr.words()[:8], np.asarray(tr.labels()[:8], dtype=np.float64)
+    with model.workspace():
+        batch_gradients(model, words, labels, enc)
+        assert any(".ws._buf" in path for path in held_arrays(model))  # for contrast: a scope holds arrays
+    assert held_arrays(model) == []
+    train(model, tr, va, TrainConfig(epochs=1, batch_size=8, steps_per_epoch=2, seed=1), enc)
+    assert held_arrays(model) == []
+    predict_probs(model, va, enc, batch_size=7)
+    assert held_arrays(model) == []
+    evaluate(model, va, enc)
+    assert held_arrays(model) == []
+
+
+def test_diverged_train_leaves_no_batch_array(tiny_task):
+    tr, va, cfg_enc = tiny_task
+    model = fresh_model(cfg_enc)
+    model.layers[-2].b[...] = np.nan
+    with pytest.raises(TrainingDiverged):
+        train(model, tr, va, TrainConfig(epochs=1, batch_size=8, steps_per_epoch=2, seed=1), combinatorial_encoder(cfg_enc))
+    assert held_arrays(model) == []
+
+
+@pytest.mark.parametrize("kind", ["tensor", "char"])
+def test_train_leaves_the_encoded_batches_intact(tiny_task, kind):
+    tr, va, cfg_enc = tiny_task
+    model, enc = model_and_encoder(cfg_enc, kind)
+    keeping = KeepingEncoder(enc)
+    train(model, tr, va, TrainConfig(epochs=1, batch_size=8, steps_per_epoch=3, seed=2), keeping)
+    assert len(keeping.batches) == 3 + -(-len(va) // 8)  # the steps, then validation's batches
+    for x, before in keeping.batches:
+        assert x.tobytes() == before.tobytes()
+
+
+class LayerAllocations:
+    """Per layer call of a model, the peak bytes it allocates; an encoder wrapper that marks where each step starts.
+
+    The encoder is called once per training step, before its forward, so the
+    calls between two marks are one step's forward and backward.
+    """
+
+    def __init__(self, model, encode):
+        self.encode = encode
+        self.calls: list[int] = []
+        self.marks: list[int] = []
+        self.rows: list[int] = []
+        for layer in model.layers:
+            layer.forward, layer.backward = self._counted(layer.forward), self._counted(layer.backward)
+
+    def _counted(self, fn):
+        def counted(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args, **kwargs)
+            self.calls.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        return counted
+
+    def __call__(self, words):
+        self.marks.append(len(self.calls))
+        x = self.encode(words)
+        self.rows.append(len(x))
+        return x
+
+    def step(self, k: int) -> int:
+        return sum(self.calls[self.marks[k] : self.marks[k + 1]])
+
+
+def test_steady_step_inside_train_allocates_less_than_its_forward_planes():
+    # Every step runs the same words, so from the second step on the workspace fits every pass.
+    tr, va, _ = gen_palindrome_dataset(8, (8, 1, 1), seed=3)
+    cfg_enc = EncodingConfig.for_length(8)
+    model = fresh_model(cfg_enc, seed=2)
+    probe = LayerAllocations(model, combinatorial_encoder(cfg_enc))
+    tracemalloc.start()
+    try:
+        train(model, tr, va, TrainConfig(epochs=1, batch_size=len(tr), steps_per_epoch=5, seed=4), probe)
+    finally:
+        tracemalloc.stop()
+    rows = probe.rows[0]
+    assert probe.rows[:5] == [rows] * 5
+    itemsize = np.dtype(model.dtype).itemsize
+    shapes = sample_shapes(model.specs, model.input_shape)[1:]
+    forward_planes = sum(rows * itemsize * int(np.prod(shape)) for spec, shape in zip(model.specs, shapes) if spec.kind != "flatten")
+    steady = [probe.step(k) for k in (1, 2, 3)]
+    assert max(steady) < forward_planes, (steady, forward_planes)
+
+
+def test_val_accuracy_split_by_pattern_adds_up_to_the_last_record(tiny_task):
+    tr, va, cfg_enc = tiny_task
+    model, records = train(
+        fresh_model(cfg_enc), tr, va, TrainConfig(epochs=2, batch_size=8, steps_per_epoch=3, seed=5), combinatorial_encoder(cfg_enc)
+    )
+    split = accuracy_by_pattern(model, tr, va, combinatorial_encoder(cfg_enc))
+    seen_keys = {pattern_key(w.text) for w in tr.words()}
+    assert split["seen"]["words"] == sum(pattern_key(w.text) in seen_keys for w in va.words())
+    assert split["seen"]["words"] + split["unseen"]["words"] == len(va)
+    assert split["seen"]["correct"] + split["unseen"]["correct"] == round(records[-1].val_acc * len(va))
+    assert records[-1].val_acc * len(va) == pytest.approx(split["seen"]["correct"] + split["unseen"]["correct"])
+    for group in split.values():
+        assert group["accuracy"] == (group["correct"] / group["words"] if group["words"] else None)
+
+
+def test_val_accuracy_split_by_pattern_reports_an_empty_group_as_null(tiny_task):
+    tr, _, cfg_enc = tiny_task
+    split = accuracy_by_pattern(fresh_model(cfg_enc), tr, tr, combinatorial_encoder(cfg_enc))
+    assert split["unseen"] == {"words": 0, "correct": 0, "accuracy": None}
+    assert split["seen"]["words"] == len(tr)
 
 
 class RecordingEncoder:
