@@ -37,6 +37,7 @@ from .training import (
     accuracy_by_pattern,
     encoder_for,
     evaluate,
+    predict_probs,
     records_to_csv_lines,
     train,
 )
@@ -159,7 +160,9 @@ def cmd_train(args) -> int:
     encoder = encoder_for(model, args.task)
     model, records = train(model, train_ds, val_ds, cfg, encoder)
     # Memory and the pattern split go to the manifest only: metrics.csv and the checkpoint stay byte-identical.
-    val_by_pattern = accuracy_by_pattern(model, train_ds, val_ds, encoder, cfg.batch_size)
+    # The last epoch validated the final model; with no epoch, the untrained model is validated here.
+    val_probs = records[-1].val_probs if records else predict_probs(model, val_ds, encoder, cfg.batch_size)
+    val_by_pattern = accuracy_by_pattern(val_probs, train_ds, val_ds)
     memory = _memory()
     if args.model == "combinatorial":
         memory["encoder_cache"] = {"patterns": len(encoder), "cache_mb": round(encoder.nbytes / 1e6, 3)}

@@ -44,7 +44,9 @@ class SparseCounts:
     ``counts`` hold them and ``sizes`` says how many belong to each cell, so
     no cell index is stored per entry. ``empty`` is channel 0 at every cell.
     The four arrays are read-only views of one buffer, so a cached form is
-    one allocation.
+    one allocation. Each is stored in the smallest unsigned type that holds
+    its own largest value (``nus`` the largest channel index), which at
+    n=20 keeps ``sizes`` and ``counts`` in one byte although n^2 = 400.
     """
 
     sizes: np.ndarray
@@ -199,20 +201,23 @@ def dense_counts(table: SubwordTable, pad_to: int, channels: int, nu_len_cap: in
     cell = lam * pad_to - lam * (lam - 1) // 2 + mu - lam  # (lam, mu)'s place in np.triu_indices(pad_to)
     keys, counts = np.unique(cell * channels + nu, return_counts=True)
     cells, nus = np.divmod(keys, channels)
-    n = len(table.word)
-    count_type = np.min_scalar_type(n * n)  # no count, and no cell's number of nu, exceeds n^2
-    plane = np.zeros((pad_to, pad_to), dtype=count_type)
+    plane = np.zeros((pad_to, pad_to), dtype=np.int64)
     plane[1:d, 1:d] = _empty_cell_counts(table)
     plane[0, 1:d] = table.lengths
     plane[0, 0] = 1
     cell_count = pad_to * (pad_to + 1) // 2
     arrays = _one_buffer(
-        np.bincount(cells, minlength=cell_count).astype(count_type),
+        _narrowest(np.bincount(cells, minlength=cell_count)),
         nus.astype(np.min_scalar_type(channels - 1)),
-        counts.astype(count_type),
-        plane[np.triu_indices(pad_to)],
+        _narrowest(counts),
+        _narrowest(plane[np.triu_indices(pad_to)]),
     )
     return SparseCounts(*arrays)
+
+
+def _narrowest(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers in the smallest unsigned type that holds their own maximum."""
+    return values.astype(np.min_scalar_type(int(values.max(initial=0))))
 
 
 def combinatorics_map(word: Word | str) -> CombinatoricsMap:

@@ -17,11 +17,14 @@ sample sits in it, which lets training run each distinct input once. Pooling
 floors odd extents.
 
 Every ``forward`` takes ``train``. With it (the default), a layer keeps what
-its backward reads until its next forward: a conv a view of its input, a
-dense layer its input, ReLU and sigmoid their output, a pool the index of
-each window's first maximum. Without it, the pass is inference only: the
-layer drops what an earlier pass kept and keeps nothing, the pool builds no
-index, and ReLU rectifies its input in place when that input is writable.
+its backward reads: a conv a view of its input, a dense layer its input,
+ReLU and sigmoid their output, a pool the index of each window's first
+maximum. It keeps them until ``forget()``, which ``Network.backward`` calls
+on every layer once the first layer's backward has run, so a training step
+holds its batch and activations only until its backward ends. Without
+``train``, the pass is inference only: the layer drops what an earlier pass
+kept and keeps nothing, the pool builds no index, and ReLU rectifies its
+input in place when that input is writable.
 
 A layer's ``ws`` is None, except inside a workspace scope
 (``Network.workspace``), which gives each layer a ``Workspace``. Outside a
@@ -35,13 +38,25 @@ scope every pass allocates its outputs afresh. Inside one:
   sigmoid, whose outputs rectification leaves as they are;
 - a conv's backward builds its zero-padded output gradient in its forward
   output array. Every later layer's backward has read that output by then;
-- backward-only arrays (a conv's or a pool's input gradient, ReLU's mask)
-  are still made per step.
+- a pool's input gradient and the input gradient of a conv that does not
+  follow a ReLU are still made per step.
+
+A conv right after a ReLU fuses that ReLU's backward into its own, in a
+scope or not: ``backward(dout, gated=True)`` sums each TILE_ROWS tile of the
+input gradient in a scratch tile and writes it, gated by ``input > 0``, into
+the same rows of its input, which is the ReLU's output and which nothing
+reads once the conv's weight gradient is done. The ReLU's
+``backward(dout, gated=True)`` then hands the gradient on as it is. The rows
+are summed in the same order and gated by the same mask as unfused, so the
+bits do not change, and the step makes neither a plane-sized input gradient
+nor a mask. ``Network.backward`` asks this of every conv that follows a
+ReLU other than layer 0, whose backward never runs.
 
 The network hands its layers read-only views of the caller's batch and
 loss gradient, which no layer then writes into, in a scope or not. Outside
-a scope no layer but an inference ReLU writes into its ``x``, and none into
-its ``dout``: gradient checks call the same layer again on the same arrays.
+a scope no layer but an inference ReLU or a gated conv's backward writes
+into its ``x``, and none into its ``dout``: gradient checks call the same
+layer again on the same arrays.
 
 A conv's or dense layer's ``backward(dout, input_grad=False)`` computes only
 the parameter gradients and returns None; the network asks this of its first
@@ -102,27 +117,35 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shifted_gemms(src: np.ndarray, mats: np.ndarray, shifts: list[int], out: np.ndarray | None = None) -> np.ndarray:
+def _shifted_gemms(
+    src: np.ndarray, mats: np.ndarray, shifts: list[int], out: np.ndarray | None = None, gated: bool = False
+) -> np.ndarray:
     """Row r of the result is the sum over k of ``src[r + shifts[k]] @ mats[k]``.
 
     Terms whose source row falls outside ``src`` are left out. ``shifts[0]``
     must be 0 and the shifts' magnitudes ascend. Runs tile by tile of
     TILE_ROWS result rows, every offset's product into one cached scratch
     tile, and adds each row's terms in offset order. Writes into ``out``
-    when given.
+    when given. With ``gated``, ``out`` holds a ReLU's output: each tile is
+    summed in a second scratch tile, then written into its rows of ``out``
+    where they are > 0 and zeroed elsewhere, as that ReLU's backward would.
     """
     rows = src.shape[0]
     if out is None:
         out = np.empty((rows, mats.shape[2]), dtype=np.result_type(src, mats))
     part = np.empty((min(rows, TILE_ROWS), mats.shape[2]), dtype=out.dtype)
+    acc = np.empty_like(part) if gated else None
     for r0 in range(0, rows, TILE_ROWS):
         r1 = min(r0 + TILE_ROWS, rows)
-        _matmul(src[r0:r1], mats[0], out[r0:r1])
+        tile = out[r0:r1] if acc is None else acc[: r1 - r0]
+        _matmul(src[r0:r1], mats[0], tile)
         for mat, d in zip(mats[1:], shifts[1:]):
             lo, hi = max(r0, -d), min(r1, rows - d)
             if hi <= lo:
                 break  # every later offset shifts further and misses this tile too
-            out[lo:hi] += _matmul(src[lo + d : hi + d], mat, part[: hi - lo])
+            tile[lo - r0 : hi - r0] += _matmul(src[lo + d : hi + d], mat, part[: hi - lo])
+        if gated:
+            _gate(tile, out[r0:r1] > 0, out=out[r0:r1])
     return out
 
 
@@ -218,7 +241,13 @@ class Conv2d(Layer):
             self._xf, self._in_shape = xf, x.shape
         return out.reshape(n, h, wd, cout)[:, : h - kh + 1, : wd - kw + 1]
 
-    def backward(self, dout: np.ndarray, input_grad: bool = True):
+    def backward(self, dout: np.ndarray, input_grad: bool = True, gated: bool = False):
+        """The parameter gradients, then the input gradient unless ``input_grad`` is false.
+
+        With ``gated``, the input is a ReLU's output that nothing reads after
+        this call: the input gradient is gated by ``input > 0``, as that
+        ReLU's backward would gate it, and written into the input's array.
+        """
         xf = self._xf
         n, h, wd, cin = self._in_shape
         oh, ow = dout.shape[1:3]
@@ -248,7 +277,8 @@ class Conv2d(Layer):
         if not input_grad:
             return None
         wt = self.w.transpose(0, 1, 3, 2).reshape(len(shifts), -1, cin)  # a contiguous copy
-        return _shifted_gemms(gf, wt, [-s for s in shifts]).reshape(self._in_shape)
+        dx = _shifted_gemms(gf, wt, [-s for s in shifts], xf if gated else None, gated)
+        return dx.reshape(self._in_shape)
 
 
 class MaxPool2d(Layer):
@@ -313,7 +343,10 @@ class ReLU(Layer):
         self._out = out if train else None
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, gated: bool = False):
+        """``dout`` where the kept output is > 0; with ``gated``, ``dout`` already is that and comes back as is."""
+        if gated:
+            return dout
         in_place = self.ws is not None and dout.flags.writeable
         return _gate(dout, self._out > 0, out=dout if in_place else None)
 

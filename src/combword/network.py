@@ -6,7 +6,13 @@ classifier head is always a single sigmoid unit; training minimizes mean
 binary cross-entropy with probabilities clamped away from 0 and 1.
 
 ``Network.forward(x, train)`` passes ``train`` to every layer. A training
-pass leaves each layer holding what backward reads (see ``layers``); an
+pass leaves each layer holding what backward reads (see ``layers``), the
+first conv a view of the batch among it. ``Network.backward`` runs every
+layer's backward once, last to first, fusing the gate of each ReLU that
+feeds a conv into that conv's input gradient, and then makes every layer
+forget what the forward kept. So a training step holds one batch and one
+set of activations, and they are freed, in a scope or not, when its
+backward returns rather than when the next step's forward ends. An
 inference pass leaves nothing behind, so an evaluation batch never holds
 memory beyond its own pass, and its ReLUs rectify in place the arrays the
 pass made, never the caller's ``x``.
@@ -176,6 +182,11 @@ class Network:
                 self.layers.append(Dense(shape[0], spec.units, rng, dtype))
             else:
                 self.layers.append(Sigmoid())
+        # Each conv that follows a ReLU, and that ReLU, whose gate backward fuses into the conv (a ReLU at layer 0 runs no backward).
+        self._gated = set()
+        for i in range(2, len(self.layers)):
+            if isinstance(self.layers[i], Conv2d) and isinstance(self.layers[i - 1], ReLU):
+                self._gated |= {i - 1, i}
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """Per-sample probabilities, shape (batch,); without ``train`` no layer keeps anything.
@@ -194,14 +205,20 @@ class Network:
     def backward(self, dprobs: np.ndarray) -> None:
         """Fill every layer's parameter gradients; the input gradient is never built.
 
-        The layers get a read-only view of ``dprobs``, which no ReLU then gates in place.
+        The layers get a read-only view of ``dprobs``, which no ReLU then gates
+        in place. A conv right after a ReLU (not the first layer) gates its
+        input gradient itself, into that ReLU's spent output, and the ReLU's
+        backward passes it on. Every layer's backward runs once; then every
+        layer forgets what the forward kept, the batch included.
         """
         d = dprobs[:, None]
         d.flags.writeable = False
-        for layer in self.layers[:0:-1]:
-            d = layer.backward(d)
+        for i in range(len(self.layers) - 1, 0, -1):
+            d = self.layers[i].backward(d, gated=True) if i in self._gated else self.layers[i].backward(d)
         if self.layers[0].params():
             self.layers[0].backward(d, input_grad=False)
+        for layer in self.layers:
+            layer.forget()
 
     @contextmanager
     def workspace(self):

@@ -8,7 +8,7 @@ keeps the sparse upper-half counts of every repetition pattern it has seen,
 so a word that comes back in a later epoch, in validation or as an
 alphabet-permuted twin is not counted again. That cache grows with the
 distinct patterns of a run: about 7 KB each at n=10, 38 KB at n=15 and
-220 KB at n=20 with channels capped at length 3. It never changes a bit of
+150 KB at n=20 with channels capped at length 3. It never changes a bit of
 a batch.
 
 A batch runs through the network once per distinct input: the encoder gets
@@ -24,26 +24,34 @@ holds about 20 patterns on n=10 palindromes and 27-28 on n=15 passwords.
 Everything is sequential, so identical seeds reproduce identical epoch
 records byte for byte.
 
-A training step's forward keeps every layer's activations for its backward,
-and they stay until the next forward. ``predict_probs`` (and so
-``evaluate`` and each epoch's validation) runs inference passes, which keep
-nothing and free what the last step kept, so a validation batch is not
-stacked on the arrays of the step or batch before it.
+A training step's forward keeps every layer's activations, and a view of
+the encoded batch, for its backward; ``Network.backward`` drops them all
+when it is done. So the batch is freed when ``batch_gradients`` returns,
+before the next step encodes its own, and a step never holds two batches.
+``predict_probs`` (and so ``evaluate`` and each epoch's validation) runs
+inference passes, which keep nothing.
 
 ``train`` and ``predict_probs`` each run inside one workspace scope of the
 model (``Network.workspace``; validation shares the one of ``train``): the
 conv and pool outputs of every step and batch of the call go into the same
-arrays, ReLU works in place, and a conv pads its output gradient in its
-spent output, so a step allocates only its batch and its backward-only
-arrays. When the call returns, or raises, the model holds no batch-sized
-array. ``batch_gradients`` called on its own runs outside any scope and
-allocates every array afresh, with the same bits.
+arrays, ReLU works in place, a conv pads its output gradient in its spent
+output, and the 3x3 conv writes its ReLU-gated input gradient into the
+spent L1 plane (``layers``), so a step allocates its batch and a few
+backward-only arrays, the pools' indices and input gradients the largest
+of them. When the call returns,
+or raises, the model holds no batch-sized array. ``batch_gradients`` called
+on its own runs outside any scope and allocates every array afresh, with
+the same bits.
+
+``train`` keeps each epoch's validation probabilities in its record, so
+``cli train`` splits the final model's validation accuracy by pattern
+(``accuracy_by_pattern``) without a second pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,10 +87,13 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One epoch's figures; ``val_probs`` holds each validation word's probability after the epoch."""
+
     epoch: int
     train_loss: float
     train_acc: float
     val_acc: float
+    val_probs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 class Adam:
@@ -186,7 +197,7 @@ def batch_gradients(model: Network, words: list, labels: np.ndarray, encoder) ->
 
 def evaluate(model: Network, ds: LabeledDataset, encoder, batch_size: int = 32) -> float:
     """Fraction of samples with (probability > 0.5) == label; 0.5 counts as class 0."""
-    return float(np.mean(_hits(predict_probs(model, ds, encoder, batch_size), np.asarray(ds.labels()))))
+    return _accuracy(predict_probs(model, ds, encoder, batch_size), ds)
 
 
 def predict_probs(model: Network, ds: LabeledDataset, encoder, batch_size: int = 32) -> np.ndarray:
@@ -204,15 +215,21 @@ def _hits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return (probs > 0.5).astype(np.int64) == labels
 
 
-def accuracy_by_pattern(model: Network, seen_ds: LabeledDataset, ds: LabeledDataset, encoder, batch_size: int = 32) -> dict:
+def _accuracy(probs: np.ndarray, ds: LabeledDataset) -> float:
+    return float(np.mean(_hits(probs, np.asarray(ds.labels()))))
+
+
+def accuracy_by_pattern(probs: np.ndarray, seen_ds: LabeledDataset, ds: LabeledDataset) -> dict:
     """``ds``'s words, correct predictions and accuracy, split by whether a word's pattern occurs in ``seen_ds``.
 
+    ``probs`` holds a model's probability of each word of ``ds``
+    (``predict_probs``, or the last ``EpochRecord.val_probs`` of ``train``).
     The tensor model is a function of the repetition pattern, so on a word
     whose pattern was trained on it recalls that pattern; only the "unseen"
     group measures generalization. An empty group's accuracy is None.
     """
     seen = {pattern_key(as_text(w)) for w in seen_ds.words()}
-    hits = _hits(predict_probs(model, ds, encoder, batch_size), np.asarray(ds.labels()))
+    hits = _hits(probs, np.asarray(ds.labels()))
     known = np.array([pattern_key(as_text(w)) in seen for w in ds.words()], dtype=bool)
     out = {}
     for group, mask in (("seen", known), ("unseen", ~known)):
@@ -231,7 +248,8 @@ def train(
     """Run the seeded training loop, returning the model and per-epoch records.
 
     Train loss and accuracy are accumulated from each batch's pre-update
-    forward pass; validation accuracy is measured after each epoch. Stops
+    forward pass; validation accuracy is measured after each epoch, and
+    each record keeps that validation's probabilities. Stops
     early once stop_at_val_acc is reached, and aborts on non-finite loss.
     Each batch is encoded and run once per distinct input, and the steps and
     validation batches share one workspace scope (module docstring).
@@ -260,13 +278,15 @@ def train(
                 opt.step(model.grads())
                 losses.append(loss)
                 correct += int(np.sum((probs > 0.5).astype(np.int64) == y.astype(np.int64)))
-            val_acc = evaluate(model, val_ds, encoder, cfg.batch_size)
+            val_probs = predict_probs(model, val_ds, encoder, cfg.batch_size)
+            val_acc = _accuracy(val_probs, val_ds)
             records.append(
                 EpochRecord(
                     epoch=epoch,
                     train_loss=float(np.mean(losses)),
                     train_acc=correct / (cfg.steps_per_epoch * cfg.batch_size),
                     val_acc=val_acc,
+                    val_probs=val_probs,
                 )
             )
             if cfg.stop_at_val_acc is not None and val_acc >= cfg.stop_at_val_acc:

@@ -14,6 +14,7 @@ from combword.combinatorics import combinatorics_map
 from combword.encoding import EncodingConfig, channel_count
 from combword.datasets import DatasetFormatError, read_dataset
 from combword.network import build_char_cnn
+from combword.training import accuracy_by_pattern, encoder_for, predict_probs
 
 from damage import damaged
 
@@ -189,6 +190,25 @@ def test_train_manifest_splits_val_accuracy_by_seen_pattern(mini_run):
         assert set(group) == {"words", "correct", "accuracy"}
         assert group["accuracy"] == (group["correct"] / group["words"] if group["words"] else None)
     assert "seen" not in (out / "metrics.csv").read_text()
+
+
+def test_train_manifest_split_equals_one_recomputed_from_the_checkpoint(mini_run):
+    data, out = mini_run
+    model = load_checkpoint(out / "model.ckpt")
+    train_ds = read_dataset(data / "train.tsv", task="palindrome", split="train")
+    val_ds = read_dataset(data / "val.tsv", task="palindrome", split="val")
+    probs = predict_probs(model, val_ds, encoder_for(model, "palindrome"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["val_by_pattern"] == accuracy_by_pattern(probs, train_ds, val_ds)
+
+
+def test_train_without_epochs_splits_the_untrained_models_val_accuracy(mini_run, tmp_path, capsys):
+    data, _ = mini_run
+    out = tmp_path / "zero"
+    code, _, _ = run(capsys, "train", "--task", "palindrome", "--data", str(data), "--epochs", "0", "--seed", "4", "--out", str(out))
+    assert code == 0 and (out / "metrics.csv").read_text() == "epoch,train_loss,train_acc,val_acc\n"
+    split = json.loads((out / "manifest.json").read_text())["val_by_pattern"]
+    assert split["seen"]["words"] + split["unseen"]["words"] == len((data / "val.tsv").read_text().splitlines())
 
 
 def test_eval_prints_accuracy(mini_run, capsys):

@@ -167,6 +167,16 @@ def test_cached_pattern_bytes_at_n15():
     assert encoder.nbytes / len(encoder) <= 60_000
 
 
+def test_cached_counts_are_typed_by_their_own_maximum_at_n20():
+    # n^2 = 400 would need uint16, but no n=20 chain count or cell size reaches 256.
+    encoder = BatchEncoder(EncodingConfig.for_length(20))
+    for w in gen_palindrome_dataset(20, (2, 1, 1), seed=303)[0].words():
+        s = encoder.counts(w)
+        assert s.sizes.dtype == s.counts.dtype == np.uint8
+        for a in (s.sizes, s.counts, s.empty):
+            assert a.dtype == np.min_scalar_type(int(a.max())), a.dtype
+
+
 def test_permuted_split_adds_no_cache_entry():
     val = gen_palindrome_dataset(8, (1, 24, 1), seed=4)[1]
     permuted = permute_dataset(val, 9)

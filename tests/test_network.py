@@ -1,6 +1,10 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from combword import layers
 from combword.encoding import EncodingConfig, channel_count
 from combword.gradcheck import check_model_gradients
 from combword.network import (
@@ -8,8 +12,10 @@ from combword.network import (
     binary_cross_entropy,
     build_char_cnn,
     build_combinatorial_cnn,
+    conv,
     dense,
     flatten,
+    pool,
     relu,
     sigmoid,
 )
@@ -201,3 +207,103 @@ def test_workspace_reuses_conv_and_pool_outputs_and_grows_on_demand():
         model.forward(x)
         assert conv.ws._buf is not conv_buf and conv.ws._buf.size == 6 * 10 * 1 * 32  # the full input plane
     assert all(layer.ws is None for layer in model.layers)
+
+
+def plain_backward(model, dprobs) -> None:
+    """Each layer's own backward in turn, last to first, with no gate fused into a conv."""
+    d = dprobs[:, None]
+    for layer in model.layers[:0:-1]:
+        d = layer.backward(d)
+    if model.layers[0].params():
+        model.layers[0].backward(d, input_grad=False)
+
+
+def fused_and_plain_grads(model, x, dprobs) -> tuple[list[bytes], list[bytes]]:
+    model.forward(x)
+    model.backward(dprobs)
+    fused = [g.tobytes() for g in model.grads()]
+    model.forward(x)
+    plain_backward(model, dprobs)
+    return fused, [g.tobytes() for g in model.grads()]
+
+
+def test_fused_backward_matches_each_layers_own_backward_over_several_tiles():
+    model = build_combinatorial_cnn(EncodingConfig.for_length(5), seed=3, filters=(8, 4, 2), dense_units=6)
+    rng = np.random.default_rng(4)
+    h, w, _ = model.input_shape
+    for batch, tiles in ((1, 1), (9, 3), (30, 8)):  # tiles of TILE_ROWS rows of L2's flat input plane
+        assert -(-batch * h * w // layers.TILE_ROWS) == tiles
+        x = rng.random((batch, *model.input_shape), dtype=np.float32)
+        dprobs = rng.standard_normal(batch).astype(np.float32)
+        for scope in (contextlib.nullcontext(), model.workspace()):
+            with scope:
+                fused, plain = fused_and_plain_grads(model, x, dprobs)
+            assert fused == plain, batch
+
+
+@pytest.mark.parametrize(
+    "specs, shape",
+    [
+        # A cropping conv's output is copied by the next conv; a 1x1 conv's is reshaped in place.
+        ([conv(3, 3, 4), relu(), conv(1, 1, 3), relu(), conv(3, 3, 2), relu(), pool(2, 2), flatten(), dense(1), sigmoid()], (9, 9, 2)),
+        ([relu(), conv(3, 1, 4), relu(), conv(3, 1, 2), relu(), flatten(), dense(1), sigmoid()], (8, 1, 3)),
+    ],
+    ids=["conv-first", "relu-first"],
+)
+@pytest.mark.parametrize("batch", [1, 5])
+def test_fused_backward_matches_in_float64_in_a_scope_and_outside(specs, shape, batch, monkeypatch):
+    monkeypatch.setattr(layers, "TILE_ROWS", 7)
+    model = Network(specs, shape, seed=6, dtype=np.float64)
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, *shape))
+    dprobs = rng.standard_normal(batch)
+    x_before, d_before = x.copy(), dprobs.copy()
+    fused, plain = fused_and_plain_grads(model, x, dprobs)
+    assert fused == plain
+    with model.workspace():
+        assert fused_and_plain_grads(model, x, dprobs) == (fused, fused)
+    assert x.tobytes() == x_before.tobytes() and dprobs.tobytes() == d_before.tobytes()
+
+
+def test_backward_of_a_conv_after_a_relu_allocates_no_plane():
+    model = build_combinatorial_cnn(EncodingConfig.for_length(8), seed=2)
+    x = np.random.default_rng(3).random((20, *model.input_shape), dtype=np.float32)
+    l2 = model.layers[2]
+    plane = x.shape[0] * x.shape[1] * x.shape[2] * l2.w.shape[2] * x.itemsize
+    peaks = []
+
+    def measured(fn):
+        def call(*args, **kwargs):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = fn(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        return call
+
+    l2.backward = measured(l2.backward)
+    with model.workspace():
+        for _ in range(2):
+            model.forward(x)
+            tracemalloc.start()
+            try:
+                model.backward(np.ones(len(x), dtype=np.float32))
+            finally:
+                tracemalloc.stop()
+    assert len(peaks) == 2 and max(peaks) < plane / 4, (peaks, plane)
+
+
+def test_backward_drops_what_forward_kept_in_a_scope_and_outside():
+    model = build_char_cnn(8, 5, seed=1)
+    x = np.random.default_rng(2).random((3, *model.input_shape), dtype=np.float32)
+
+    def held() -> list[tuple[int, str]]:
+        return [(i, name) for i, layer in enumerate(model.layers) for name in layer.kept if getattr(layer, name) is not None]
+
+    for scope in (contextlib.nullcontext(), model.workspace()):
+        with scope:
+            model.forward(x)
+            assert {i for i, _ in held()} == set(range(len(model.layers)))  # for contrast: every layer keeps state
+            model.backward(np.ones(len(x), dtype=np.float32))
+            assert held() == []

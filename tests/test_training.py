@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -164,12 +165,12 @@ def model_and_encoder(cfg_enc, kind: str):
 def test_inference_drops_the_training_state_and_keeps_none(tiny_task, kind):
     tr, va, cfg_enc = tiny_task
     model, enc = model_and_encoder(cfg_enc, kind)
-    words, labels = tr.words()[:8], np.asarray(tr.labels()[:8], dtype=np.float64)
-    batch_gradients(model, words, labels, enc)
-    assert len(batch_state(model)) == len(model.layers) - 1  # all but Flatten keep what backward reads
+    x = enc(tr.words()[:8])
+    model.forward(x)
+    assert len(batch_state(model)) == len(model.layers) - 1  # a training forward: all but Flatten keep what backward reads
     predict_probs(model, va, enc, batch_size=7)
     assert batch_state(model) == {}
-    batch_gradients(model, words, labels, enc)
+    model.forward(x)
     evaluate(model, va, enc)
     assert batch_state(model) == {}
 
@@ -229,6 +230,54 @@ def test_train_matches_an_unscoped_loop_bit_for_bit(tiny_task, kind):
     assert records == unscoped_train(ref, tr, va, cfg, enc)
     for p, q in zip(model.params(), ref.params()):
         assert p.tobytes() == q.tobytes()
+
+
+class WeakEncoder:
+    """Wraps an encoder and keeps a weak reference to every batch it hands out."""
+
+    def __init__(self, encode):
+        self.encode = encode
+        self.refs: list[weakref.ref] = []
+
+    def __call__(self, words):
+        x = self.encode(words)
+        self.refs.append(weakref.ref(x))
+        return x
+
+
+@pytest.mark.parametrize("kind", ["tensor", "char"])
+def test_a_training_step_frees_its_batch_when_it_returns(tiny_task, kind):
+    tr, _, cfg_enc = tiny_task
+    model, enc = model_and_encoder(cfg_enc, kind)
+    weak = WeakEncoder(enc)
+    words, labels = tr.words()[:8], np.asarray(tr.labels()[:8], dtype=np.float64)
+    batch_gradients(model, words, labels, weak)
+    with model.workspace():
+        for _ in range(2):
+            batch_gradients(model, words, labels, weak)
+            assert len(batch_state(model)) == 0
+    assert len(weak.refs) == 3 and all(ref() is None for ref in weak.refs)
+
+
+@pytest.mark.parametrize("kind", ["tensor", "char"])
+def test_every_layer_runs_forward_and_backward_once_per_step(tiny_task, kind):
+    tr, va, cfg_enc = tiny_task
+    model, enc = model_and_encoder(cfg_enc, kind)
+    calls = {}
+
+    def counted(i, name, fn):
+        def call(*args, **kwargs):
+            calls[i, name] = calls.get((i, name), 0) + 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for i, layer in enumerate(model.layers):
+        layer.forward, layer.backward = counted(i, "forward", layer.forward), counted(i, "backward", layer.backward)
+    steps, val_batches = 3, -(-len(va) // 8)
+    train(model, tr, va, TrainConfig(epochs=1, batch_size=8, steps_per_epoch=steps, seed=2), enc)
+    for i in range(len(model.layers)):
+        assert calls[i, "forward"] == steps + val_batches and calls[i, "backward"] == steps, i
 
 
 def held_arrays(model) -> list[str]:
@@ -354,7 +403,8 @@ def test_val_accuracy_split_by_pattern_adds_up_to_the_last_record(tiny_task):
     model, records = train(
         fresh_model(cfg_enc), tr, va, TrainConfig(epochs=2, batch_size=8, steps_per_epoch=3, seed=5), combinatorial_encoder(cfg_enc)
     )
-    split = accuracy_by_pattern(model, tr, va, combinatorial_encoder(cfg_enc))
+    assert records[-1].val_probs.tobytes() == predict_probs(model, va, combinatorial_encoder(cfg_enc)).tobytes()
+    split = accuracy_by_pattern(records[-1].val_probs, tr, va)
     seen_keys = {pattern_key(w.text) for w in tr.words()}
     assert split["seen"]["words"] == sum(pattern_key(w.text) in seen_keys for w in va.words())
     assert split["seen"]["words"] + split["unseen"]["words"] == len(va)
@@ -366,7 +416,7 @@ def test_val_accuracy_split_by_pattern_adds_up_to_the_last_record(tiny_task):
 
 def test_val_accuracy_split_by_pattern_reports_an_empty_group_as_null(tiny_task):
     tr, _, cfg_enc = tiny_task
-    split = accuracy_by_pattern(fresh_model(cfg_enc), tr, tr, combinatorial_encoder(cfg_enc))
+    split = accuracy_by_pattern(predict_probs(fresh_model(cfg_enc), tr, combinatorial_encoder(cfg_enc)), tr, tr)
     assert split["unseen"] == {"words": 0, "correct": 0, "accuracy": None}
     assert split["seen"]["words"] == len(tr)
 
