@@ -39,18 +39,26 @@ def _numeric_gradient(loss_fn, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray
 
 
 def _check_projected(layer, x: np.ndarray, rng: np.random.Generator) -> float:
-    """Max relative error over the layer's parameters and its input."""
-    proj = rng.standard_normal(layer.forward(x).shape)
+    """Max relative error over the layer's parameters and its input.
+
+    The layer gets read-only views of ``x`` and of the projection, which it
+    would otherwise be free to rectify or gate in place; the numeric
+    gradient perturbs ``x`` itself.
+    """
+    xv = x.view()
+    xv.flags.writeable = False
+    proj = rng.standard_normal(layer.forward(xv).shape)
+    proj.flags.writeable = False
 
     def loss_fn() -> float:
-        return float(np.sum(layer.forward(x) * proj))
+        return float(np.sum(layer.forward(xv) * proj))
 
     loss_fn()
     layer.backward(proj)
     worst = 0.0
     for p, g in zip(layer.params(), layer.grads()):
         worst = max(worst, relative_error(g, _numeric_gradient(loss_fn, p)))
-    layer.forward(x)  # refresh caches after the perturbed numeric passes
+    layer.forward(xv)  # refresh caches after the perturbed numeric passes
     analytic_dx = layer.backward(proj)
     worst = max(worst, relative_error(analytic_dx, _numeric_gradient(loss_fn, x)))
     return worst

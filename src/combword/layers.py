@@ -17,46 +17,37 @@ sample sits in it, which lets training run each distinct input once. Pooling
 floors odd extents.
 
 Every ``forward`` takes ``train``. With it (the default), a layer keeps what
-its backward reads: a conv a view of its input, a dense layer its input,
-ReLU and sigmoid their output, a pool the index of each window's first
-maximum. It keeps them until ``forget()``, which ``Network.backward`` calls
-on every layer once the first layer's backward has run, so a training step
-holds its batch and activations only until its backward ends. Without
-``train``, the pass is inference only: the layer drops what an earlier pass
-kept and keeps nothing, the pool builds no index, and ReLU rectifies its
-input in place when that input is writable.
+its backward reads: a conv a view of its input and its flat output, a dense
+layer its input, ReLU and sigmoid their output, a pool the index of each
+window's first maximum. It keeps them until ``forget()``, which
+``Network.backward`` calls on every layer once the first layer's backward
+has run, so a training step holds its batch and activations only until its
+backward ends. Without ``train``, the pass is inference only: the layer
+drops what an earlier pass kept and keeps nothing, and the pool builds no
+index.
 
-A layer's ``ws`` is None, except inside a workspace scope
-(``Network.workspace``), which gives each layer a ``Workspace``. Outside a
-scope every pass allocates its outputs afresh. Inside one:
+Every conv and pool forward allocates its output. Three rules then work in
+place, in training and inference alike:
 
-- a conv and a pool write their forward output into their workspace array,
-  which every later pass of the scope reuses (grown when a pass runs more
-  rows), so an output stays valid only until the layer's next forward;
-- ReLU rectifies its input in place in training passes too, and gates its
-  ``dout`` in place. No layer keeps its output for backward except ReLU and
-  sigmoid, whose outputs rectification leaves as they are;
-- a conv's backward builds its zero-padded output gradient in its forward
-  output array. Every later layer's backward has read that output by then;
-- a pool's input gradient and the input gradient of a conv that does not
-  follow a ReLU are still made per step.
+- ReLU rectifies its input in place whenever that input is writable, and
+  its backward gates a writable ``dout`` in place;
+- a conv's backward builds its zero-padded output gradient in its flat
+  forward output. Every later layer's backward has read that output by then;
+- a conv right after a ReLU fuses that ReLU's backward into its own:
+  ``backward(dout, gated=True)`` sums each TILE_ROWS tile of the input
+  gradient in a scratch tile and writes it, gated by ``input > 0``, into the
+  same rows of its input, which is the ReLU's output and which nothing
+  reads once the conv's weight gradient is done. The ReLU's
+  ``backward(dout, gated=True)`` then hands the gradient on as it is. The
+  rows are summed in the same order and gated by the same mask as unfused,
+  so the bits do not change, and the step makes neither a plane-sized input
+  gradient nor a mask. ``Network.backward`` asks this of every conv that
+  follows a ReLU other than layer 0, whose backward never runs.
 
-A conv right after a ReLU fuses that ReLU's backward into its own, in a
-scope or not: ``backward(dout, gated=True)`` sums each TILE_ROWS tile of the
-input gradient in a scratch tile and writes it, gated by ``input > 0``, into
-the same rows of its input, which is the ReLU's output and which nothing
-reads once the conv's weight gradient is done. The ReLU's
-``backward(dout, gated=True)`` then hands the gradient on as it is. The rows
-are summed in the same order and gated by the same mask as unfused, so the
-bits do not change, and the step makes neither a plane-sized input gradient
-nor a mask. ``Network.backward`` asks this of every conv that follows a
-ReLU other than layer 0, whose backward never runs.
-
-The network hands its layers read-only views of the caller's batch and
-loss gradient, which no layer then writes into, in a scope or not. Outside
-a scope no layer but an inference ReLU or a gated conv's backward writes
-into its ``x``, and none into its ``dout``: gradient checks call the same
-layer again on the same arrays.
+No other layer writes into the ``x`` or ``dout`` it is given, so a caller
+whose arrays must stay intact hands ReLU read-only views: the network does
+so with the caller's batch and loss gradient, and the gradient checks with
+the inputs and projections that they perturb and reuse across calls.
 
 A conv's or dense layer's ``backward(dout, input_grad=False)`` computes only
 the parameter gradients and returns None; the network asks this of its first
@@ -66,8 +57,6 @@ float64 for finite-difference checks.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -149,28 +138,13 @@ def _shifted_gemms(
     return out
 
 
-class Workspace:
-    """One array a layer reuses across the passes of a scope, grown to fit."""
-
-    def __init__(self):
-        self._buf = None
-
-    def array(self, shape: tuple, dtype) -> np.ndarray:
-        """A writable ``shape`` view of the head of the array, which is replaced when too small."""
-        size = math.prod(shape)
-        if self._buf is None or self._buf.size < size or self._buf.dtype != dtype:
-            self._buf = np.empty(size, dtype)
-        return self._buf[:size].reshape(shape)
-
-
 class Layer:
-    """What every layer shares: no parameters, the arrays it keeps, its workspace.
+    """What every layer shares: no parameters, and the arrays a training forward keeps.
 
     ``kept`` names the attributes a training forward fills for backward.
     """
 
     kept: tuple[str, ...] = ()
-    ws: Workspace | None = None
 
     def __init__(self):
         self.forget()
@@ -186,10 +160,6 @@ class Layer:
         for name in self.kept:
             setattr(self, name, None)
 
-    def _empty(self, shape: tuple, dtype) -> np.ndarray:
-        """A new array outside a scope; inside one, the layer's workspace array."""
-        return np.empty(shape, dtype) if self.ws is None else self.ws.array(shape, dtype)
-
 
 class Conv2d(Layer):
     """Valid 2-D convolution, kernel (kh, kw), weights (kh, kw, cin, cout).
@@ -203,7 +173,7 @@ class Conv2d(Layer):
     slower in forward at that shape.
     """
 
-    kept = ("_xf", "_in_shape")
+    kept = ("_xf", "_in_shape", "_out")
 
     def __init__(self, kh: int, kw: int, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
@@ -234,17 +204,18 @@ class Conv2d(Layer):
         if not train:
             self.forget()
         xf = x.reshape(-1, cin)
-        out = self._empty((xf.shape[0], cout), np.result_type(x, self.w))
-        _shifted_gemms(xf, self.w.reshape(-1, cin, cout), self._shifts(wd), out)
+        out = _shifted_gemms(xf, self.w.reshape(-1, cin, cout), self._shifts(wd))
         out += self.b
         if train:
-            self._xf, self._in_shape = xf, x.shape
+            self._xf, self._in_shape, self._out = xf, x.shape, out
         return out.reshape(n, h, wd, cout)[:, : h - kh + 1, : wd - kw + 1]
 
     def backward(self, dout: np.ndarray, input_grad: bool = True, gated: bool = False):
         """The parameter gradients, then the input gradient unless ``input_grad`` is false.
 
-        With ``gated``, the input is a ReLU's output that nothing reads after
+        A conv whose output is cropped builds the zero-padded output gradient
+        in the array the training forward returned a view of. With
+        ``gated``, the input is a ReLU's output that nothing reads after
         this call: the input gradient is gated by ``input > 0``, as that
         ReLU's backward would gate it, and written into the input's array.
         """
@@ -255,8 +226,8 @@ class Conv2d(Layer):
         if (oh, ow) == (h, wd):
             gf = dout.reshape(xf.shape[0], -1)
         else:
-            # In a scope this is the forward output's array, which no layer reads any more.
-            g = self._empty((n, h, wd, dout.shape[3]), dout.dtype)
+            # The forward output's array, which every later layer's backward has read by now.
+            g = self._out.reshape(n, h, wd, -1)
             g[:, oh:] = 0
             g[:, :oh, ow:] = 0
             g[:, :oh, :ow] = dout
@@ -308,8 +279,7 @@ class MaxPool2d(Layer):
         if not train:
             self.forget()
         cells = self._cells(x)
-        out = self._empty(cells[0].shape, x.dtype)
-        out[...] = cells[0]
+        out = cells[0].copy()
         for cell in cells[1:]:
             np.maximum(cell, out, out=out)  # on equal values this keeps out, the earlier cell
         if not train:
@@ -331,15 +301,13 @@ class MaxPool2d(Layer):
 class ReLU(Layer):
     """Rectifier; backward gates on the kept output, which is > 0 exactly where x > 0.
 
-    Works in place on a writable ``x`` in an inference pass or in a scope,
-    and on a writable ``dout`` in a scope.
+    Works in place on a writable ``x`` and on a writable ``dout``.
     """
 
     kept = ("_out",)
 
     def forward(self, x, train: bool = True):
-        in_place = (self.ws is not None or not train) and x.flags.writeable
-        out = np.maximum(x, 0, out=x if in_place else None)
+        out = np.maximum(x, 0, out=x if x.flags.writeable else None)
         self._out = out if train else None
         return out
 
@@ -347,8 +315,7 @@ class ReLU(Layer):
         """``dout`` where the kept output is > 0; with ``gated``, ``dout`` already is that and comes back as is."""
         if gated:
             return dout
-        in_place = self.ws is not None and dout.flags.writeable
-        return _gate(dout, self._out > 0, out=dout if in_place else None)
+        return _gate(dout, self._out > 0, out=dout if dout.flags.writeable else None)
 
 
 class Flatten(Layer):

@@ -11,29 +11,24 @@ first conv a view of the batch among it. ``Network.backward`` runs every
 layer's backward once, last to first, fusing the gate of each ReLU that
 feeds a conv into that conv's input gradient, and then makes every layer
 forget what the forward kept. So a training step holds one batch and one
-set of activations, and they are freed, in a scope or not, when its
-backward returns rather than when the next step's forward ends. An
-inference pass leaves nothing behind, so an evaluation batch never holds
-memory beyond its own pass, and its ReLUs rectify in place the arrays the
-pass made, never the caller's ``x``.
+set of activations, and they are freed when its backward returns rather
+than when the next step's forward ends. An inference pass leaves nothing
+behind, so an evaluation batch never holds memory beyond its own pass.
 
-Passes inside ``with network.workspace():`` write the conv and pool outputs
-into arrays that the next passes of the scope reuse, rectify and gate in
-place, and pad a conv's output gradient in its spent output (see
-``layers``). The scope drops those arrays, and whatever the last pass kept,
-when it ends, also on an exception; outside a scope every pass allocates
-afresh. ``training.train`` and ``training.predict_probs`` each run in one.
+Every pass allocates its conv and pool outputs; ReLU rectifies and gates in
+place, and a conv pads its output gradient in its spent output (see
+``layers``). The layers get read-only views of the caller's batch and loss
+gradient, so those in-place rules only ever touch arrays the pass made.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import EncodingConfig, channel_count
-from .layers import SIGMOID_CLAMP, Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sigmoid, Workspace
+from .layers import SIGMOID_CLAMP, Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sigmoid
 
 
 @dataclass(frozen=True)
@@ -219,25 +214,6 @@ class Network:
             self.layers[0].backward(d, input_grad=False)
         for layer in self.layers:
             layer.forget()
-
-    @contextmanager
-    def workspace(self):
-        """A scope whose passes reuse the layers' arrays; one opened inside it shares it.
-
-        Leaving the outermost scope, every layer drops its workspace and what
-        its last pass kept, so the network then holds no batch-sized array.
-        """
-        if self.layers[0].ws is not None:
-            yield
-            return
-        for layer in self.layers:
-            layer.ws = Workspace()
-        try:
-            yield
-        finally:
-            for layer in self.layers:
-                layer.ws = None
-                layer.forget()
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]

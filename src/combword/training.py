@@ -31,17 +31,13 @@ before the next step encodes its own, and a step never holds two batches.
 ``predict_probs`` (and so ``evaluate`` and each epoch's validation) runs
 inference passes, which keep nothing.
 
-``train`` and ``predict_probs`` each run inside one workspace scope of the
-model (``Network.workspace``; validation shares the one of ``train``): the
-conv and pool outputs of every step and batch of the call go into the same
-arrays, ReLU works in place, a conv pads its output gradient in its spent
-output, and the 3x3 conv writes its ReLU-gated input gradient into the
-spent L1 plane (``layers``), so a step allocates its batch and a few
-backward-only arrays, the pools' indices and input gradients the largest
-of them. When the call returns,
-or raises, the model holds no batch-sized array. ``batch_gradients`` called
-on its own runs outside any scope and allocates every array afresh, with
-the same bits.
+Each pass allocates its conv and pool outputs. ReLU rectifies them in place,
+a conv pads its output gradient in its spent output, and the 3x3 conv
+writes its ReLU-gated input gradient into the spent L1 plane (``layers``).
+So a step allocates its batch, its forward outputs and a few backward-only
+arrays, the pools' indices and input gradients the largest of them. When a
+step, ``train`` or ``predict_probs`` returns, or ``train`` stops on a
+diverged loss, the model holds no batch-sized array.
 
 ``train`` keeps each epoch's validation probabilities in its record, so
 ``cli train`` splits the final model's validation accuracy by pattern
@@ -77,12 +73,16 @@ class TrainConfig:
     stop_at_val_acc: float | None = None
 
     def __post_init__(self) -> None:
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1 or self.steps_per_epoch < 1:
             raise ValueError("batch_size and steps_per_epoch must be >= 1")
         if self.optimizer not in ("adam", "sgd-momentum"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        if self.stop_at_val_acc is not None and not 0.0 <= self.stop_at_val_acc <= 1.0:
+            raise ValueError(f"stop-at-val-acc must be in [0, 1], got {self.stop_at_val_acc}")
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,6 @@ def make_optimizer(cfg: TrainConfig, params: list[np.ndarray]):
     return SGDMomentum(params, cfg.learning_rate, cfg.momentum)
 
 
-def combinatorial_encoder(cfg: EncodingConfig) -> BatchEncoder:
-    return BatchEncoder(cfg)
-
-
 def char_encoder(task: str):
     alphabet = task_alphabet(task)
     return lambda words: onehot_batch(words, alphabet)
@@ -148,7 +144,7 @@ def encoder_for(model: Network, task: str):
     """The batch encoder matching a model's input, from its build metadata."""
     if model.meta.get("model") == "char":
         return char_encoder(task)
-    return combinatorial_encoder(EncodingConfig.from_dict(model.meta["encoding"]))
+    return BatchEncoder(EncodingConfig.from_dict(model.meta["encoding"]))
 
 
 def input_key(model: Network):
@@ -204,10 +200,9 @@ def predict_probs(model: Network, ds: LabeledDataset, encoder, batch_size: int =
     """Per-word probabilities, batch by batch, one forward row per distinct input."""
     words = ds.words()
     out = []
-    with model.workspace():
-        for i in range(0, len(words), batch_size):
-            rows, inv = _forward_distinct(model, words[i : i + batch_size], encoder, train=False)
-            out.append(rows[inv])
+    for i in range(0, len(words), batch_size):
+        rows, inv = _forward_distinct(model, words[i : i + batch_size], encoder, train=False)
+        out.append(rows[inv])
     return np.concatenate(out)
 
 
@@ -251,8 +246,7 @@ def train(
     forward pass; validation accuracy is measured after each epoch, and
     each record keeps that validation's probabilities. Stops
     early once stop_at_val_acc is reached, and aborts on non-finite loss.
-    Each batch is encoded and run once per distinct input, and the steps and
-    validation batches share one workspace scope (module docstring).
+    Each batch is encoded and run once per distinct input (module docstring).
     """
     params = model.params()
     opt = make_optimizer(cfg, params)
@@ -261,36 +255,35 @@ def train(
     labels_all = np.asarray(train_ds.labels(), dtype=np.float64)
     per_epoch = cfg.batch_size * cfg.steps_per_epoch
     records: list[EpochRecord] = []
-    with model.workspace():
-        for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(len(items))
-            while order.size < per_epoch:
-                order = np.concatenate([order, rng.permutation(len(items))])
-            losses = []
-            correct = 0
-            for step in range(cfg.steps_per_epoch):
-                take = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
-                words = [items[i][0] for i in take]
-                y = labels_all[take]
-                probs, loss = batch_gradients(model, words, y, encoder)
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch} step {step + 1}")
-                opt.step(model.grads())
-                losses.append(loss)
-                correct += int(np.sum((probs > 0.5).astype(np.int64) == y.astype(np.int64)))
-            val_probs = predict_probs(model, val_ds, encoder, cfg.batch_size)
-            val_acc = _accuracy(val_probs, val_ds)
-            records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    train_loss=float(np.mean(losses)),
-                    train_acc=correct / (cfg.steps_per_epoch * cfg.batch_size),
-                    val_acc=val_acc,
-                    val_probs=val_probs,
-                )
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(items))
+        while order.size < per_epoch:
+            order = np.concatenate([order, rng.permutation(len(items))])
+        losses = []
+        correct = 0
+        for step in range(cfg.steps_per_epoch):
+            take = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
+            words = [items[i][0] for i in take]
+            y = labels_all[take]
+            probs, loss = batch_gradients(model, words, y, encoder)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch} step {step + 1}")
+            opt.step(model.grads())
+            losses.append(loss)
+            correct += int(np.sum((probs > 0.5).astype(np.int64) == y.astype(np.int64)))
+        val_probs = predict_probs(model, val_ds, encoder, cfg.batch_size)
+        val_acc = _accuracy(val_probs, val_ds)
+        records.append(
+            EpochRecord(
+                epoch=epoch,
+                train_loss=float(np.mean(losses)),
+                train_acc=correct / (cfg.steps_per_epoch * cfg.batch_size),
+                val_acc=val_acc,
+                val_probs=val_probs,
             )
-            if cfg.stop_at_val_acc is not None and val_acc >= cfg.stop_at_val_acc:
-                break
+        )
+        if cfg.stop_at_val_acc is not None and val_acc >= cfg.stop_at_val_acc:
+            break
     return model, records
 
 

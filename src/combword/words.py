@@ -186,8 +186,6 @@ class SubwordTable:
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Validate text against an alphabet and wrap it as a Word."""
-    if not text:
-        raise ValueError("empty word")
     return Word(text, alphabet)
 
 

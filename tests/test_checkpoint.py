@@ -9,9 +9,9 @@ from combword import checkpoint
 from combword.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from combword.cli import main
 from combword.datasets import gen_palindrome_dataset, write_dataset
-from combword.encoding import EncodingConfig
+from combword.encoding import BatchEncoder, EncodingConfig
 from combword.network import build_char_cnn, build_combinatorial_cnn, param_shapes
-from combword.training import combinatorial_encoder, predict_probs
+from combword.training import predict_probs
 
 from damage import flipped, truncated
 
@@ -36,7 +36,7 @@ def test_roundtrip_bit_identical(model, tmp_path):
 
 def test_roundtrip_preserves_evaluation(model, tmp_path):
     ds = gen_palindrome_dataset(6, (8, 4, 1), seed=2)[1]
-    enc = combinatorial_encoder(EncodingConfig.for_length(6))
+    enc = BatchEncoder(EncodingConfig.for_length(6))
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     back = load_checkpoint(path)

@@ -146,6 +146,27 @@ def test_train_rejects_non_finite_or_non_positive_lr(tmp_path, capsys, lr):
     assert not (out / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--epochs", "-3", "epochs"),
+        ("--stop-at-val-acc", "nan", "stop-at-val-acc"),
+        ("--stop-at-val-acc", "1.5", "stop-at-val-acc"),
+        ("--stop-at-val-acc", "-0.1", "stop-at-val-acc"),
+    ],
+)
+def test_train_rejects_negative_epochs_and_a_stop_accuracy_outside_0_1(tmp_path, capsys, flag, value, message):
+    data = tmp_path / "d"
+    data.mkdir()
+    (data / "train.tsv").write_text("1\tabccba\n0\tabcdef\n")
+    (data / "val.tsv").write_text("1\tabccba\n")
+    out = tmp_path / "r"
+    epochs = [] if flag == "--epochs" else ["--epochs", "1"]
+    code, _, err = run(capsys, "train", "--task", "palindrome", "--data", str(data), *epochs, flag, value, "--out", str(out))
+    assert code == 1 and err.startswith("error: usage:") and message in err
+    assert not (out / "model.ckpt").exists()
+
+
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("mini")

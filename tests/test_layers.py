@@ -66,10 +66,15 @@ def test_conv_matches_direct_reference(kernel, tile, monkeypatch):
     conv.b[...] = rng.standard_normal(4)
     x = rng.standard_normal((3, 6, 5, 3))
     x_before = x.copy()
-    out_default = conv.forward(x)
+    out_view = conv.forward(x)
+    out_default = out_view.copy()  # backward pads its output gradient in the forward output's array
     dout = rng.standard_normal(out_default.shape)
     dout_before = dout.copy()
     dx_default = conv.backward(dout)
+    if out_default.shape[1:3] != x.shape[1:3]:
+        padded = np.zeros((*x.shape[:3], 4))
+        padded[:, : dout.shape[1], : dout.shape[2]] = dout
+        assert np.shares_memory(out_view, conv._out) and conv._out.tobytes() == padded.tobytes()
     if tile != "default":
         largest_shift = (kernel[0] - 1) * x.shape[2] + kernel[1] - 1
         monkeypatch.setattr(layers, "TILE_ROWS", max(largest_shift - 1, 1) if tile == "below_largest_shift" else tile)
@@ -216,33 +221,39 @@ def one_of_each_layer(rng):
 
 def test_inference_forward_keeps_nothing_and_matches_training_forward():
     for layer, x in one_of_each_layer(np.random.default_rng(11)):
-        kept = layer.forward(x).copy()
+        kept = layer.forward(x.copy()).copy()  # copies: ReLU rectifies its input in place
         assert batch_state(layer) or isinstance(layer, Flatten)
-        out = layer.forward(x.copy(), train=False)  # a copy: ReLU may rectify it in place
+        out = layer.forward(x.copy(), train=False)
         assert out.tobytes() == kept.tobytes(), type(layer).__name__
         assert batch_state(layer) == [], type(layer).__name__
 
 
 @pytest.mark.parametrize("layer", [ReLU(), MaxPool2d(2, 2)], ids=["relu", "maxpool2d"])
 def test_standalone_forward_leaves_x_intact_and_backward_runs(layer):
-    # Gradient checks call a layer on their own arrays, then again on the same ones.
+    # Gradient checks call a layer on their own arrays, then again on the same ones;
+    # ReLU would rectify a writable x in place, so it gets a read-only view, as there.
     x = np.random.default_rng(12).standard_normal((2, 4, 6, 3))
     x_before = x.copy()
-    out = layer.forward(x)
+    view = x.view()
+    view.flags.writeable = not isinstance(layer, ReLU)
+    out = layer.forward(view)
     assert np.array_equal(x, x_before)
-    dx = layer.backward(np.ones_like(out))
+    dout = np.ones_like(out)
+    dx = layer.backward(dout)
     assert dx.shape == x.shape and np.array_equal(x, x_before)
+    assert np.shares_memory(dx, dout) == isinstance(layer, ReLU)  # ReLU gates a writable dout in place
     assert np.array_equal(dx != 0, x > 0) if isinstance(layer, ReLU) else dx.sum() == out.size
 
 
-def test_inference_relu_rectifies_writable_input_in_place_and_never_a_read_only_one():
+@pytest.mark.parametrize("train", [False, True])
+def test_inference_relu_rectifies_writable_input_in_place_and_never_a_read_only_one(train):
     x = np.random.default_rng(13).standard_normal((2, 7))
     expected = np.maximum(x, 0)
     guarded = x.copy()
     guarded.flags.writeable = False
-    out = ReLU().forward(guarded, train=False)
+    out = ReLU().forward(guarded, train=train)
     assert out.tobytes() == expected.tobytes() and not np.shares_memory(out, guarded)
-    assert ReLU().forward(x, train=False) is x
+    assert ReLU().forward(x, train=train) is x
     assert x.tobytes() == expected.tobytes()
 
 

@@ -1,4 +1,3 @@
-import contextlib
 import tracemalloc
 
 import numpy as np
@@ -156,18 +155,6 @@ def test_network_starting_with_relu_never_writes_into_its_input():
     assert np.array_equal(x, before)
 
 
-@pytest.mark.parametrize("build", ["tensor", "char"])
-def test_model_gradient_check_inside_a_workspace(build):
-    if build == "tensor":
-        cfg = EncodingConfig(word_length=4, pad_to=11, nu_cap_len=None, normalization="none")
-        model = build_combinatorial_cnn(cfg, seed=6, dtype=np.float64, filters=(4, 3, 2), dense_units=5)
-    else:
-        model = build_char_cnn(8, 5, seed=8, dtype=np.float64)
-    x = np.random.default_rng(7).random((2, *model.input_shape))
-    with model.workspace():
-        assert check_model_gradients(model, x, np.array([1.0, 0.0])) < 1e-4
-
-
 def step_bits(model, x, dprobs) -> bytes:
     probs = model.forward(x)
     model.backward(dprobs)
@@ -187,26 +174,9 @@ def test_scoped_step_matches_unscoped_and_writes_no_caller_array(specs):
     x = np.random.default_rng(6).standard_normal((5, 3, 2, 1))
     dprobs = np.random.default_rng(7).standard_normal(5)
     x_before, d_before = x.copy(), dprobs.copy()
-    unscoped = step_bits(model, x, dprobs)
-    with model.workspace():
-        for _ in range(2):
-            assert step_bits(model, x, dprobs) == unscoped
+    first = step_bits(model, x, dprobs)
+    assert step_bits(model, x, dprobs) == first
     assert x.tobytes() == x_before.tobytes() and dprobs.tobytes() == d_before.tobytes()
-
-
-def test_workspace_reuses_conv_and_pool_outputs_and_grows_on_demand():
-    model = build_char_cnn(10, 4, seed=1)
-    conv, pool = model.layers[0], model.layers[2]
-    x = np.random.default_rng(2).random((6, *model.input_shape), dtype=np.float32)
-    with model.workspace():
-        with model.workspace():  # a nested scope shares the outer one
-            model.forward(x[:3])
-        conv_buf, pool_buf = conv.ws._buf, pool.ws._buf
-        model.forward(x[:2], train=False)
-        assert conv.ws._buf is conv_buf and pool.ws._buf is pool_buf  # fewer rows fit in the same arrays
-        model.forward(x)
-        assert conv.ws._buf is not conv_buf and conv.ws._buf.size == 6 * 10 * 1 * 32  # the full input plane
-    assert all(layer.ws is None for layer in model.layers)
 
 
 def plain_backward(model, dprobs) -> None:
@@ -235,10 +205,8 @@ def test_fused_backward_matches_each_layers_own_backward_over_several_tiles():
         assert -(-batch * h * w // layers.TILE_ROWS) == tiles
         x = rng.random((batch, *model.input_shape), dtype=np.float32)
         dprobs = rng.standard_normal(batch).astype(np.float32)
-        for scope in (contextlib.nullcontext(), model.workspace()):
-            with scope:
-                fused, plain = fused_and_plain_grads(model, x, dprobs)
-            assert fused == plain, batch
+        fused, plain = fused_and_plain_grads(model, x, dprobs)
+        assert fused == plain, batch
 
 
 @pytest.mark.parametrize(
@@ -260,8 +228,6 @@ def test_fused_backward_matches_in_float64_in_a_scope_and_outside(specs, shape, 
     x_before, d_before = x.copy(), dprobs.copy()
     fused, plain = fused_and_plain_grads(model, x, dprobs)
     assert fused == plain
-    with model.workspace():
-        assert fused_and_plain_grads(model, x, dprobs) == (fused, fused)
     assert x.tobytes() == x_before.tobytes() and dprobs.tobytes() == d_before.tobytes()
 
 
@@ -283,15 +249,14 @@ def test_backward_of_a_conv_after_a_relu_allocates_no_plane():
         return call
 
     l2.backward = measured(l2.backward)
-    with model.workspace():
-        for _ in range(2):
-            model.forward(x)
-            tracemalloc.start()
-            try:
-                model.backward(np.ones(len(x), dtype=np.float32))
-            finally:
-                tracemalloc.stop()
-    assert len(peaks) == 2 and max(peaks) < plane / 4, (peaks, plane)
+    model.forward(x)
+    tracemalloc.start()
+    try:
+        model.backward(np.ones(len(x), dtype=np.float32))
+    finally:
+        tracemalloc.stop()
+    # Neither the padded output gradient nor the gated input gradient takes a new plane.
+    assert len(peaks) == 1 and peaks[0] < plane / 4, (peaks, plane)
 
 
 def test_backward_drops_what_forward_kept_in_a_scope_and_outside():
@@ -301,9 +266,7 @@ def test_backward_drops_what_forward_kept_in_a_scope_and_outside():
     def held() -> list[tuple[int, str]]:
         return [(i, name) for i, layer in enumerate(model.layers) for name in layer.kept if getattr(layer, name) is not None]
 
-    for scope in (contextlib.nullcontext(), model.workspace()):
-        with scope:
-            model.forward(x)
-            assert {i for i, _ in held()} == set(range(len(model.layers)))  # for contrast: every layer keeps state
-            model.backward(np.ones(len(x), dtype=np.float32))
-            assert held() == []
+    model.forward(x)
+    assert {i for i, _ in held()} == set(range(len(model.layers)))  # for contrast: every layer keeps state
+    model.backward(np.ones(len(x), dtype=np.float32))
+    assert held() == []

@@ -1,12 +1,11 @@
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from combword.datasets import PALINDROME_ALPHABET, LabeledDataset, gen_palindrome_dataset, permute_dataset
-from combword.encoding import EncodingConfig
-from combword.network import binary_cross_entropy, build_char_cnn, build_combinatorial_cnn, sample_shapes
+from combword.encoding import BatchEncoder, EncodingConfig
+from combword.network import binary_cross_entropy, build_char_cnn, build_combinatorial_cnn
 from combword.training import (
     EpochRecord,
     TrainConfig,
@@ -14,7 +13,6 @@ from combword.training import (
     accuracy_by_pattern,
     batch_gradients,
     char_encoder,
-    combinatorial_encoder,
     evaluate,
     make_optimizer,
     predict_probs,
@@ -39,7 +37,7 @@ def test_zero_epochs_returns_initial_model(tiny_task):
     tr, va, cfg_enc = tiny_task
     model = fresh_model(cfg_enc)
     before = [p.copy() for p in model.params()]
-    model, records = train(model, tr, va, TrainConfig(epochs=0, seed=1), combinatorial_encoder(cfg_enc))
+    model, records = train(model, tr, va, TrainConfig(epochs=0, seed=1), BatchEncoder(cfg_enc))
     assert records == []
     for p, q in zip(model.params(), before):
         assert np.array_equal(p, q)
@@ -48,8 +46,8 @@ def test_zero_epochs_returns_initial_model(tiny_task):
 def test_training_is_deterministic(tiny_task):
     tr, va, cfg_enc = tiny_task
     cfg = TrainConfig(epochs=2, batch_size=8, steps_per_epoch=4, seed=11)
-    _, rec_a = train(fresh_model(cfg_enc), tr, va, cfg, combinatorial_encoder(cfg_enc))
-    _, rec_b = train(fresh_model(cfg_enc), tr, va, cfg, combinatorial_encoder(cfg_enc))
+    _, rec_a = train(fresh_model(cfg_enc), tr, va, cfg, BatchEncoder(cfg_enc))
+    _, rec_b = train(fresh_model(cfg_enc), tr, va, cfg, BatchEncoder(cfg_enc))
     assert rec_a == rec_b
 
 
@@ -57,7 +55,7 @@ def median_loss_drops(tr, va, cfg_enc, seed):
     from combword.network import binary_cross_entropy
 
     model = fresh_model(cfg_enc, seed=seed)
-    enc = combinatorial_encoder(cfg_enc)
+    enc = BatchEncoder(cfg_enc)
     words = tr.words()[:16]
     labels = np.asarray(tr.labels()[:16], dtype=np.float64)
     initial_loss, _ = binary_cross_entropy(model.forward(enc(words)), labels)
@@ -83,7 +81,7 @@ def test_loss_decreases_password_task():
 def test_epoch_records_fields(tiny_task):
     tr, va, cfg_enc = tiny_task
     cfg = TrainConfig(epochs=2, batch_size=8, steps_per_epoch=3, seed=7)
-    _, records = train(fresh_model(cfg_enc), tr, va, cfg, combinatorial_encoder(cfg_enc))
+    _, records = train(fresh_model(cfg_enc), tr, va, cfg, BatchEncoder(cfg_enc))
     assert [r.epoch for r in records] == [1, 2]
     for r in records:
         assert 0.0 <= r.train_acc <= 1.0 and 0.0 <= r.val_acc <= 1.0
@@ -92,7 +90,7 @@ def test_epoch_records_fields(tiny_task):
 def test_early_stop(tiny_task):
     tr, va, cfg_enc = tiny_task
     cfg = TrainConfig(epochs=50, batch_size=8, steps_per_epoch=4, seed=11, stop_at_val_acc=0.5)
-    _, records = train(fresh_model(cfg_enc), tr, va, cfg, combinatorial_encoder(cfg_enc))
+    _, records = train(fresh_model(cfg_enc), tr, va, cfg, BatchEncoder(cfg_enc))
     assert len(records) < 50
     assert records[-1].val_acc >= 0.5
 
@@ -107,7 +105,7 @@ def test_divergence_raises(tiny_task):
             tr,
             va,
             TrainConfig(epochs=1, batch_size=4, steps_per_epoch=1, seed=1),
-            combinatorial_encoder(cfg_enc),
+            BatchEncoder(cfg_enc),
         )
 
 
@@ -116,7 +114,7 @@ def test_evaluate_tie_counts_as_class_zero(tiny_task):
     model = fresh_model(cfg_enc)
     for p in model.params():
         p[...] = 0  # constant 0.5 output
-    acc = evaluate(model, tr, combinatorial_encoder(cfg_enc))
+    acc = evaluate(model, tr, BatchEncoder(cfg_enc))
     zeros = 1.0 - sum(tr.labels()) / len(tr)
     assert acc == pytest.approx(zeros)
 
@@ -125,7 +123,7 @@ def test_predict_probs_batching_consistent(tiny_task):
     # A word's probability does not depend on the size of its batch, to the bit.
     tr, _, cfg_enc = tiny_task
     model = fresh_model(cfg_enc, seed=9)
-    enc = combinatorial_encoder(cfg_enc)
+    enc = BatchEncoder(cfg_enc)
     reference = predict_probs(model, tr, enc, batch_size=32)
     for batch_size in (1, 5, 7, 64):
         assert predict_probs(model, tr, enc, batch_size=batch_size).tobytes() == reference.tobytes(), batch_size
@@ -158,7 +156,7 @@ class KeepingEncoder:
 def model_and_encoder(cfg_enc, kind: str):
     if kind == "char":
         return build_char_cnn(6, len(PALINDROME_ALPHABET), seed=8), char_encoder("palindrome")
-    return fresh_model(cfg_enc, seed=8), combinatorial_encoder(cfg_enc)
+    return fresh_model(cfg_enc, seed=8), BatchEncoder(cfg_enc)
 
 
 @pytest.mark.parametrize("kind", ["tensor", "char"])
@@ -195,8 +193,8 @@ def test_predict_probs_equals_the_state_keeping_forward(tiny_task, kind):
         assert predict_probs(model, tr, enc, batch_size=batch_size).tobytes() == kept.tobytes(), batch_size
 
 
-def unscoped_train(model, tr, va, cfg, enc) -> list[EpochRecord]:
-    """``train``'s loop by hand, outside any workspace scope: every pass allocates afresh."""
+def train_by_hand(model, tr, va, cfg, enc) -> list[EpochRecord]:
+    """``train``'s loop by hand, with each epoch's validation as one whole-split pass."""
     opt = make_optimizer(cfg, model.params())
     rng = np.random.default_rng(cfg.seed)
     labels = np.asarray(tr.labels(), dtype=np.float64)
@@ -227,7 +225,7 @@ def test_train_matches_an_unscoped_loop_bit_for_bit(tiny_task, kind):
     model, enc = model_and_encoder(cfg_enc, kind)
     ref, _ = model_and_encoder(cfg_enc, kind)
     _, records = train(model, tr, va, cfg, enc)
-    assert records == unscoped_train(ref, tr, va, cfg, enc)
+    assert records == train_by_hand(ref, tr, va, cfg, enc)
     for p, q in zip(model.params(), ref.params()):
         assert p.tobytes() == q.tobytes()
 
@@ -251,12 +249,10 @@ def test_a_training_step_frees_its_batch_when_it_returns(tiny_task, kind):
     model, enc = model_and_encoder(cfg_enc, kind)
     weak = WeakEncoder(enc)
     words, labels = tr.words()[:8], np.asarray(tr.labels()[:8], dtype=np.float64)
-    batch_gradients(model, words, labels, weak)
-    with model.workspace():
-        for _ in range(2):
-            batch_gradients(model, words, labels, weak)
-            assert len(batch_state(model)) == 0
-    assert len(weak.refs) == 3 and all(ref() is None for ref in weak.refs)
+    for _ in range(2):
+        batch_gradients(model, words, labels, weak)
+        assert len(batch_state(model)) == 0
+    assert len(weak.refs) == 2 and all(ref() is None for ref in weak.refs)
 
 
 @pytest.mark.parametrize("kind", ["tensor", "char"])
@@ -311,9 +307,7 @@ def test_no_batch_array_outlives_train_predict_probs_or_evaluate(tiny_task, kind
     tr, va, cfg_enc = tiny_task
     model, enc = model_and_encoder(cfg_enc, kind)
     words, labels = tr.words()[:8], np.asarray(tr.labels()[:8], dtype=np.float64)
-    with model.workspace():
-        batch_gradients(model, words, labels, enc)
-        assert any(".ws._buf" in path for path in held_arrays(model))  # for contrast: a scope holds arrays
+    batch_gradients(model, words, labels, enc)
     assert held_arrays(model) == []
     train(model, tr, va, TrainConfig(epochs=1, batch_size=8, steps_per_epoch=2, seed=1), enc)
     assert held_arrays(model) == []
@@ -328,7 +322,7 @@ def test_diverged_train_leaves_no_batch_array(tiny_task):
     model = fresh_model(cfg_enc)
     model.layers[-2].b[...] = np.nan
     with pytest.raises(TrainingDiverged):
-        train(model, tr, va, TrainConfig(epochs=1, batch_size=8, steps_per_epoch=2, seed=1), combinatorial_encoder(cfg_enc))
+        train(model, tr, va, TrainConfig(epochs=1, batch_size=8, steps_per_epoch=2, seed=1), BatchEncoder(cfg_enc))
     assert held_arrays(model) == []
 
 
@@ -343,67 +337,12 @@ def test_train_leaves_the_encoded_batches_intact(tiny_task, kind):
         assert x.tobytes() == before.tobytes()
 
 
-class LayerAllocations:
-    """Per layer call of a model, the peak bytes it allocates; an encoder wrapper that marks where each step starts.
-
-    The encoder is called once per training step, before its forward, so the
-    calls between two marks are one step's forward and backward.
-    """
-
-    def __init__(self, model, encode):
-        self.encode = encode
-        self.calls: list[int] = []
-        self.marks: list[int] = []
-        self.rows: list[int] = []
-        for layer in model.layers:
-            layer.forward, layer.backward = self._counted(layer.forward), self._counted(layer.backward)
-
-    def _counted(self, fn):
-        def counted(*args, **kwargs):
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = fn(*args, **kwargs)
-            self.calls.append(tracemalloc.get_traced_memory()[1] - start)
-            return out
-
-        return counted
-
-    def __call__(self, words):
-        self.marks.append(len(self.calls))
-        x = self.encode(words)
-        self.rows.append(len(x))
-        return x
-
-    def step(self, k: int) -> int:
-        return sum(self.calls[self.marks[k] : self.marks[k + 1]])
-
-
-def test_steady_step_inside_train_allocates_less_than_its_forward_planes():
-    # Every step runs the same words, so from the second step on the workspace fits every pass.
-    tr, va, _ = gen_palindrome_dataset(8, (8, 1, 1), seed=3)
-    cfg_enc = EncodingConfig.for_length(8)
-    model = fresh_model(cfg_enc, seed=2)
-    probe = LayerAllocations(model, combinatorial_encoder(cfg_enc))
-    tracemalloc.start()
-    try:
-        train(model, tr, va, TrainConfig(epochs=1, batch_size=len(tr), steps_per_epoch=5, seed=4), probe)
-    finally:
-        tracemalloc.stop()
-    rows = probe.rows[0]
-    assert probe.rows[:5] == [rows] * 5
-    itemsize = np.dtype(model.dtype).itemsize
-    shapes = sample_shapes(model.specs, model.input_shape)[1:]
-    forward_planes = sum(rows * itemsize * int(np.prod(shape)) for spec, shape in zip(model.specs, shapes) if spec.kind != "flatten")
-    steady = [probe.step(k) for k in (1, 2, 3)]
-    assert max(steady) < forward_planes, (steady, forward_planes)
-
-
 def test_val_accuracy_split_by_pattern_adds_up_to_the_last_record(tiny_task):
     tr, va, cfg_enc = tiny_task
     model, records = train(
-        fresh_model(cfg_enc), tr, va, TrainConfig(epochs=2, batch_size=8, steps_per_epoch=3, seed=5), combinatorial_encoder(cfg_enc)
+        fresh_model(cfg_enc), tr, va, TrainConfig(epochs=2, batch_size=8, steps_per_epoch=3, seed=5), BatchEncoder(cfg_enc)
     )
-    assert records[-1].val_probs.tobytes() == predict_probs(model, va, combinatorial_encoder(cfg_enc)).tobytes()
+    assert records[-1].val_probs.tobytes() == predict_probs(model, va, BatchEncoder(cfg_enc)).tobytes()
     split = accuracy_by_pattern(records[-1].val_probs, tr, va)
     seen_keys = {pattern_key(w.text) for w in tr.words()}
     assert split["seen"]["words"] == sum(pattern_key(w.text) in seen_keys for w in va.words())
@@ -416,7 +355,7 @@ def test_val_accuracy_split_by_pattern_adds_up_to_the_last_record(tiny_task):
 
 def test_val_accuracy_split_by_pattern_reports_an_empty_group_as_null(tiny_task):
     tr, _, cfg_enc = tiny_task
-    split = accuracy_by_pattern(predict_probs(fresh_model(cfg_enc), tr, combinatorial_encoder(cfg_enc)), tr, tr)
+    split = accuracy_by_pattern(predict_probs(fresh_model(cfg_enc), tr, BatchEncoder(cfg_enc)), tr, tr)
     assert split["unseen"] == {"words": 0, "correct": 0, "accuracy": None}
     assert split["seen"]["words"] == len(tr)
 
@@ -443,7 +382,7 @@ def twin_batch(tr, size=16):
 def test_deduplicated_step_matches_full_batch(tiny_task):
     tr, _, cfg_enc = tiny_task
     words, labels = twin_batch(tr)
-    enc = RecordingEncoder(combinatorial_encoder(cfg_enc))
+    enc = RecordingEncoder(BatchEncoder(cfg_enc))
     model, ref = fresh_model(cfg_enc, seed=4), fresh_model(cfg_enc, seed=4)
     probs, loss = batch_gradients(model, words, labels, enc)
     assert len(enc.calls) == 1 and len(enc.calls[0]) == len({pattern_key(w.text) for w in words}) < len(words)
@@ -459,7 +398,7 @@ def test_deduplicated_step_matches_full_batch(tiny_task):
 
 def test_train_encodes_each_pattern_once_per_call(tiny_task):
     tr, va, cfg_enc = tiny_task
-    enc = RecordingEncoder(combinatorial_encoder(cfg_enc))
+    enc = RecordingEncoder(BatchEncoder(cfg_enc))
     cfg = TrainConfig(epochs=2, batch_size=8, steps_per_epoch=3, seed=11)
     _, records = train(fresh_model(cfg_enc), tr, va, cfg, enc)
     val_batches = -(-len(va) // cfg.batch_size)
@@ -499,6 +438,6 @@ def test_bad_config_rejected():
 def test_sgd_momentum_trains(tiny_task):
     tr, va, cfg_enc = tiny_task
     cfg = TrainConfig(epochs=2, batch_size=8, steps_per_epoch=4, seed=11, optimizer="sgd-momentum", learning_rate=0.05)
-    _, records = train(fresh_model(cfg_enc), tr, va, cfg, combinatorial_encoder(cfg_enc))
+    _, records = train(fresh_model(cfg_enc), tr, va, cfg, BatchEncoder(cfg_enc))
     assert len(records) == 2
     assert all(np.isfinite(r.train_loss) for r in records)
