@@ -1,4 +1,4 @@
-"""The subword-pair count map of a word, built in one vectorized pass.
+"""The subword-pair count map of a word, built from its equality runs without loops over pairs.
 
 For two subwords lam = Y1..Ys and mu = Z1..Zt of the same word, the match
 grid holds Y_i at cell (i, j) when Y_i == Z_j and the empty mark otherwise.
@@ -10,11 +10,27 @@ the empty subword are covered by fixed border rules rather than a grid.
 
 ``dense_counts`` is the only place that builds counts. Every subword is a
 window into the word, so every chain in every pair grid is a clip of one of
-the word's own diagonal equality runs, and all clips of one run reduce to
-outer max/min over window bounds; empty-cell counts come from a 2-D prefix
-sum of the equality matrix. The runs, the window bounds and the index of each
-clipped window are arrays of the word's ``SubwordTable``, all read off one
-agreement matrix in ``words.subword_windows``.
+the word's own diagonal equality runs, and each run gives a pair at most one
+chain. The runs come in two kinds:
+
+- A one-cell run (u, v) is a chain of the pair (lam, mu) exactly when lam's
+  window covers u and mu's covers v, and it always reads off the letter at
+  u. So the counts of all pairs, per letter, are one product of 0/1 window
+  coverage matrices, cov^T R cov, with R marking that letter's one-cell
+  runs. Most runs of most words are one cell long.
+- A longer run (the main diagonal among them) is clipped to each pair's
+  window bounds: per run and window the clip is a row interval, so a block
+  of runs meets every pair through one outer max and one outer min, on
+  positions held in 8 bits up to length 63. Blocks hold a bounded number of
+  (run, pair) cells.
+
+Each chain becomes one integer key (lam * P + mu) * P + nu, where P is the
+padded axis; one sort of the keys counts them, already in (lam, mu, nu)
+order. Empty-cell counts are the pairs' cell counts less their matching
+cells, and those are the product cov^T E cov of the equality matrix E. The
+runs, the window bounds, the coverage and the index of each clipped window
+are arrays of the word's ``SubwordTable``, all read off one agreement matrix
+in ``words.subword_windows``.
 
 The map is symmetric, M[lam, mu, nu] = M[mu, lam, nu], so only the upper
 half lam <= mu is built and kept, in a sparse form (``SparseCounts``): the
@@ -28,7 +44,7 @@ batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -126,60 +142,142 @@ class CombinatoricsMap:
         return [f"{l} {m} {v} {c}" for (l, m, v), c in self.counts.items()]
 
 
-_RUN_CHUNK = 16  # runs processed per broadcast block, bounds peak memory
+_BLOCK_CELLS = 1 << 18  # (run or letter, pair) cells per block, bounds a block's temporaries
+
+
+@lru_cache(maxsize=8)
+def _upper(size: int) -> np.ndarray:
+    """(size, size) read-only mask of the cells a <= b; read row-major, it is np.triu_indices(size) order."""
+    mask = ~np.tri(size, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _slabs(layers: int, d1: int) -> tuple[int, int]:
+    """(rows, layers) per block of a (layers, d1, d1) grid, so that a block holds at most _BLOCK_CELLS cells.
+
+    Whole layers while one fits, else one layer in slabs of rows.
+    """
+    rows = min(d1, max(1, _BLOCK_CELLS // d1))
+    return rows, max(1, min(layers, _BLOCK_CELLS // (rows * d1)))
+
+
+def _letter_keys(table: SubwordTable, u: np.ndarray, v: np.ndarray, key_of: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The chains of the one-cell runs (u, v): one key per chain, in no particular order.
+
+    A one-cell run is a chain of pair (a, b) exactly when window a covers u
+    and window b covers v. So per letter, the chain counts of all pairs are
+    cov^T R cov, where R marks that letter's one-cell runs; the float32
+    products are exact while n^2 < 2^24.
+    """
+    cov = table.coverage
+    n, d1 = cov.shape
+    letter = table.span[u, 1]
+    per_letter = np.bincount(letter)
+    runs = np.zeros((per_letter.shape[0], n, n), dtype=np.float32)
+    runs[letter, u, v] = 1
+    present = np.flatnonzero(per_letter).astype(key_of.dtype)
+    right = runs[present] @ cov
+    rows, layers = _slabs(present.shape[0], d1)
+    keys = []
+    for a0 in range(0, d1, rows):
+        a = slice(a0, a0 + rows)
+        slab = upper[a]
+        for c0 in range(0, present.shape[0], layers):
+            c = slice(c0, c0 + layers)
+            grid = cov[:, a].T @ right[c]
+            flat = np.flatnonzero((grid != 0) & slab)
+            layer = flat // slab.size
+            cell = flat - layer * slab.size + a0 * d1
+            keys.append(np.repeat(key_of[cell] + present[c][layer], grid.reshape(-1)[flat].astype(np.intp)))
+    return np.concatenate(keys)
+
+
+def _clip_keys(
+    table: SubwordTable, u: np.ndarray, v: np.ndarray, m: np.ndarray, cap: int, key_of: np.ndarray, upper: np.ndarray
+) -> np.ndarray:
+    """The chains that runs (u, v, m) of two or more cells leave in the pairs' grids: one key per chain.
+
+    Clipping a run to the pair (a, b) keeps its rows inside window a and,
+    shifted onto rows, its columns inside window b; both are bounds per run
+    and window, so a block of runs meets every pair through one outer max
+    and one outer min. Positions are held in the narrowest signed type that
+    holds -n..2n.
+    """
+    n = len(table.word)
+    pos = np.min_scalar_type(-2 * n - 1)
+    p = table.starts.astype(pos)
+    pe = p + table.lengths.astype(pos)
+    d1 = p.shape[0]
+    top, bottom, shift = (x.astype(pos)[:, None] for x in (u, u + m, u - v))
+    row_lo, col_lo = np.maximum(top, p), np.maximum(top, shift + p)
+    row_last, col_last = np.minimum(bottom, pe) - 1, np.minimum(bottom, shift + pe) - 1
+    nu_of = table.span[:, 1:].reshape(-1)  # nu_of[lo * n + k - 1]: the subword of k letters at lo
+    rows, runs = _slabs(u.shape[0], d1)
+    keys = [key_of[:0]]
+    for a0 in range(0, d1, rows):
+        a = slice(a0, a0 + rows)
+        slab = upper[a]
+        for r0 in range(0, u.shape[0], runs):
+            r = slice(r0, r0 + runs)
+            lo = np.maximum(row_lo[r, a, None], col_lo[r, None, :])
+            less = np.minimum(row_last[r, a, None], col_last[r, None, :])
+            less -= lo  # the chain length less one, negative where the clip is empty
+            # Read as unsigned, a negative value is large, so one compare keeps lengths 1..cap.
+            flat = np.flatnonzero((less.view(f"u{pos.itemsize}") < cap) & slab)
+            cell = flat - flat // slab.size * slab.size + a0 * d1
+            at = lo.reshape(-1)[flat].astype(np.intp) * n + less.reshape(-1)[flat]
+            keys.append(key_of[cell] + nu_of[at])
+    return np.concatenate(keys)
+
+
+def _chain_keys(table: SubwordTable, pad_to: int, nu_len_cap: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Every chain count of the pairs lam <= mu: ascending keys (lam * pad_to + mu) * pad_to + nu, and counts."""
+    n = len(table.word)
+    d1 = table.starts.shape[0]
+    cap = n if nu_len_cap is None else min(nu_len_cap, n)
+    key_type = np.int32 if pad_to**3 < 2**31 else np.int64
+    ids = np.arange(1, d1 + 1, dtype=key_type) * key_type(pad_to)
+    # key_of[a * d1 + b] is the key of pair (a + 1, b + 1) at nu = 0.
+    key_of = ((ids[:, None] * pad_to) + ids).reshape(-1)
+    upper = _upper(pad_to)[:d1, :d1]  # a <= b over the entries 1..D-1, numbered from 0
+    u, v, m = table.runs()
+    one = m == 1
+    keys = [key_of[:0]]
+    if cap >= 1:
+        keys.append(_clip_keys(table, u[~one], v[~one], m[~one], cap, key_of, upper))
+        if one.any():
+            keys.append(_letter_keys(table, u[one], v[one], key_of, upper))
+    keys = np.concatenate(keys)
+    keys.sort()
+    edge = np.ones(keys.shape[0] + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    return keys[bounds[:-1]], np.diff(bounds)
 
 
 def _chain_contributions(table: SubwordTable, nu_len_cap: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All non-empty component productions across the operand pairs lam <= mu.
+    """All non-empty components across the operand pairs lam <= mu, one (lam, mu, nu) per component.
 
-    Returns parallel arrays (lam_idx, mu_idx, nu_idx), one element per
-    component, with nu restricted to subwords no longer than the cap.
-    Clipping one of the word's own equality runs to a window pair yields
-    exactly the maximal chains of that pair's grid, so each global run
-    contributes at most one component per pair and all pairs are handled
-    with outer max/min over the window bounds. The pairs are the upper
-    triangle of the table, so the lower half M[mu, lam] = M[lam, mu] is
-    never computed.
+    nu is restricted to subwords no longer than the cap.
     """
-    n = len(table.word)
-    p = table.starts
-    pe = p + table.lengths
-    u, v, m = table.runs()
-    cap = n if nu_len_cap is None else min(nu_len_cap, n)
-    a, b = np.triu_indices(p.shape[0])
-    lam_ids, mu_ids = (a + 1).astype(np.int32), (b + 1).astype(np.int32)
-    p_lam, pe_lam, p_mu, pe_mu = p[a], pe[a], p[b], pe[b]
-
-    lams, mus, nus = [], [], []
-    for c0 in range(0, u.shape[0], _RUN_CHUNK):
-        uu, vv, mm = (x[c0 : c0 + _RUN_CHUNK, None] for x in (u, v, m))
-        off = uu - vv
-        # Clip rows to lam's window and columns, shifted onto rows, to mu's: (R, pairs).
-        lo = np.maximum(np.maximum(uu, p_lam), off + p_mu)
-        hi = np.minimum(np.minimum(uu + mm, pe_lam), off + pe_mu)
-        k = hi - lo
-        valid = (k > 0) & (k <= cap)
-        if not valid.any():
-            continue
-        pair = np.nonzero(valid)[1]
-        lams.append(lam_ids[pair])
-        mus.append(mu_ids[pair])
-        nus.append(table.span[lo[valid], k[valid]])
-    if not lams:
-        empty = np.zeros(0, np.int32)
-        return empty, empty, empty
-    return np.concatenate(lams), np.concatenate(mus), np.concatenate(nus)
+    d = len(table)
+    keys, counts = _chain_keys(table, d, nu_len_cap)
+    cell, nu = np.divmod(np.repeat(keys, counts), d)
+    lam, mu = np.divmod(cell, d)
+    return lam, mu, nu
 
 
 def _empty_cell_counts(table: SubwordTable) -> np.ndarray:
-    """M at nu = empty for every non-empty operand pair, as a (D-1, D-1) grid."""
-    p, s = table.starts, table.lengths
-    pe = p + s
-    n = len(table.word)
-    pref = np.zeros((n + 1, n + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(table.agree > 0, axis=0), axis=1, out=pref[1:, 1:])
-    ones = pref[np.ix_(pe, pe)] - pref[np.ix_(p, pe)] - pref[np.ix_(pe, p)] + pref[np.ix_(p, p)]
-    return s[:, None].astype(np.int64) * s[None, :] - ones
+    """M at nu = empty for every non-empty operand pair, as a (D-1, D-1) grid.
+
+    A pair's empty cells are its s_lam * s_mu cells less its matching ones,
+    and the matching cells of every pair are one product cov^T (eq cov).
+    """
+    cov = table.coverage
+    ones = cov.T @ ((table.agree > 0).astype(np.float32) @ cov)
+    s = table.lengths.astype(np.int64)
+    return s[:, None] * s[None, :] - ones.astype(np.int64)
 
 
 def dense_counts(table: SubwordTable, pad_to: int, channels: int, nu_len_cap: int | None) -> SparseCounts:
@@ -187,6 +285,11 @@ def dense_counts(table: SubwordTable, pad_to: int, channels: int, nu_len_cap: in
 
     Chains producing a subword longer than nu_len_cap are left out. Channel 0
     holds the empty-cell counts and the border rules of the empty operand.
+    The chain counts come from one sort of one key per chain: the one-cell
+    runs' chains from coverage products, the longer runs' from their clips
+    (see the module docstring). Key order is (lam, mu, nu) order; keys are
+    32-bit while pad_to^3 < 2^31 (the encoder's pad up to word length 50),
+    else 64-bit.
     The result is sparse; the name stays because the benchmark traces
     ``encoding.dense_counts`` and reports it as ``combinatorics.dense_counts_s``,
     so it changes together with the benchmark.
@@ -194,23 +297,22 @@ def dense_counts(table: SubwordTable, pad_to: int, channels: int, nu_len_cap: in
     d = len(table)
     if pad_to < d:
         raise ValueError(f"pad_to={pad_to} is smaller than the table size {d}")
-    lam, mu, nu = _chain_contributions(table, nu_len_cap)
-    if nu.size and int(nu.max()) >= channels:
-        raise ValueError(f"channel axis of {channels} cannot hold nu index {int(nu.max())}")
-    lam = lam.astype(np.int64)
-    cell = lam * pad_to - lam * (lam - 1) // 2 + mu - lam  # (lam, mu)'s place in np.triu_indices(pad_to)
-    keys, counts = np.unique(cell * channels + nu, return_counts=True)
-    cells, nus = np.divmod(keys, channels)
+    keys, counts = _chain_keys(table, pad_to, nu_len_cap)
+    cell = keys // pad_to  # lam * pad_to + mu, read through the upper mask below
+    nus = keys - cell * pad_to
+    if nus.size and int(nus.max()) >= channels:
+        raise ValueError(f"channel axis of {channels} cannot hold nu index {int(nus.max())}")
+    upper = _upper(pad_to)
+    sizes = np.bincount(cell, minlength=upper.size)
     plane = np.zeros((pad_to, pad_to), dtype=np.int64)
     plane[1:d, 1:d] = _empty_cell_counts(table)
     plane[0, 1:d] = table.lengths
     plane[0, 0] = 1
-    cell_count = pad_to * (pad_to + 1) // 2
     arrays = _one_buffer(
-        _narrowest(np.bincount(cells, minlength=cell_count)),
+        _narrowest(sizes[upper.reshape(-1)]),
         nus.astype(np.min_scalar_type(channels - 1)),
         _narrowest(counts),
-        _narrowest(plane[np.triu_indices(pad_to)]),
+        _narrowest(plane[upper]),
     )
     return SparseCounts(*arrays)
 

@@ -171,6 +171,12 @@ class SubwordTable:
     def __getitem__(self, i: int) -> SubwordEntry:
         return self.entries[i]
 
+    @cached_property
+    def coverage(self) -> np.ndarray:
+        """(n, D-1) 0/1 float32: 1 where position u lies in the window of entry a + 1."""
+        pos = np.arange(len(self.word), dtype=np.int32)[:, None]
+        return ((pos >= self.starts) & (pos < self.starts + self.lengths)).astype(np.float32)
+
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Maximal diagonal runs of equal letters, as (row, col, length) arrays in row-major order.
 
@@ -207,19 +213,23 @@ def subword_windows(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     """The canonical order of a word's subwords: (agree, starts, lengths, span).
 
     ``agree[i, j]`` is the length of the common prefix of text[i:] and
-    text[j:], filled by one backward sweep over the rows of the equality
-    matrix. The window (i, L) first occurs at the smallest j with
-    agree[i, j] >= L; the windows that are their own first occurrence are the
-    distinct subwords, and counting them in (L, start) order gives each its
-    canonical index. Nothing here looks at which letters match, only where.
+    text[j:], the run of equal letters down the diagonal from (i, j), built
+    from the equality matrix in log2(n) doubling steps. The window (i, L)
+    first occurs at the smallest j with agree[i, j] >= L; the windows that
+    are their own first occurrence are the distinct subwords, and counting
+    them in (L, start) order gives each its canonical index. Nothing here
+    looks at which letters match, only where.
     """
     codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
     n = codes.shape[0]
     eq = codes[:, None] == codes[None, :]
-    agree = np.zeros((n + 1, n + 1), dtype=np.int32)
-    for i in range(n - 1, -1, -1):
-        np.multiply(eq[i], agree[i + 1, 1:] + 1, out=agree[i, :n])
-    agree = agree[:n, :n]
+    # Doubling: with agree = min(run, s), a cell whose run reaches s extends by
+    # the capped run s cells down the diagonal, which gives min(run, 2s).
+    agree = eq.astype(np.int32)
+    s = 1
+    while s < n:
+        agree[:-s, :-s] += (agree[:-s, :-s] == s) * agree[s:, s:]
+        s *= 2
     # first, fits, debut and rank below are (length, start) grids: row L-1, column i.
     length = np.arange(1, n + 1, dtype=np.int32)[:, None]
     start = np.arange(n, dtype=np.int32)[None, :]

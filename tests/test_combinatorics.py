@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
@@ -252,3 +255,46 @@ def test_stored_counts_positive_and_in_range():
     for (li, mi, nu), c in m.counts.items():
         assert c > 0
         assert 0 <= li < d and 0 <= mi < d and 0 <= nu < d
+
+
+def test_conservation_on_a_word_past_int8_positions():
+    """Per cell, the cells of all components add up to |lam| * |mu| on a 67-letter word."""
+    text = "ab" * 33 + "c"
+    m = combinatorics_map(text)
+    s, d = m.sparse, m.size
+    lengths = np.array([e.length for e in m.table.entries])
+    rows, cols = np.triu_indices(d)
+    chains = np.bincount(np.repeat(np.arange(rows.shape[0]), s.sizes), weights=lengths[s.nus] * s.counts, minlength=rows.shape[0])
+    inner = (rows > 0) & (cols > 0)
+    assert np.array_equal((chains + s.empty)[inner], (lengths[rows] * lengths[cols])[inner])
+
+
+def test_pairs_of_a_word_past_int8_positions_match_the_flood_fill():
+    text = "ab" * 33 + "c"
+    m = combinatorics_map(text)
+    s, t = m.sparse, m.table
+    rows, cols = np.triu_indices(m.size)
+    cell_of = {(int(r), int(c)): i for i, (r, c) in enumerate(zip(rows, cols))}
+    starts = np.concatenate([[0], np.cumsum(s.sizes, dtype=np.int64)])
+    rng = random.Random(67)
+    for _ in range(25):
+        li, mi = sorted(rng.sample(range(1, m.size), 2))
+        q = cell_of[(li, mi)]
+        got = dict(zip(s.nus[starts[q] : starts[q + 1]].tolist(), s.counts[starts[q] : starts[q + 1]].tolist()))
+        got[0] = int(s.empty[q])
+        want = Counter(t.index_of(nu) for nu in grid_components(t[li].content, t[mi].content))
+        want[0] += 0  # the empty channel is stored even where it is zero
+        assert got == want, (li, mi)
+
+
+def test_map_of_a_30_letter_word_stays_within_its_memory_bound():
+    rng = random.Random(6)
+    text = "".join(rng.choice("abcdef") for _ in range(30))
+    tracemalloc.start()
+    try:
+        m = combinatorics_map(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.size == 435
+    assert peak <= 40e6, f"{peak / 1e6:.1f} MB"

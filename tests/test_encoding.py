@@ -21,6 +21,7 @@ from combword.encoding import (
 )
 from combword import words
 from combword.words import Alphabet, Bijection, apply_bijection, distinct_subwords, word_over_own_letters
+from oracles import brute_map, enum_subwords
 
 words_abcd = st.text(alphabet="abcd", min_size=2, max_size=9)
 
@@ -258,3 +259,28 @@ def test_random_lengths_roundtrip_against_map():
         for (li, mi, nu), c in m.counts.items():
             assert t[li, mi, nu] == c
         assert int(t.sum()) == sum(m.counts.values()) + 0  # no stray mass
+
+
+CAPPED_WORDS = [
+    "abcabcabcabca",  # multi-cell runs
+    "abababababababab",
+    "aaaaaaaaaaaaaa",
+    "abcdefgfedcbaa",  # one-cell runs beside the main diagonal
+    "qwertyuiopasdfg",  # the main diagonal only
+    *(pytest.param(w.text, id=f"password-{i}") for i, (w, _) in enumerate(gen_password_dataset((1, 1, 1), seed=3)[0].items)),
+    pytest.param(gen_palindrome_dataset(14, (1, 1, 1), seed=3)[0].items[0][0].text, id="palindrome-14"),
+]
+
+
+@pytest.mark.parametrize("text", CAPPED_WORDS)
+def test_capped_encoding_matches_the_flood_fill_oracle(text):
+    """The default layout past length 12 caps channels; each kept entry is the oracle's count."""
+    cfg = EncodingConfig.for_length(len(text), normalization=NORM_NONE)
+    assert cfg.nu_cap_len is not None
+    subwords = enum_subwords(text)
+    _, counts = brute_map(text)
+    expect = np.zeros((cfg.pad_to, cfg.pad_to, channel_count(cfg)))
+    for (lam, mu, nu), c in counts.items():
+        if subwords[nu][1] <= cfg.nu_cap_len:
+            expect[lam, mu, nu] = c
+    assert np.array_equal(encode_dense(text, cfg, np.float64), expect)

@@ -169,7 +169,7 @@ def step_bits(model, x, dprobs) -> bytes:
     ],
     ids=["relu-first", "relu-last"],
 )
-def test_scoped_step_matches_unscoped_and_writes_no_caller_array(specs):
+def test_repeated_step_matches_and_writes_no_caller_array(specs):
     model = Network(specs, (3, 2, 1), seed=5, dtype=np.float64)
     x = np.random.default_rng(6).standard_normal((5, 3, 2, 1))
     dprobs = np.random.default_rng(7).standard_normal(5)
@@ -219,7 +219,7 @@ def test_fused_backward_matches_each_layers_own_backward_over_several_tiles():
     ids=["conv-first", "relu-first"],
 )
 @pytest.mark.parametrize("batch", [1, 5])
-def test_fused_backward_matches_in_float64_in_a_scope_and_outside(specs, shape, batch, monkeypatch):
+def test_fused_backward_matches_in_float64(specs, shape, batch, monkeypatch):
     monkeypatch.setattr(layers, "TILE_ROWS", 7)
     model = Network(specs, shape, seed=6, dtype=np.float64)
     rng = np.random.default_rng(batch)
@@ -259,7 +259,7 @@ def test_backward_of_a_conv_after_a_relu_allocates_no_plane():
     assert len(peaks) == 1 and peaks[0] < plane / 4, (peaks, plane)
 
 
-def test_backward_drops_what_forward_kept_in_a_scope_and_outside():
+def test_backward_drops_what_forward_kept():
     model = build_char_cnn(8, 5, seed=1)
     x = np.random.default_rng(2).random((3, *model.input_shape), dtype=np.float32)
 

@@ -219,7 +219,7 @@ def train_by_hand(model, tr, va, cfg, enc) -> list[EpochRecord]:
 
 
 @pytest.mark.parametrize("kind", ["tensor", "char"])
-def test_train_matches_an_unscoped_loop_bit_for_bit(tiny_task, kind):
+def test_train_matches_a_hand_written_loop_bit_for_bit(tiny_task, kind):
     tr, va, cfg_enc = tiny_task
     cfg = TrainConfig(epochs=2, batch_size=7, steps_per_epoch=3, seed=12)
     model, enc = model_and_encoder(cfg_enc, kind)
