@@ -1,8 +1,10 @@
 """Single entry point: dataset generation, tensor inspection, equivalence
 checking, training, evaluation, and the gradient self-test.
 
-Exit codes: 0 success, 1 usage error, 2 invariant violation (equivalence
-disagreement, gradient check failure, training divergence), 3 I/O error.
+Exit codes: 0 success, 1 usage error (a flag, a word or a word length the
+command cannot take), 2 invariant violation (equivalence disagreement,
+gradient check failure, training divergence, or any other internal error),
+3 I/O error.
 Every training or evaluation run writes one JSON manifest beside its outputs.
 """
 
@@ -13,6 +15,7 @@ import json
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +31,7 @@ from .datasets import (
     write_dataset,
 )
 from .encoding import NORM_LOG, NORM_NONE, EncodingConfig, dense_text_lines, encode_dense
-from .equivalence import check_theorem
+from .equivalence import EXHAUSTIVE_MAX_LETTERS, check_theorem
 from .gradcheck import DEFAULT_TOLERANCE, run_gradcheck
 from .network import build_char_cnn, build_combinatorial_cnn
 from .training import (
@@ -62,6 +65,15 @@ def _fail(kind: str, message: str) -> None:
     print(f"error: {kind}: {message}", file=sys.stderr)
 
 
+@contextmanager
+def _flags():
+    """Report the ValueError of a check on what the command line asked for as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _write_manifest(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -70,6 +82,13 @@ def _memory() -> dict:
     """This process's peak resident memory and minor page faults so far."""
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return {"peak_rss_mb": round(usage.ru_maxrss * 1024 / 1e6, 1), "minor_page_faults": usage.ru_minflt}
+
+
+def _seed(text: str) -> int:
+    """A seed flag: numpy's generators take only integers >= 0."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _norm_flag(value: str) -> str:
@@ -86,12 +105,13 @@ def cmd_gen(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     counts = (args.train, args.val, args.test)
-    if args.task == "palindromes":
-        splits = gen_palindrome_dataset(args.len, counts, args.seed)
-        task = "palindrome"
-    else:
-        splits = gen_password_dataset(counts, args.seed, n=args.len)
-        task = "password"
+    with _flags():
+        if args.task == "palindromes":
+            splits = gen_palindrome_dataset(args.len, counts, args.seed)
+            task = "palindrome"
+        else:
+            splits = gen_password_dataset(counts, args.seed, n=args.len)
+            task = "password"
     for ds in splits:
         write_dataset(ds, out / f"{ds.split}.tsv")
     _write_manifest(
@@ -112,19 +132,25 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    word = word_over_own_letters(args.word)
+    with _flags():
+        word = word_over_own_letters(args.word)
     if args.format == "sparse":
         for line in combinatorics_map(word).sparse_lines():
             print(line)
         return EXIT_OK
-    cfg = _encoding_config(len(word), args.nu_cap, args.norm)
+    with _flags():
+        cfg = _encoding_config(len(word), args.nu_cap, args.norm)
     for line in dense_text_lines(encode_dense(word, cfg)):
         print(line)
     return EXIT_OK
 
 
 def cmd_equiv(args) -> int:
-    report = check_theorem(args.a, args.b, use_oracle=args.oracle)
+    with _flags():
+        a, b = word_over_own_letters(args.a), word_over_own_letters(args.b)
+    if args.oracle and max(len(a.distinct_letters), len(b.distinct_letters)) > EXHAUSTIVE_MAX_LETTERS:
+        raise UsageError(f"--oracle searches words of at most {EXHAUSTIVE_MAX_LETTERS} distinct letters")
+    report = check_theorem(a, b, use_oracle=args.oracle)
     if report.bijection is None:
         bij = "none"
     else:
@@ -142,21 +168,22 @@ def cmd_train(args) -> int:
     train_ds = read_dataset(data / "train.tsv", task=args.task, split="train")
     val_ds = read_dataset(data / "val.tsv", task=args.task, split="val")
     n = train_ds.word_length
-    if args.model == "char":
-        model = build_char_cnn(n, len(task_alphabet(args.task)), seed=args.seed)
-    else:
-        enc_cfg = _encoding_config(n, args.nu_cap, args.norm)
-        model = build_combinatorial_cnn(enc_cfg, seed=args.seed)
+    with _flags():
+        if args.model == "char":
+            model = build_char_cnn(n, len(task_alphabet(args.task)), seed=args.seed)
+        else:
+            enc_cfg = _encoding_config(n, args.nu_cap, args.norm)
+            model = build_combinatorial_cnn(enc_cfg, seed=args.seed)
+        cfg = TrainConfig(
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            steps_per_epoch=args.steps_per_epoch,
+            learning_rate=args.lr,
+            optimizer=args.optimizer,
+            seed=args.seed,
+            stop_at_val_acc=args.stop_at_val_acc,
+        )
     model.meta["task"] = args.task
-    cfg = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        steps_per_epoch=args.steps_per_epoch,
-        learning_rate=args.lr,
-        optimizer=args.optimizer,
-        seed=args.seed,
-        stop_at_val_acc=args.stop_at_val_acc,
-    )
     encoder = encoder_for(model, args.task)
     model, records = train(model, train_ds, val_ds, cfg, encoder)
     # Memory and the pattern split go to the manifest only: metrics.csv and the checkpoint stay byte-identical.
@@ -258,7 +285,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train", type=int, required=True, help="train items per class")
     p.add_argument("--val", type=int, required=True, help="val items per class")
     p.add_argument("--test", type=int, required=True, help="test items per class")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -279,7 +306,7 @@ def build_parser() -> _Parser:
     p.add_argument("--task", choices=["palindrome", "password"], required=True)
     p.add_argument("--data", required=True, help="directory with train.tsv and val.tsv")
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--model", choices=["combinatorial", "char"], default="combinatorial")
     p.add_argument("--lr", type=float, default=1e-3)
@@ -294,12 +321,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--permute-seed", type=int, default=None)
+    p.add_argument("--permute-seed", type=_seed, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference self-test of every layer kind")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -326,8 +353,9 @@ def main(argv=None) -> int:
         _fail("usage", str(exc))
         return EXIT_USAGE
     except ValueError as exc:
-        _fail("usage", str(exc))
-        return EXIT_USAGE
+        # Every check on the command line's values raised UsageError above, so this is the package's fault.
+        _fail("invariant", f"internal error: {' '.join(str(exc).split())}")
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -24,9 +24,12 @@ chain. The runs come in two kinds:
   positions held in 8 bits up to length 63. Blocks hold a bounded number of
   (run, pair) cells.
 
-Each chain becomes one integer key (lam * P + mu) * P + nu, where P is the
-padded axis; one sort of the keys counts them, already in (lam, mu, nu)
-order. Empty-cell counts are the pairs' cell counts less their matching
+A chain is counted under the integer key (lam * P + mu) * P + nu, where P
+is the padded axis, in slabs of pair rows: a clipped chain is one key, a
+letter's product gives one key per pair with its count as a weight, and one
+sort of a slab's keys sums equal ones, already in (lam, mu, nu) order. So
+only one slab's keys are held at a time, and the result holds one key per
+entry, however many chains it counts. Empty-cell counts are the pairs' cell counts less their matching
 cells, and those are the product cov^T E cov of the equality matrix E. The
 runs, the window bounds, the coverage and the index of each clipped window
 are arrays of the word's ``SubwordTable``, all read off one agreement matrix
@@ -153,22 +156,14 @@ def _upper(size: int) -> np.ndarray:
     return mask
 
 
-def _slabs(layers: int, d1: int) -> tuple[int, int]:
-    """(rows, layers) per block of a (layers, d1, d1) grid, so that a block holds at most _BLOCK_CELLS cells.
-
-    Whole layers while one fits, else one layer in slabs of rows.
-    """
-    rows = min(d1, max(1, _BLOCK_CELLS // d1))
-    return rows, max(1, min(layers, _BLOCK_CELLS // (rows * d1)))
-
-
-def _letter_keys(table: SubwordTable, u: np.ndarray, v: np.ndarray, key_of: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The chains of the one-cell runs (u, v): one key per chain, in no particular order.
+def _letter_entries(table: SubwordTable, u: np.ndarray, v: np.ndarray, key_of: np.ndarray, upper: np.ndarray, rows: int):
+    """Per slab of ``rows`` pair rows, the chains of the one-cell runs (u, v): one key per (pair, letter), and its count.
 
     A one-cell run is a chain of pair (a, b) exactly when window a covers u
     and window b covers v. So per letter, the chain counts of all pairs are
     cov^T R cov, where R marks that letter's one-cell runs; the float32
-    products are exact while n^2 < 2^24.
+    products are exact while n^2 < 2^24. A slab's letters go in blocks of
+    at most _BLOCK_CELLS grid cells.
     """
     cov = table.coverage
     n, d1 = cov.shape
@@ -178,25 +173,27 @@ def _letter_keys(table: SubwordTable, u: np.ndarray, v: np.ndarray, key_of: np.n
     runs[letter, u, v] = 1
     present = np.flatnonzero(per_letter).astype(key_of.dtype)
     right = runs[present] @ cov
-    rows, layers = _slabs(present.shape[0], d1)
-    keys = []
+    layers = max(1, _BLOCK_CELLS // (rows * d1))
     for a0 in range(0, d1, rows):
         a = slice(a0, a0 + rows)
         slab = upper[a]
+        keys, counts = [], []
         for c0 in range(0, present.shape[0], layers):
             c = slice(c0, c0 + layers)
             grid = cov[:, a].T @ right[c]
             flat = np.flatnonzero((grid != 0) & slab)
             layer = flat // slab.size
             cell = flat - layer * slab.size + a0 * d1
-            keys.append(np.repeat(key_of[cell] + present[c][layer], grid.reshape(-1)[flat].astype(np.intp)))
-    return np.concatenate(keys)
+            keys.append(key_of[cell] + present[c][layer])
+            counts.append(grid.reshape(-1)[flat].astype(key_of.dtype))
+        grid = flat = layer = cell = None  # a suspended generator would hold them while the caller sorts
+        yield np.concatenate(keys), np.concatenate(counts)
 
 
 def _clip_keys(
-    table: SubwordTable, u: np.ndarray, v: np.ndarray, m: np.ndarray, cap: int, key_of: np.ndarray, upper: np.ndarray
-) -> np.ndarray:
-    """The chains that runs (u, v, m) of two or more cells leave in the pairs' grids: one key per chain.
+    table: SubwordTable, u: np.ndarray, v: np.ndarray, m: np.ndarray, cap: int, key_of: np.ndarray, upper: np.ndarray, rows: int
+):
+    """Per slab of ``rows`` pair rows, the chains that runs (u, v, m) of two or more cells leave in the pairs' grids: one key per chain.
 
     Clipping a run to the pair (a, b) keeps its rows inside window a and,
     shifted onto rows, its columns inside window b; both are bounds per run
@@ -213,11 +210,11 @@ def _clip_keys(
     row_lo, col_lo = np.maximum(top, p), np.maximum(top, shift + p)
     row_last, col_last = np.minimum(bottom, pe) - 1, np.minimum(bottom, shift + pe) - 1
     nu_of = table.span[:, 1:].reshape(-1)  # nu_of[lo * n + k - 1]: the subword of k letters at lo
-    rows, runs = _slabs(u.shape[0], d1)
-    keys = [key_of[:0]]
+    runs = max(1, _BLOCK_CELLS // (rows * d1))
     for a0 in range(0, d1, rows):
         a = slice(a0, a0 + rows)
         slab = upper[a]
+        keys = [key_of[:0]]
         for r0 in range(0, u.shape[0], runs):
             r = slice(r0, r0 + runs)
             lo = np.maximum(row_lo[r, a, None], col_lo[r, None, :])
@@ -228,11 +225,21 @@ def _clip_keys(
             cell = flat - flat // slab.size * slab.size + a0 * d1
             at = lo.reshape(-1)[flat].astype(np.intp) * n + less.reshape(-1)[flat]
             keys.append(key_of[cell] + nu_of[at])
-    return np.concatenate(keys)
+        lo = less = flat = cell = at = None  # a suspended generator would hold them while the caller sorts
+        yield np.concatenate(keys)
 
 
 def _chain_keys(table: SubwordTable, pad_to: int, nu_len_cap: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Every chain count of the pairs lam <= mu: ascending keys (lam * pad_to + mu) * pad_to + nu, and counts."""
+    """Every chain count of the pairs lam <= mu: ascending keys (lam * pad_to + mu) * pad_to + nu, and counts.
+
+    Works in slabs of pair rows, so that only a slab's chains are ever held
+    one key each: a clip key per chain of the longer runs, and one entry per
+    (pair, letter) of the one-cell runs, whose count less one rides in the
+    low bits of its shifted key (32-bit where that fits). A key has at most
+    one letter entry, which so sorts last among its equals. One sort of a
+    slab's keys groups equal keys, and a group's count is its size plus the
+    low bits of its last member.
+    """
     n = len(table.word)
     d1 = table.starts.shape[0]
     cap = n if nu_len_cap is None else min(nu_len_cap, n)
@@ -240,20 +247,38 @@ def _chain_keys(table: SubwordTable, pad_to: int, nu_len_cap: int | None) -> tup
     ids = np.arange(1, d1 + 1, dtype=key_type) * key_type(pad_to)
     # key_of[a * d1 + b] is the key of pair (a + 1, b + 1) at nu = 0.
     key_of = ((ids[:, None] * pad_to) + ids).reshape(-1)
+    if cap < 1:
+        return key_of[:0], np.zeros(0, dtype=np.int32)
     upper = _upper(pad_to)[:d1, :d1]  # a <= b over the entries 1..D-1, numbered from 0
     u, v, m = table.runs()
     one = m == 1
-    keys = [key_of[:0]]
-    if cap >= 1:
-        keys.append(_clip_keys(table, u[~one], v[~one], m[~one], cap, key_of, upper))
-        if one.any():
-            keys.append(_letter_keys(table, u[one], v[one], key_of, upper))
-    keys = np.concatenate(keys)
-    keys.sort()
-    edge = np.ones(keys.shape[0] + 1, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
-    bounds = np.flatnonzero(edge)
-    return keys[bounds[:-1]], np.diff(bounds)
+    # Pair rows per slab, so that a slab's letter products fit one block.
+    rows = min(d1, max(1, _BLOCK_CELLS // (d1 * len(table.word.distinct_letters))))
+    clips = _clip_keys(table, u[~one], v[~one], m[~one], cap, key_of, upper, rows)
+    letters = _letter_entries(table, u[one], v[one], key_of, upper, rows) if one.any() else None
+    keys, counts = [], []
+    for clip in clips:
+        k, shift = clip, 0
+        if letters is not None:
+            lk, lc = next(letters)
+            shift = (int(lc.max(initial=1)) - 1).bit_length()
+            k = np.concatenate([clip, lk]).astype(np.int32 if pad_to**3 << shift < 2**31 else np.int64, copy=False)
+            if shift:
+                k <<= shift
+                k[clip.shape[0] :] |= lc - 1
+        k.sort()
+        low = k
+        if shift:
+            k = k >> shift
+        edge = np.ones(k.shape[0] + 1, dtype=bool)
+        np.not_equal(k[1:], k[:-1], out=edge[1:-1])
+        bounds = np.flatnonzero(edge)
+        count = np.diff(bounds)
+        if shift:
+            count += low[bounds[1:] - 1] & ((1 << shift) - 1)
+        keys.append(k[bounds[:-1]].astype(key_type, copy=False))
+        counts.append(count.astype(np.int32))
+    return (keys[0], counts[0]) if len(keys) == 1 else (np.concatenate(keys), np.concatenate(counts))
 
 
 def _chain_contributions(table: SubwordTable, nu_len_cap: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -285,11 +310,11 @@ def dense_counts(table: SubwordTable, pad_to: int, channels: int, nu_len_cap: in
 
     Chains producing a subword longer than nu_len_cap are left out. Channel 0
     holds the empty-cell counts and the border rules of the empty operand.
-    The chain counts come from one sort of one key per chain: the one-cell
-    runs' chains from coverage products, the longer runs' from their clips
-    (see the module docstring). Key order is (lam, mu, nu) order; keys are
-    32-bit while pad_to^3 < 2^31 (the encoder's pad up to word length 50),
-    else 64-bit.
+    The chain counts come from one sort per slab of pair rows: the one-cell
+    runs' chains counted by coverage products, the longer runs' from their
+    clips (see the module docstring). Key order is (lam, mu, nu) order; keys
+    are 32-bit while pad_to^3 < 2^31 (the encoder's pad up to word length
+    50), else 64-bit.
     The result is sparse; the name stays because the benchmark traces
     ``encoding.dense_counts`` and reports it as ``combinatorics.dense_counts_s``,
     so it changes together with the benchmark.
@@ -299,7 +324,7 @@ def dense_counts(table: SubwordTable, pad_to: int, channels: int, nu_len_cap: in
         raise ValueError(f"pad_to={pad_to} is smaller than the table size {d}")
     keys, counts = _chain_keys(table, pad_to, nu_len_cap)
     cell = keys // pad_to  # lam * pad_to + mu, read through the upper mask below
-    nus = keys - cell * pad_to
+    nus = np.subtract(keys, cell * pad_to, out=keys)  # the keys' own array: they are spent
     if nus.size and int(nus.max()) >= channels:
         raise ValueError(f"channel axis of {channels} cannot hold nu index {int(nus.max())}")
     upper = _upper(pad_to)

@@ -39,7 +39,10 @@ def find_bijection(a: Word | str, b: Word | str) -> Bijection | None:
     return Bijection.from_mapping(fwd)
 
 
-def find_bijection_exhaustive(a: Word | str, b: Word | str, max_letters: int = 8) -> Bijection | None:
+EXHAUSTIVE_MAX_LETTERS = 8  # 8! maps at most
+
+
+def find_bijection_exhaustive(a: Word | str, b: Word | str, max_letters: int = EXHAUSTIVE_MAX_LETTERS) -> Bijection | None:
     """Reference search trying every injective letter map. Small inputs only."""
     ta, tb = as_text(a), as_text(b)
     if len(ta) != len(tb):

@@ -18,16 +18,16 @@ floors odd extents.
 
 Every ``forward`` takes ``train``. With it (the default), a layer keeps what
 its backward reads: a conv a view of its input and its flat output, a dense
-layer its input, ReLU and sigmoid their output, a pool the index of each
-window's first maximum. It keeps them until ``forget()``, which
-``Network.backward`` calls on every layer once the first layer's backward
-has run, so a training step holds its batch and activations only until its
-backward ends. Without ``train``, the pass is inference only: the layer
-drops what an earlier pass kept and keeps nothing, and the pool builds no
-index.
+layer its input, ReLU and sigmoid their output, a pool a view of its input
+and the index of each window's first maximum. It keeps them until
+``forget()``, which ``Network.backward`` calls on every layer once the first
+layer's backward has run, so a training step holds its batch and
+activations only until its backward ends. Without ``train``, the pass is
+inference only: the layer drops what an earlier pass kept and keeps
+nothing, and the pool builds no index.
 
-Every conv and pool forward allocates its output. Three rules then work in
-place, in training and inference alike:
+Every conv and pool forward allocates its output. Five rules then work in
+place:
 
 - ReLU rectifies its input in place whenever that input is writable, and
   its backward gates a writable ``dout`` in place;
@@ -41,13 +41,29 @@ place, in training and inference alike:
   ``backward(dout, gated=True)`` then hands the gradient on as it is. The
   rows are summed in the same order and gated by the same mask as unfused,
   so the bits do not change, and the step makes neither a plane-sized input
-  gradient nor a mask. ``Network.backward`` asks this of every conv that
-  follows a ReLU other than layer 0, whose backward never runs.
+  gradient nor a mask;
+- a pool right after a conv's ReLU fuses that ReLU's backward into its
+  own: ``backward(dout, gated=True)`` writes each window cell's gradient,
+  gated by that cell's value > 0, over the cell in its input, which is the
+  ReLU's output and so the conv's spent output plane, and zeroes the cells
+  that the floor drops. The ReLU passes it on as above, and the conv finds
+  its output gradient already in its plane: it zeroes only the crop border
+  and copies nothing. Each kept value has the bits the ReLU's gate would
+  give it, and every other cell gets +0.0;
+- a conv right after a pool writes its input gradient with
+  ``backward(dout, spent=True)`` into its input, the pool's output, which
+  no earlier backward reads. It is summed exactly as into a new array.
 
-No other layer writes into the ``x`` or ``dout`` it is given, so a caller
-whose arrays must stay intact hands ReLU read-only views: the network does
-so with the caller's batch and loss gradient, and the gradient checks with
-the inputs and projections that they perturb and reuse across calls.
+``Network.backward`` asks each conv and pool for the last three wherever
+they fit; a ReLU at layer 0 fuses into nothing, since its backward never
+runs. So a training backward of the package's models makes no plane-sized
+array.
+
+Without ``gated`` or ``spent``, no other layer writes into the ``x`` or
+``dout`` it is given, so a caller whose arrays must stay intact hands ReLU
+read-only views: the network does so with the caller's batch and loss
+gradient, and the gradient checks with the inputs and projections that they
+perturb and reuse across calls.
 
 A conv's or dense layer's ``backward(dout, input_grad=False)`` computes only
 the parameter gradients and returns None; the network asks this of its first
@@ -210,14 +226,17 @@ class Conv2d(Layer):
             self._xf, self._in_shape, self._out = xf, x.shape, out
         return out.reshape(n, h, wd, cout)[:, : h - kh + 1, : wd - kw + 1]
 
-    def backward(self, dout: np.ndarray, input_grad: bool = True, gated: bool = False):
+    def backward(self, dout: np.ndarray, input_grad: bool = True, gated: bool = False, spent: bool = False):
         """The parameter gradients, then the input gradient unless ``input_grad`` is false.
 
         A conv whose output is cropped builds the zero-padded output gradient
-        in the array the training forward returned a view of. With
-        ``gated``, the input is a ReLU's output that nothing reads after
-        this call: the input gradient is gated by ``input > 0``, as that
-        ReLU's backward would gate it, and written into the input's array.
+        in the array the training forward returned a view of; a ``dout``
+        that already is that view (a fused pool wrote it there) only gets
+        its border zeroed. With ``spent``, nothing reads the input after
+        this call, and the input gradient is written into the input's array.
+        ``gated`` is ``spent`` for an input that is a ReLU's output: the
+        input gradient is also gated by ``input > 0``, as that ReLU's
+        backward would gate it.
         """
         xf = self._xf
         n, h, wd, cin = self._in_shape
@@ -230,7 +249,8 @@ class Conv2d(Layer):
             g = self._out.reshape(n, h, wd, -1)
             g[:, oh:] = 0
             g[:, :oh, ow:] = 0
-            g[:, :oh, :ow] = dout
+            if not np.may_share_memory(dout, g):
+                g[:, :oh, :ow] = dout
             gf = g.reshape(xf.shape[0], -1)
         rows = gf.shape[0]
         shifts = self._shifts(wd)
@@ -248,7 +268,7 @@ class Conv2d(Layer):
         if not input_grad:
             return None
         wt = self.w.transpose(0, 1, 3, 2).reshape(len(shifts), -1, cin)  # a contiguous copy
-        dx = _shifted_gemms(gf, wt, [-s for s in shifts], xf if gated else None, gated)
+        dx = _shifted_gemms(gf, wt, [-s for s in shifts], xf if gated or spent else None, gated)
         return dx.reshape(self._in_shape)
 
 
@@ -256,11 +276,12 @@ class MaxPool2d(Layer):
     """Max pooling with window (ph, pw), stride equal to the window.
 
     Each window cell is one strided view of the input. A training forward
-    keeps, per output cell, the row-major index of the first window cell
-    holding the max, which is where backward sends the whole gradient.
+    keeps a view of its input and, per output cell, the row-major index of
+    the first window cell holding the max, which is where backward sends
+    the whole gradient.
     """
 
-    kept = ("_arg", "_in_shape")
+    kept = ("_arg", "_x")
 
     def __init__(self, ph: int, pw: int):
         super().__init__()
@@ -288,13 +309,27 @@ class MaxPool2d(Layer):
         arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(cells) - 1))
         for cell in reversed(cells[:-1]):
             arg = (cell != out) * (arg + 1)
-        self._arg, self._in_shape = arg, x.shape
+        self._arg, self._x = arg, x
         return out
 
-    def backward(self, dout: np.ndarray):
-        dx = np.zeros(self._in_shape, dtype=dout.dtype)
+    def backward(self, dout: np.ndarray, gated: bool = False):
+        """The input gradient: ``dout`` at each window's first max, +0.0 elsewhere and in floored cells.
+
+        With ``gated``, the input is a ReLU's output that nothing reads after
+        this call: each cell's gradient is also gated by that cell's value
+        > 0, as the ReLU's backward would gate it, and written into the
+        input's array, floored cells zeroed.
+        """
+        dx = self._x if gated else np.zeros(self._x.shape, dtype=dout.dtype)
+        if gated:
+            hc, wc = dx.shape[1] // self.ph * self.ph, dx.shape[2] // self.pw * self.pw
+            dx[:, hc:] = 0
+            dx[:, :hc, wc:] = 0
         for k, cell in enumerate(self._cells(dx)):
-            _gate(dout, self._arg == k, out=cell)
+            mask = self._arg == k
+            if gated:
+                mask &= cell > 0  # read before _gate overwrites the cell
+            _gate(dout, mask, out=cell)
         return dx
 
 

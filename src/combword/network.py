@@ -9,15 +9,21 @@ binary cross-entropy with probabilities clamped away from 0 and 1.
 pass leaves each layer holding what backward reads (see ``layers``), the
 first conv a view of the batch among it. ``Network.backward`` runs every
 layer's backward once, last to first, fusing the gate of each ReLU that
-feeds a conv into that conv's input gradient, and then makes every layer
-forget what the forward kept. So a training step holds one batch and one
-set of activations, and they are freed when its backward returns rather
-than when the next step's forward ends. An inference pass leaves nothing
-behind, so an evaluation batch never holds memory beyond its own pass.
+feeds a conv or a pool into that layer's input gradient, and then makes
+every layer forget what the forward kept. So a training step holds one
+batch and one set of activations, and they are freed when its backward
+returns rather than when the next step's forward ends. An inference pass
+leaves nothing behind, so an evaluation batch never holds memory beyond its
+own pass.
 
 Every pass allocates its conv and pool outputs; ReLU rectifies and gates in
-place, and a conv pads its output gradient in its spent output (see
-``layers``). The layers get read-only views of the caller's batch and loss
+place. Backward allocates no plane: each input gradient goes into the spent
+forward array it replaces (see ``layers``). A conv pads its output gradient
+in its own output; a conv or pool after a ReLU writes its gated input
+gradient into that ReLU's output, which for a pool is the previous conv's
+output plane; a conv after a pool writes into the pool's output. So the
+step's peak is its forward end: the batch and the planes of the first two
+convs. The layers get read-only views of the caller's batch and loss
 gradient, so those in-place rules only ever touch arrays the pass made.
 """
 
@@ -177,11 +183,18 @@ class Network:
                 self.layers.append(Dense(shape[0], spec.units, rng, dtype))
             else:
                 self.layers.append(Sigmoid())
-        # Each conv that follows a ReLU, and that ReLU, whose gate backward fuses into the conv (a ReLU at layer 0 runs no backward).
-        self._gated = set()
-        for i in range(2, len(self.layers)):
-            if isinstance(self.layers[i], Conv2d) and isinstance(self.layers[i - 1], ReLU):
-                self._gated |= {i - 1, i}
+        # Layers whose backward writes its input gradient into its spent input (see ``layers``).
+        # Gated: a conv after a ReLU, or a pool after a conv's ReLU, and that ReLU, unless the
+        # ReLU is layer 0, whose backward never runs. Spent: a conv after a pool.
+        self._gated, self._spent = set(), set()
+        for i in range(1, len(self.layers)):
+            layer, before = self.layers[i], self.layers[i - 1]
+            if i >= 2 and isinstance(before, ReLU):
+                after_conv = isinstance(self.layers[i - 2], Conv2d)
+                if isinstance(layer, Conv2d) or (isinstance(layer, MaxPool2d) and after_conv):
+                    self._gated |= {i - 1, i}
+            elif isinstance(layer, Conv2d) and isinstance(before, MaxPool2d):
+                self._spent.add(i)
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """Per-sample probabilities, shape (batch,); without ``train`` no layer keeps anything.
@@ -201,15 +214,22 @@ class Network:
         """Fill every layer's parameter gradients; the input gradient is never built.
 
         The layers get a read-only view of ``dprobs``, which no ReLU then gates
-        in place. A conv right after a ReLU (not the first layer) gates its
-        input gradient itself, into that ReLU's spent output, and the ReLU's
-        backward passes it on. Every layer's backward runs once; then every
-        layer forgets what the forward kept, the batch included.
+        in place. A conv right after a ReLU (not the first layer), or a pool
+        right after a conv's ReLU, gates its input gradient itself, into that
+        ReLU's spent output, and the ReLU's backward passes it on. A conv
+        right after a pool writes its input gradient into the pool's spent
+        output. Every layer's backward runs once; then every layer forgets
+        what the forward kept, the batch included.
         """
         d = dprobs[:, None]
         d.flags.writeable = False
         for i in range(len(self.layers) - 1, 0, -1):
-            d = self.layers[i].backward(d, gated=True) if i in self._gated else self.layers[i].backward(d)
+            if i in self._gated:
+                d = self.layers[i].backward(d, gated=True)
+            elif i in self._spent:
+                d = self.layers[i].backward(d, spent=True)
+            else:
+                d = self.layers[i].backward(d)
         if self.layers[0].params():
             self.layers[0].backward(d, input_grad=False)
         for layer in self.layers:

@@ -32,12 +32,15 @@ before the next step encodes its own, and a step never holds two batches.
 inference passes, which keep nothing.
 
 Each pass allocates its conv and pool outputs. ReLU rectifies them in place,
-a conv pads its output gradient in its spent output, and the 3x3 conv
-writes its ReLU-gated input gradient into the spent L1 plane (``layers``).
-So a step allocates its batch, its forward outputs and a few backward-only
-arrays, the pools' indices and input gradients the largest of them. When a
-step, ``train`` or ``predict_probs`` returns, or ``train`` stops on a
-diverged loss, the model holds no batch-sized array.
+and backward writes every input gradient into the spent forward array it
+replaces (``layers``): the 3x3 convs and the pools gate theirs into their
+ReLU's output, and the conv after a pool writes into the pool's output. So a
+step allocates its batch, its forward outputs with the pools' first-max
+indices, and in backward only arrays far smaller than a plane (masks of one
+byte per pool output cell, scratch tiles, the dense layers' gradients); its
+peak is the end of its forward. When a step, ``train`` or
+``predict_probs`` returns, or ``train`` stops on a diverged loss, the model
+holds no batch-sized array.
 
 ``train`` keeps each epoch's validation probabilities in its record, so
 ``cli train`` splits the final model's validation accuracy by pattern

@@ -13,7 +13,7 @@ from combword.cli import main
 from combword.combinatorics import combinatorics_map
 from combword.encoding import EncodingConfig, channel_count
 from combword.datasets import DatasetFormatError, read_dataset
-from combword.network import build_char_cnn
+from combword.network import Network, build_char_cnn
 from combword.training import accuracy_by_pattern, encoder_for, predict_probs
 
 from damage import damaged
@@ -360,6 +360,52 @@ def test_eval_char_checkpoint_with_wrong_word_length_exits_io(mini_run, tmp_path
     code, text, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data / "val.tsv"))
     assert code == 3 and text == ""
     assert err.startswith("error: io:") and "'word_length'/'alphabet_size'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "passwords", "--len", "15", "--train", "0", "--val", "1", "--test", "1"], "at least one item"),
+        (["tensor", "--word", "abc", "--format", "dense", "--nu-cap", "0"], "nu_cap_len"),
+        (["tensor", "--word", ""], "empty word"),
+        (["equiv", "--a", "", "--b", "ab"], "empty word"),
+        (["equiv", "--a", "abcdefghi", "--b", "bcdefghia", "--oracle"], "at most 8 distinct letters"),
+        (["train", "--task", "palindrome", "--epochs", "1", "--model", "char"], "word length >= 4"),
+        (["train", "--task", "palindrome", "--epochs", "1", "--batch-size", "0"], "batch_size"),
+        (["eval", "--permute-seed", "-1"], "seed must be an integer >= 0"),
+        (["gradcheck", "--seed", "-2"], "seed must be an integer >= 0"),
+    ],
+    ids=["gen", "tensor-cap", "tensor-word", "equiv-word", "equiv-oracle", "train-char", "train-config", "eval", "gradcheck"],
+)
+def test_each_subcommand_reports_a_value_it_cannot_take_as_usage(mini_run, tmp_path, capsys, argv, message):
+    data, out = mini_run
+    (tmp_path / "train.tsv").write_text("1\taba\n0\tabc\n")
+    (tmp_path / "val.tsv").write_text("1\taba\n")
+    where = {
+        "gen": ["--out", str(tmp_path / "g")],
+        "train": ["--data", str(tmp_path if "char" in argv else data), "--out", str(tmp_path / "r")],
+        "eval": ["--checkpoint", str(out / "model.ckpt"), "--data", str(data / "val.tsv"), "--out", str(tmp_path / "e")],
+    }.get(argv[0], [])
+    code, _, err = run(capsys, *argv, *where)
+    assert code == 1 and err.startswith("error: usage:") and message in err, err
+    assert "Traceback" not in err and not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_internal_value_error_exits_invariant_in_one_line(mini_run, tmp_path, capsys, monkeypatch, command):
+    data, out = mini_run
+
+    def broken(self, x, train=True):
+        raise ValueError("input shape (1, 2)\ndoes not match")
+
+    monkeypatch.setattr(Network, "forward", broken)
+    if command == "train":
+        argv = ["train", "--task", "palindrome", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "r")]
+    else:
+        argv = ["eval", "--checkpoint", str(out / "model.ckpt"), "--data", str(data / "val.tsv"), "--out", str(tmp_path / "e")]
+    code, text, err = run(capsys, *argv)
+    assert code == 2 and text == ""
+    assert err == "error: invariant: internal error: input shape (1, 2) does not match\n"
 
 
 def test_train_rerun_byte_identical(mini_run, tmp_path, capsys):

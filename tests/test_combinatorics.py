@@ -298,3 +298,17 @@ def test_map_of_a_30_letter_word_stays_within_its_memory_bound():
         tracemalloc.stop()
     assert m.size == 435
     assert peak <= 40e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_map_of_a_48_letter_word_over_8_letters_holds_one_key_per_entry():
+    # 22.8 M chains in 5.2 M entries; one key per chain peaked at 225 MB here.
+    rng = random.Random(1)
+    text = "".join(rng.choice("abcdefgh") for _ in range(48))
+    tracemalloc.start()
+    try:
+        m = combinatorics_map(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m.size, m.sparse.nus.size, int(m.sparse.counts.sum(dtype=np.int64))) == (1121, 5210310, 22785326)
+    assert peak <= 150e6, f"{peak / 1e6:.1f} MB"

@@ -110,6 +110,22 @@ def test_gated_conv_backward_is_the_relu_backward_of_its_input_gradient(kernel, 
     assert relu.backward(dx, gated=True) is dx
 
 
+@pytest.mark.parametrize("tile", ["default", 1, 7])
+@pytest.mark.parametrize("kernel", CONV_KERNELS)
+def test_spent_conv_backward_writes_its_input_gradient_into_its_input(kernel, tile, monkeypatch):
+    if tile != "default":
+        monkeypatch.setattr(layers, "TILE_ROWS", tile)
+    rng = np.random.default_rng(sum(kernel) + 2)
+    conv = Conv2d(*kernel, 3, 4, rng, dtype=np.float32)
+    x = rng.standard_normal((3, 6, 5, 3)).astype(np.float32)
+    dout = rng.standard_normal(conv.forward(x).shape).astype(np.float32)
+    expected = conv.backward(dout)
+    dw = conv.dw.tobytes()
+    dx = conv.backward(dout, spent=True)
+    assert np.shares_memory(dx, x)  # written into the spent input, a pool's output in a network
+    assert dx.tobytes() == expected.tobytes() and conv.dw.tobytes() == dw
+
+
 def test_maxpool_picks_maxima_and_floors():
     pool = MaxPool2d(2, 2)
     x = np.arange(1 * 5 * 5 * 1, dtype=np.float64).reshape(1, 5, 5, 1)
@@ -144,6 +160,27 @@ def test_maxpool_ties_go_to_first_cell_once_and_floored_cells_get_zero():
     expected[1, 2, 5, 1] = dout[1, 1, 1, 1]
     assert dx.tobytes() == expected.tobytes()  # also no -0.0 in unrouted cells
     assert np.abs(dx).sum() == np.abs(dout).sum()
+
+
+def test_gated_maxpool_backward_is_the_relu_backward_of_its_input_gradient():
+    # The tie and signed-zero windows above, a NaN, negative cells, and positive floored cells.
+    pool = MaxPool2d(2, 3)
+    x = np.random.default_rng(15).standard_normal((2, 5, 7, 2))
+    x[1, 2:4, 3:6, 1] = [[-0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+    x[0, 0:2, 0:3, 0] = [[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    x[0, 2:4, 0:3, 1] = [[2.0, np.nan, 1.0], [-1.0, 3.0, 0.5]]
+    x[1, 0:2, 0:3, 0] = -1.0
+    x[:, 4] = x[:, :, 6] = 5.0  # dropped by the floor
+    out = pool.forward(x)
+    dout = -1.0 - np.arange(out.size, dtype=np.float64).reshape(out.shape)
+    dout[0, 0, 1] = -0.0
+    dout[1, 0, 0] = np.nan
+    expected = np.where(x > 0, pool.backward(dout), 0.0)  # the ReLU's gate on the unfused gradient
+    dx = pool.backward(dout, gated=True)
+    assert dx is x  # written over the spent ReLU output
+    assert dx.tobytes() == expected.tobytes()
+    assert np.isnan(dx).sum() == 1 and np.signbit(dx[0, 0:2, 3:6]).sum() == 2  # a kept NaN; a kept -0.0 per channel
+    assert not np.signbit(dx[:, 4]).any() and not dx[:, 4].any() and not dx[:, :, 6].any()
 
 
 def test_relu_and_sigmoid_values():

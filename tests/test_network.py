@@ -215,8 +215,10 @@ def test_fused_backward_matches_each_layers_own_backward_over_several_tiles():
         # A cropping conv's output is copied by the next conv; a 1x1 conv's is reshaped in place.
         ([conv(3, 3, 4), relu(), conv(1, 1, 3), relu(), conv(3, 3, 2), relu(), pool(2, 2), flatten(), dense(1), sigmoid()], (9, 9, 2)),
         ([relu(), conv(3, 1, 4), relu(), conv(3, 1, 2), relu(), flatten(), dense(1), sigmoid()], (8, 1, 3)),
+        # Odd extents at both pools: each floors a column, whose fused gradient must be +0.0.
+        ([conv(1, 1, 4), relu(), conv(3, 3, 3), relu(), pool(2, 2), conv(2, 2, 2), relu(), pool(2, 2), flatten(), dense(1), sigmoid()], (12, 11, 3)),
     ],
-    ids=["conv-first", "relu-first"],
+    ids=["conv-first", "relu-first", "odd-extents"],
 )
 @pytest.mark.parametrize("batch", [1, 5])
 def test_fused_backward_matches_in_float64(specs, shape, batch, monkeypatch):
@@ -229,6 +231,34 @@ def test_fused_backward_matches_in_float64(specs, shape, batch, monkeypatch):
     fused, plain = fused_and_plain_grads(model, x, dprobs)
     assert fused == plain
     assert x.tobytes() == x_before.tobytes() and dprobs.tobytes() == d_before.tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 9, 12, 15])
+def test_fused_backward_matches_on_the_char_model(n, monkeypatch):
+    # (2, 1) pools after each conv's ReLU; at n=9 and 15 a pool floors an odd length.
+    monkeypatch.setattr(layers, "TILE_ROWS", 5)
+    model = build_char_cnn(n, 4, seed=n, dtype=np.float64)
+    assert sum(spec.kind == "maxpool2d" for spec in model.specs) == (1 if n < 12 else 2)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((6, *model.input_shape))
+    fused, plain = fused_and_plain_grads(model, x, rng.standard_normal(6))
+    assert fused == plain
+
+
+def test_fused_pool_backward_matches_on_ties_and_drops_a_floored_nan():
+    # The tie and zero windows of test_maxpool_ties_go_to_first_cell_once_and_floored_cells_get_zero,
+    # through an identity 1x1 conv, with NaN in the cells that the pool's floor drops.
+    model = Network([conv(1, 1, 2), relu(), pool(2, 3), flatten(), dense(1), sigmoid()], (5, 7, 2), seed=1, dtype=np.float64)
+    model.layers[0].w[...] = np.eye(2)
+    x = np.zeros((2, 5, 7, 2))
+    x[1, 2:4, 3:6, 1] = [[-0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+    x[0, 0:2, 0:3, 0] = [[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    x[0, 2:4, 0:3, 1] = [[2.0, -1.0, 1.0], [-1.0, 3.0, 0.5]]
+    x[:, 4] = x[:, :, 6] = np.nan
+    dprobs = np.array([-0.0, -1.5])
+    fused, plain = fused_and_plain_grads(model, x, dprobs)
+    assert fused == plain
+    assert np.isfinite(model.layers[0].db).all()  # the conv's output gradient holds +0.0, not NaN, there
 
 
 def test_backward_of_a_conv_after_a_relu_allocates_no_plane():
@@ -257,6 +287,22 @@ def test_backward_of_a_conv_after_a_relu_allocates_no_plane():
         tracemalloc.stop()
     # Neither the padded output gradient nor the gated input gradient takes a new plane.
     assert len(peaks) == 1 and peaks[0] < plane / 4, (peaks, plane)
+
+
+def test_whole_backward_allocates_less_than_a_quarter_plane():
+    # Every input gradient goes into a spent forward array: L2's into L1's plane, the
+    # pool L4's into L2's plane, L5's into L4's output, the pool L7's into L5's plane.
+    model = build_combinatorial_cnn(EncodingConfig.for_length(8), seed=2)
+    x = np.random.default_rng(3).random((32, *model.input_shape), dtype=np.float32)
+    model.forward(x)
+    plane = model.layers[3]._out.nbytes  # L3's output: L2's cropped plane
+    tracemalloc.start()
+    try:
+        model.backward(np.ones(len(x), dtype=np.float32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < plane / 4, (peak, plane)
 
 
 def test_backward_drops_what_forward_kept():
