@@ -11,29 +11,37 @@ the empty subword are covered by fixed border rules rather than a grid.
 ``dense_counts`` is the only place that builds counts. Every subword is a
 window into the word, so every chain in every pair grid is a clip of one of
 the word's own diagonal equality runs, and each run gives a pair at most one
-chain. The runs come in two kinds:
+chain. Clipping a run to a pair's window bounds is, per run and window, a row
+interval, so a block of runs meets every pair through one outer max and one
+outer min, on positions held in 8 bits up to length 63. A chain is counted
+under the integer key (lam * P + mu) * P + nu, where P is the padded axis,
+and one sort of the keys sums equal ones, already in (lam, mu, nu) order.
 
-- A one-cell run (u, v) is a chain of the pair (lam, mu) exactly when lam's
-  window covers u and mu's covers v, and it always reads off the letter at
-  u. So the counts of all pairs, per letter, are one product of 0/1 window
-  coverage matrices, cov^T R cov, with R marking that letter's one-cell
-  runs. Most runs of most words are one cell long.
-- A longer run (the main diagonal among them) is clipped to each pair's
-  window bounds: per run and window the clip is a row interval, so a block
-  of runs meets every pair through one outer max and one outer min, on
-  positions held in 8 bits up to length 63. Blocks hold a bounded number of
-  (run, pair) cells.
+A word is counted one of two ways, chosen by its grid of runs x (D - 1)^2
+(run, pair) cells alone:
 
-A chain is counted under the integer key (lam * P + mu) * P + nu, where P
-is the padded axis, in slabs of pair rows: a clipped chain is one key, a
-letter's product gives one key per pair with its count as a weight, and one
-sort of a slab's keys sums equal ones, already in (lam, mu, nu) order. So
-only one slab's keys are held at a time, and the result holds one key per
-entry, however many chains it counts. Empty-cell counts are the pairs' cell counts less their matching
-cells, and those are the product cov^T E cov of the equality matrix E. The
-runs, the window bounds, the coverage and the index of each clipped window
-are arrays of the word's ``SubwordTable``, all read off one agreement matrix
-in ``words.subword_windows``.
+- Up to _ONE_BLOCK_CELLS (2^17) cells, every run, one-cell runs included,
+  is clipped against every pair in one block, and one sort counts the keys.
+  Each of these steps is a numpy call on the whole grid, so the word pays
+  the call overhead once. This covers every n=10 word (22k cells on average)
+  and about half of the n=15 passwords; timed per word, it takes 0.58-0.78x
+  the slab path's time up to 2^17 cells and 1.1-1.4x above.
+- A larger word is counted in slabs of pair rows. A one-cell run (u, v) is
+  a chain of the pair (lam, mu) exactly when lam's window covers u and mu's
+  covers v, and it always reads off the letter at u, so per letter the
+  counts of all pairs are one product of 0/1 window-coverage matrices,
+  cov^T R cov, with R marking that letter's one-cell runs; most runs of most
+  words are one cell long. The longer runs (the main diagonal among them)
+  are clipped in blocks of a bounded number of (run, pair) cells. Per slab, a
+  clipped chain is one key and a letter's product gives one key per pair
+  with its count as a weight, so only one slab's keys are held at a time and
+  the result holds one key per entry, however many chains it counts.
+
+Empty-cell counts are the pairs' cell counts less their matching cells, and
+those are the product cov^T E cov of the equality matrix E. The runs, the
+window bounds, the coverage and the index of each clipped window are arrays
+of the word's ``SubwordTable``, all read off one agreement matrix in
+``words.subword_windows``.
 
 The map is symmetric, M[lam, mu, nu] = M[mu, lam, nu], so only the upper
 half lam <= mu is built and kept, in a sparse form (``SparseCounts``): the
@@ -145,15 +153,80 @@ class CombinatoricsMap:
         return [f"{l} {m} {v} {c}" for (l, m, v), c in self.counts.items()]
 
 
-_BLOCK_CELLS = 1 << 18  # (run or letter, pair) cells per block, bounds a block's temporaries
+_BLOCK_CELLS = 1 << 18  # (run or letter, pair) cells per block of the slab path, bounds a block's temporaries
+_ONE_BLOCK_CELLS = 1 << 17  # a word with at most this many (run, pair) cells clips every run in one block
 
 
-@lru_cache(maxsize=8)
+_CACHED_SIZE = 256  # masks of at most this side are kept; a larger one costs little next to its word's counts
+
+
+def _per_size(build):
+    """``build(size)`` kept for the 64 sizes last asked for, up to _CACHED_SIZE."""
+    kept = lru_cache(maxsize=64)(build)
+    return lambda size: kept(size) if size <= _CACHED_SIZE else build(size)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _key_type(pad_to: int) -> type:
+    return np.int32 if pad_to**3 < 2**31 else np.int64
+
+
+@_per_size
 def _upper(size: int) -> np.ndarray:
     """(size, size) read-only mask of the cells a <= b; read row-major, it is np.triu_indices(size) order."""
-    mask = ~np.tri(size, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+    return _read_only(~np.tri(size, k=-1, dtype=bool))
+
+
+@_per_size
+def _upper_cells(size: int) -> np.ndarray:
+    """Read-only flat indices of the (size, size) cells a <= b, in np.triu_indices(size) order."""
+    return _read_only(np.flatnonzero(_upper(size)))
+
+
+@lru_cache(maxsize=64)
+def _pair_keys(d1: int, pad_to: int) -> np.ndarray:
+    """key_of[a * d1 + b], the key of pair (a + 1, b + 1) at nu = 0; read-only. Kept only for one-block words."""
+    key_type = _key_type(pad_to)
+    ids = np.arange(1, d1 + 1, dtype=key_type) * key_type(pad_to)
+    return _read_only(((ids[:, None] * pad_to) + ids).reshape(-1))
+
+
+def _clipper(table: SubwordTable, u: np.ndarray, v: np.ndarray, m: np.ndarray, cap: int, key_of: np.ndarray):
+    """The runs (u, v, m) clipped to the pairs' windows, as ``clip(r, a0, slab)``: one key per chain of 1..cap letters.
+
+    ``clip`` takes the runs ``r`` (a slice) against the pairs (a, b) of rows
+    a0 <= a < a0 + len(slab) whose ``slab`` cell is set. Clipping a run to
+    the pair (a, b) keeps its rows inside window a and, shifted onto rows,
+    its columns inside window b; both are bounds per run and window, so a
+    block of runs meets every pair through one outer max and one outer min.
+    Positions are held in the narrowest signed type that holds -n..2n.
+    """
+    n = len(table.word)
+    pos = np.min_scalar_type(-2 * n - 1)
+    p = table.starts.astype(pos)
+    pe = p + table.lengths.astype(pos)
+    d1 = p.shape[0]
+    top, bottom, shift = (x.astype(pos)[:, None] for x in (u, u + m, u - v))
+    row_lo, col_lo = np.maximum(top, p), np.maximum(top, shift + p)
+    row_last, col_last = np.minimum(bottom, pe) - 1, np.minimum(bottom, shift + pe) - 1
+    nu_of = table.span[:, 1:].reshape(-1)  # nu_of[lo * n + k - 1]: the subword of k letters at lo
+
+    def clip(r: slice, a0: int, slab: np.ndarray) -> np.ndarray:
+        a = slice(a0, a0 + slab.shape[0])
+        lo = np.maximum(row_lo[r, a, None], col_lo[r, None, :])
+        less = np.minimum(row_last[r, a, None], col_last[r, None, :])
+        less -= lo  # the chain length less one, negative where the clip is empty
+        # Read as unsigned, a negative value is large, so one compare keeps lengths 1..cap.
+        flat = np.flatnonzero((less.view(f"u{pos.itemsize}") < cap) & slab)
+        cell = flat - flat // slab.size * slab.size + a0 * d1
+        at = lo.reshape(-1)[flat].astype(np.intp) * n + less.reshape(-1)[flat]
+        return key_of[cell] + nu_of[at]
+
+    return clip
 
 
 def _letter_entries(table: SubwordTable, u: np.ndarray, v: np.ndarray, key_of: np.ndarray, upper: np.ndarray, rows: int):
@@ -190,71 +263,54 @@ def _letter_entries(table: SubwordTable, u: np.ndarray, v: np.ndarray, key_of: n
         yield np.concatenate(keys), np.concatenate(counts)
 
 
-def _clip_keys(
-    table: SubwordTable, u: np.ndarray, v: np.ndarray, m: np.ndarray, cap: int, key_of: np.ndarray, upper: np.ndarray, rows: int
-):
-    """Per slab of ``rows`` pair rows, the chains that runs (u, v, m) of two or more cells leave in the pairs' grids: one key per chain.
-
-    Clipping a run to the pair (a, b) keeps its rows inside window a and,
-    shifted onto rows, its columns inside window b; both are bounds per run
-    and window, so a block of runs meets every pair through one outer max
-    and one outer min. Positions are held in the narrowest signed type that
-    holds -n..2n.
-    """
-    n = len(table.word)
-    pos = np.min_scalar_type(-2 * n - 1)
-    p = table.starts.astype(pos)
-    pe = p + table.lengths.astype(pos)
-    d1 = p.shape[0]
-    top, bottom, shift = (x.astype(pos)[:, None] for x in (u, u + m, u - v))
-    row_lo, col_lo = np.maximum(top, p), np.maximum(top, shift + p)
-    row_last, col_last = np.minimum(bottom, pe) - 1, np.minimum(bottom, shift + pe) - 1
-    nu_of = table.span[:, 1:].reshape(-1)  # nu_of[lo * n + k - 1]: the subword of k letters at lo
-    runs = max(1, _BLOCK_CELLS // (rows * d1))
+def _clip_keys(clip, runs: int, upper: np.ndarray, rows: int):
+    """Per slab of ``rows`` pair rows, the keys of the chains that ``clip`` leaves of ``runs`` runs, in blocks of _BLOCK_CELLS cells."""
+    d1 = upper.shape[0]
+    block = max(1, _BLOCK_CELLS // (rows * d1))
     for a0 in range(0, d1, rows):
-        a = slice(a0, a0 + rows)
-        slab = upper[a]
-        keys = [key_of[:0]]
-        for r0 in range(0, u.shape[0], runs):
-            r = slice(r0, r0 + runs)
-            lo = np.maximum(row_lo[r, a, None], col_lo[r, None, :])
-            less = np.minimum(row_last[r, a, None], col_last[r, None, :])
-            less -= lo  # the chain length less one, negative where the clip is empty
-            # Read as unsigned, a negative value is large, so one compare keeps lengths 1..cap.
-            flat = np.flatnonzero((less.view(f"u{pos.itemsize}") < cap) & slab)
-            cell = flat - flat // slab.size * slab.size + a0 * d1
-            at = lo.reshape(-1)[flat].astype(np.intp) * n + less.reshape(-1)[flat]
-            keys.append(key_of[cell] + nu_of[at])
-        lo = less = flat = cell = at = None  # a suspended generator would hold them while the caller sorts
-        yield np.concatenate(keys)
+        slab = upper[a0 : a0 + rows]
+        keys = [clip(slice(r0, r0 + block), a0, slab) for r0 in range(0, max(runs, 1), block)]
+        yield keys[0] if len(keys) == 1 else np.concatenate(keys)
+
+
+def _group_bounds(k: np.ndarray) -> np.ndarray:
+    """The start of each group of equal values in the sorted k, then k's length."""
+    edge = np.ones(k.shape[0] + 1, dtype=bool)
+    np.not_equal(k[1:], k[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
 
 
 def _chain_keys(table: SubwordTable, pad_to: int, nu_len_cap: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Every chain count of the pairs lam <= mu: ascending keys (lam * pad_to + mu) * pad_to + nu, and counts.
 
-    Works in slabs of pair rows, so that only a slab's chains are ever held
-    one key each: a clip key per chain of the longer runs, and one entry per
-    (pair, letter) of the one-cell runs, whose count less one rides in the
-    low bits of its shifted key (32-bit where that fits). A key has at most
-    one letter entry, which so sorts last among its equals. One sort of a
-    slab's keys groups equal keys, and a group's count is its size plus the
-    low bits of its last member.
+    A word of at most _ONE_BLOCK_CELLS (run, pair) cells clips all its runs,
+    one-cell runs included, in one block, and one sort of their keys counts
+    them. A larger word works in slabs of pair rows, so that only a slab's
+    chains are ever held one key each: a clip key per chain of the longer
+    runs, and one entry per (pair, letter) of the one-cell runs, whose count
+    less one rides in the low bits of its shifted key (32-bit where that
+    fits). A key has at most one letter entry, which so sorts last among its
+    equals. One sort of a slab's keys groups equal keys, and a group's count
+    is its size plus the low bits of its last member.
     """
     n = len(table.word)
     d1 = table.starts.shape[0]
     cap = n if nu_len_cap is None else min(nu_len_cap, n)
-    key_type = np.int32 if pad_to**3 < 2**31 else np.int64
-    ids = np.arange(1, d1 + 1, dtype=key_type) * key_type(pad_to)
-    # key_of[a * d1 + b] is the key of pair (a + 1, b + 1) at nu = 0.
-    key_of = ((ids[:, None] * pad_to) + ids).reshape(-1)
     if cap < 1:
-        return key_of[:0], np.zeros(0, dtype=np.int32)
-    upper = _upper(pad_to)[:d1, :d1]  # a <= b over the entries 1..D-1, numbered from 0
+        return np.zeros(0, dtype=_key_type(pad_to)), np.zeros(0, dtype=np.int32)
+    upper = _upper(d1)  # a <= b over the entries 1..D-1, numbered from 0
     u, v, m = table.runs()
+    if u.shape[0] * d1 * d1 <= _ONE_BLOCK_CELLS:
+        k = _clipper(table, u, v, m, cap, _pair_keys(d1, pad_to))(slice(None), 0, upper)
+        k.sort()
+        bounds = _group_bounds(k)
+        return k[bounds[:-1]], np.diff(bounds).astype(np.int32)
+    key_of = _pair_keys.__wrapped__(d1, pad_to)  # a large word's table is built afresh, not kept
     one = m == 1
+    longer = ~one
     # Pair rows per slab, so that a slab's letter products fit one block.
     rows = min(d1, max(1, _BLOCK_CELLS // (d1 * len(table.word.distinct_letters))))
-    clips = _clip_keys(table, u[~one], v[~one], m[~one], cap, key_of, upper, rows)
+    clips = _clip_keys(_clipper(table, u[longer], v[longer], m[longer], cap, key_of), int(longer.sum()), upper, rows)
     letters = _letter_entries(table, u[one], v[one], key_of, upper, rows) if one.any() else None
     keys, counts = [], []
     for clip in clips:
@@ -270,27 +326,13 @@ def _chain_keys(table: SubwordTable, pad_to: int, nu_len_cap: int | None) -> tup
         low = k
         if shift:
             k = k >> shift
-        edge = np.ones(k.shape[0] + 1, dtype=bool)
-        np.not_equal(k[1:], k[:-1], out=edge[1:-1])
-        bounds = np.flatnonzero(edge)
+        bounds = _group_bounds(k)
         count = np.diff(bounds)
         if shift:
             count += low[bounds[1:] - 1] & ((1 << shift) - 1)
-        keys.append(k[bounds[:-1]].astype(key_type, copy=False))
+        keys.append(k[bounds[:-1]].astype(key_of.dtype, copy=False))
         counts.append(count.astype(np.int32))
     return (keys[0], counts[0]) if len(keys) == 1 else (np.concatenate(keys), np.concatenate(counts))
-
-
-def _chain_contributions(table: SubwordTable, nu_len_cap: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All non-empty components across the operand pairs lam <= mu, one (lam, mu, nu) per component.
-
-    nu is restricted to subwords no longer than the cap.
-    """
-    d = len(table)
-    keys, counts = _chain_keys(table, d, nu_len_cap)
-    cell, nu = np.divmod(np.repeat(keys, counts), d)
-    lam, mu = np.divmod(cell, d)
-    return lam, mu, nu
 
 
 def _empty_cell_counts(table: SubwordTable) -> np.ndarray:
@@ -310,11 +352,10 @@ def dense_counts(table: SubwordTable, pad_to: int, channels: int, nu_len_cap: in
 
     Chains producing a subword longer than nu_len_cap are left out. Channel 0
     holds the empty-cell counts and the border rules of the empty operand.
-    The chain counts come from one sort per slab of pair rows: the one-cell
-    runs' chains counted by coverage products, the longer runs' from their
-    clips (see the module docstring). Key order is (lam, mu, nu) order; keys
-    are 32-bit while pad_to^3 < 2^31 (the encoder's pad up to word length
-    50), else 64-bit.
+    The chain counts come from one sorted block of clip keys for a small
+    word, else from one sort per slab of pair rows (see the module
+    docstring). Key order is (lam, mu, nu) order; keys are 32-bit while
+    pad_to^3 < 2^31 (the encoder's pad up to word length 50), else 64-bit.
     The result is sparse; the name stays because the benchmark traces
     ``encoding.dense_counts`` and reports it as ``combinatorics.dense_counts_s``,
     so it changes together with the benchmark.
@@ -323,21 +364,21 @@ def dense_counts(table: SubwordTable, pad_to: int, channels: int, nu_len_cap: in
     if pad_to < d:
         raise ValueError(f"pad_to={pad_to} is smaller than the table size {d}")
     keys, counts = _chain_keys(table, pad_to, nu_len_cap)
-    cell = keys // pad_to  # lam * pad_to + mu, read through the upper mask below
+    cell = keys // pad_to  # lam * pad_to + mu
     nus = np.subtract(keys, cell * pad_to, out=keys)  # the keys' own array: they are spent
     if nus.size and int(nus.max()) >= channels:
         raise ValueError(f"channel axis of {channels} cannot hold nu index {int(nus.max())}")
-    upper = _upper(pad_to)
-    sizes = np.bincount(cell, minlength=upper.size)
+    cells = _upper_cells(pad_to)
+    sizes = np.bincount(cell, minlength=pad_to * pad_to).take(cells)
     plane = np.zeros((pad_to, pad_to), dtype=np.int64)
     plane[1:d, 1:d] = _empty_cell_counts(table)
     plane[0, 1:d] = table.lengths
     plane[0, 0] = 1
     arrays = _one_buffer(
-        _narrowest(sizes[upper.reshape(-1)]),
+        _narrowest(sizes),
         nus.astype(np.min_scalar_type(channels - 1)),
         _narrowest(counts),
-        _narrowest(plane[upper]),
+        _narrowest(plane.take(cells)),
     )
     return SparseCounts(*arrays)
 

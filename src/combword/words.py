@@ -17,7 +17,7 @@ entries only when asked for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -209,36 +209,44 @@ def max_table_size(n: int) -> int:
     return n * (n + 1) // 2 + 1
 
 
+@lru_cache(maxsize=8)
+def _window_grids(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (length, start) grids of a length-n word: lengths 1..n, starts 0..n-1, which windows fit, row offsets L-1 times n."""
+    length = np.arange(1, n + 1, dtype=np.int32)[:, None, None]
+    start = np.arange(n, dtype=np.int32)[None, :]
+    fits = start + length[:, :, 0] <= n
+    row = (np.arange(n, dtype=np.intp) * n)[:, None]
+    for a in (length, start, fits, row):
+        a.flags.writeable = False
+    return length, start, fits, row
+
+
 def subword_windows(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The canonical order of a word's subwords: (agree, starts, lengths, span).
 
     ``agree[i, j]`` is the length of the common prefix of text[i:] and
-    text[j:], the run of equal letters down the diagonal from (i, j), built
-    from the equality matrix in log2(n) doubling steps. The window (i, L)
-    first occurs at the smallest j with agree[i, j] >= L; the windows that
-    are their own first occurrence are the distinct subwords, and counting
-    them in (L, start) order gives each its canonical index. Nothing here
-    looks at which letters match, only where.
+    text[j:], the run of equal letters down the diagonal from (i, j): the
+    equality matrix sits in a buffer with a False row and column after it,
+    so a strided (n + 1, n, n) view of cells (i + k, j + k) meets a False by
+    k = n, and one argmin finds the first. The window (i, L) first occurs at
+    the smallest j with agree[i, j] >= L; the windows that are their own
+    first occurrence are the distinct subwords, and counting them in
+    (L, start) order gives each its canonical index. Nothing here looks at
+    which letters match, only where.
     """
     codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
     n = codes.shape[0]
-    eq = codes[:, None] == codes[None, :]
-    # Doubling: with agree = min(run, s), a cell whose run reaches s extends by
-    # the capped run s cells down the diagonal, which gives min(run, 2s).
-    agree = eq.astype(np.int32)
-    s = 1
-    while s < n:
-        agree[:-s, :-s] += (agree[:-s, :-s] == s) * agree[s:, s:]
-        s *= 2
+    eq = np.zeros((2 * n + 1, n + 1), dtype=bool)  # holds the view's last cell, (2n - 1)(n + 2)
+    np.equal(codes[:, None], codes[None, :], out=eq[:n, :n])
+    diagonals = np.ndarray((n + 1, n, n), dtype=bool, buffer=eq, strides=(n + 2, n + 1, 1))
+    agree = diagonals.argmin(axis=0).astype(np.int32)
     # first, fits, debut and rank below are (length, start) grids: row L-1, column i.
-    length = np.arange(1, n + 1, dtype=np.int32)[:, None]
-    start = np.arange(n, dtype=np.int32)[None, :]
-    first = (agree[None, :, :] >= length[:, :, None]).argmax(axis=2)
-    fits = start + length <= n
+    length, start, fits, row = _window_grids(n)
+    first = (agree >= length).argmax(axis=2)
     debut = fits & (first == start)
-    rank = np.cumsum(debut, dtype=np.int32).reshape(n, n)
+    rank = np.cumsum(debut, dtype=np.int32)
     span = np.zeros((n, n + 1), dtype=np.int32)
-    span[:, 1:] = np.where(fits, np.take_along_axis(rank, first, axis=1), 0).T
+    span[:, 1:] = np.where(fits, rank[first + row], 0).T
     lengths, starts = np.nonzero(debut)
     return agree, starts.astype(np.int32), (lengths + 1).astype(np.int32), span
 

@@ -3,12 +3,16 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combword.combinatorics import CombinatoricsMap, _chain_contributions, _empty_cell_counts, combinatorics_map
+from combword import combinatorics
+from combword.combinatorics import CombinatoricsMap, _chain_keys, _empty_cell_counts, combinatorics_map, dense_counts
+from combword.encoding import EncodingConfig, channel_count
 from combword.words import distinct_subwords
 from oracles import brute_map, grid_components
 
@@ -50,6 +54,18 @@ def match_grid(text: str, lam: str, mu: str) -> tuple[tuple[str, ...], ...]:
     )
 
 
+def chain_contributions(table, nu_len_cap: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All non-empty components across the operand pairs lam <= mu, one (lam, mu, nu) per component.
+
+    nu is restricted to subwords no longer than the cap.
+    """
+    d = len(table)
+    keys, counts = _chain_keys(table, d, nu_len_cap)
+    cell, nu = np.divmod(np.repeat(keys, counts), d)
+    lam, mu = np.divmod(cell, d)
+    return lam, mu, nu
+
+
 def produced_subwords(text: str, lam: str, mu: str) -> list[str]:
     """Subwords read off by the (lam, mu) grid's components, empty cells as ''.
 
@@ -57,7 +73,7 @@ def produced_subwords(text: str, lam: str, mu: str) -> list[str]:
     transpose and reads off the same subwords.
     """
     t = distinct_subwords(text)
-    lams, mus, nus = _chain_contributions(t, None)
+    lams, mus, nus = chain_contributions(t, None)
     li, mi = sorted((t.index_of(lam), t.index_of(mu)))
     chains = [t[int(nu)].content for l, m, nu in zip(lams, mus, nus) if l == li and m == mi]
     empties = int(_empty_cell_counts(t)[li - 1, mi - 1])
@@ -169,6 +185,9 @@ def test_map_matches_flood_fill_oracle(text):
     m = combinatorics_map(text)
     assert m.size == d
     assert m.counts == expected
+    # Each count path alone, so that one dropping or double-counting a one-cell chain fails even where the other agrees.
+    for bound in (ONE_BLOCK, SLABS):
+        assert CombinatoricsMap(m.table, counts_by_path(m.table, d, d, None, bound)).counts == expected, bound
 
 
 def test_map_exhaustive_two_letters_up_to_five():
@@ -312,3 +331,59 @@ def test_map_of_a_48_letter_word_over_8_letters_holds_one_key_per_entry():
         tracemalloc.stop()
     assert (m.size, m.sparse.nus.size, int(m.sparse.counts.sum(dtype=np.int64))) == (1121, 5210310, 22785326)
     assert peak <= 150e6, f"{peak / 1e6:.1f} MB"
+
+
+# Both count paths: the one-block clip (bound above every grid) and the slab path (bound 0).
+ONE_BLOCK, SLABS = 1 << 62, 0
+
+
+def counts_by_path(table, pad_to: int, channels: int, cap: int | None, bound: int):
+    with mock.patch.object(combinatorics, "_ONE_BLOCK_CELLS", bound):
+        return dense_counts(table, pad_to, channels, cap)
+
+
+def layouts(table):
+    """The map layout, the encoder's for_length(n) and nu-cap-3 layouts, and a pad past the table size."""
+    n, d = len(table.word), len(table)
+    cfg = EncodingConfig.for_length(n)
+    capped = dataclasses.replace(cfg, nu_cap_len=3)
+    return [(d, d, None), (cfg.pad_to, channel_count(cfg), cfg.nu_cap_len), (capped.pad_to, channel_count(capped), 3), (d + 7, d + 7, None)]
+
+
+def assert_paths_agree(text: str) -> None:
+    table = distinct_subwords(text)
+    for pad_to, channels, cap in layouts(table):
+        one = counts_by_path(table, pad_to, channels, cap, ONE_BLOCK)
+        slabs = counts_by_path(table, pad_to, channels, cap, SLABS)
+        for name, a, b in zip(("sizes", "nus", "counts", "empty"), one._arrays(), slabs._arrays()):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b), (text, pad_to, cap, name)
+
+
+words_2_to_8_letters = st.integers(2, 8).flatmap(lambda k: st.text(alphabet="abcdefgh"[:k], min_size=1, max_size=12))
+
+
+@given(words_2_to_8_letters)
+@settings(max_examples=60, deadline=None)
+def test_one_block_and_slab_paths_give_the_same_bytes(text):
+    assert_paths_agree(text)
+
+
+@pytest.mark.parametrize("n, letters", [(10, "abcde"), (15, "abcdefghijkl"), (20, "abcdef")])
+def test_one_block_and_slab_paths_agree_on_seeded_words(n, letters):
+    rng = random.Random(n)
+    for _ in range(4):
+        assert_paths_agree("".join(rng.choice(letters) for _ in range(n)))
+
+
+def test_the_path_is_chosen_by_the_grid_size():
+    # "abca" has the main diagonal and two one-cell runs; the slab path clips only the main diagonal.
+    table = distinct_subwords("abca")
+    runs = table.runs()[0].shape[0]
+    cells = runs * (len(table) - 1) ** 2
+    clipped = []
+    real = combinatorics._clipper
+    with mock.patch.object(combinatorics, "_clipper", lambda *a: clipped.append(a[1].shape[0]) or real(*a)):
+        for bound in (cells, cells - 1):
+            with mock.patch.object(combinatorics, "_ONE_BLOCK_CELLS", bound):
+                dense_counts(table, len(table), len(table), None)
+    assert (runs, clipped) == (3, [3, 1])
