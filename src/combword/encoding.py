@@ -7,14 +7,21 @@ length so that words with different table sizes batch together, and channels
 may be capped to subwords of bounded length to keep long-word tensors small.
 
 A tensor depends on the word's repetition pattern alone, so ``BatchEncoder``
-counts each pattern once, keeps the sparse upper half that
-``combinatorics.dense_counts`` returns, and builds every batch by scattering
-it and its mirror into zeros. ``encode_batch`` and ``encode_dense`` are one
-fresh encoder's call, so there is one way to build a tensor.
+counts each pattern once and keeps the sparse upper half that
+``combinatorics.dense_counts`` returns. A call returns an ``EncodedBatch``:
+the batch's shape and dtype and its words' cached counts, never the dense
+batch itself. The first conv reads it a tile of flat rows at a time, and the
+batch scatters each sample's plane (the upper half and its mirror, into
+zeros) only when a tile reaches it, keeping at most two planes. So no
+training step or inference pass holds the whole dense batch.
+``np.asarray`` on a batch scatters every sample into one array the same way,
+and ``encode_batch`` and ``encode_dense`` are that array for one fresh
+encoder's call, so there is one way to build a tensor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,19 +116,21 @@ def encode_dense(word: Word | str, cfg: EncodingConfig, dtype=np.float32) -> np.
 
 
 def encode_batch(words, cfg: EncodingConfig, dtype=np.float32) -> np.ndarray:
-    """Per-word encodings in input order: one fresh ``BatchEncoder``'s call."""
-    return BatchEncoder(cfg, dtype)(words)
+    """Per-word encodings in input order: one fresh ``BatchEncoder``'s call, as one array."""
+    return np.asarray(BatchEncoder(cfg, dtype)(words))
 
 
 class BatchEncoder:
     """Encodes batches of words, computing each repetition pattern's counts once.
 
     A word's tensor depends only on its pattern (``words.pattern_key``), so
-    the encoder keeps one read-only ``SparseCounts`` per pattern it has seen
-    and builds every batch from those: zero-fill, scatter the upper half and
-    its mirror, and map the counts through the normalization table. A pattern
-    seen for the first time is counted and stored, then placed like any
-    other, so a batch's bits never depend on what the encoder saw before.
+    the encoder keeps one read-only ``SparseCounts`` per pattern it has seen.
+    A call looks up (or counts and stores) each word's form and returns them
+    as an ``EncodedBatch``; ``place`` builds a sample's plane from its form:
+    scatter the upper half and its mirror into zeros, mapping the counts
+    through the normalization table. A pattern seen for the first time is
+    placed like any other, so a batch's bits never depend on what the
+    encoder saw before.
     """
 
     def __init__(self, cfg: EncodingConfig, dtype=np.float32):
@@ -156,18 +165,94 @@ class BatchEncoder:
             self._patterns[key] = found
         return found
 
-    def __call__(self, words) -> np.ndarray:
-        forms = [self.counts(w) for w in words]
-        out = np.zeros((len(forms), self.cfg.pad_to, self.cfg.pad_to, self.channels), dtype=self.dtype)
+    def place(self, flat: np.ndarray, form: SparseCounts) -> None:
+        """Scatter a form and its mirror into ``flat``, one sample's zeroed (pad_to * pad_to * channels) plane."""
         upper, lower = self._cells
-        for slot, s in zip(out, forms):
-            flat = slot.reshape(-1)
-            chains, empty = (s.counts, s.empty) if self._lut is None else (self._lut[s.counts], self._lut[s.empty])
-            flat[upper] = empty
-            flat[lower] = empty
-            flat[np.repeat(upper, s.sizes) + s.nus] = chains
-            flat[np.repeat(lower, s.sizes) + s.nus] = chains
+        chains, empty = (form.counts, form.empty) if self._lut is None else (self._lut[form.counts], self._lut[form.empty])
+        flat[upper] = empty
+        flat[lower] = empty
+        flat[np.repeat(upper, form.sizes) + form.nus] = chains
+        flat[np.repeat(lower, form.sizes) + form.nus] = chains
+
+    def __call__(self, words) -> "EncodedBatch":
+        forms = [self.counts(w) for w in words]
+        p = self.cfg.pad_to
+        return EncodedBatch(self.place, forms, (p, p, self.channels), self.dtype)
+
+
+class EncodedBatch:
+    """A batch of encoded words that is read a range of flat rows at a time.
+
+    Holds the batch's ``shape`` and ``dtype`` and each sample's cached count
+    form, and supports only what the first conv asks of its input:
+    ``reshape(-1, channels)`` to the flat (samples * pad_to * pad_to,
+    channels) rows, and ``rows[lo:hi]`` on those, which returns a read-only
+    array. A range inside one sample is a view of that sample's plane; one
+    that spans samples is a copy. A sample's plane is scattered when a range
+    first reaches it, and the batch keeps the last two it scattered, so
+    reading the rows in order scatters each sample once and never holds the
+    whole batch. ``np.asarray(batch)`` builds the whole dense array.
+    """
+
+    def __init__(self, place, forms: list[SparseCounts], plane_shape: tuple[int, int, int], dtype, flat: bool = False):
+        self._place = place
+        self._forms = forms
+        self._plane_shape = plane_shape
+        self._plane_rows = plane_shape[0] * plane_shape[1]
+        self.shape = (len(forms) * self._plane_rows, plane_shape[2]) if flat else (len(forms), *plane_shape)
+        self.dtype = np.dtype(dtype)
+        self._planes: dict[int, np.ndarray] = {}
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def reshape(self, *shape) -> "EncodedBatch":
+        """The flat rows: ``reshape(-1, channels)`` is the only shape offered."""
+        flat = EncodedBatch(self._place, self._forms, self._plane_shape, self.dtype, flat=True)
+        if tuple(shape) not in ((-1, flat.shape[1]), flat.shape):
+            raise ValueError(f"an encoded batch reshapes only to (-1, {flat.shape[1]}), not {shape}")
+        return flat
+
+    def _plane(self, sample: int) -> np.ndarray:
+        """Sample ``sample``'s read-only (pad_to * pad_to, channels) rows, scattered on first use."""
+        plane = self._planes.get(sample)
+        if plane is None:
+            plane = np.zeros(math.prod(self._plane_shape), dtype=self.dtype)
+            self._place(plane, self._forms[sample])
+            plane = plane.reshape(self._plane_rows, -1)
+            plane.flags.writeable = False
+            if len(self._planes) == 2:
+                del self._planes[next(iter(self._planes))]
+            self._planes[sample] = plane
+        return plane
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        if len(self.shape) != 2 or not isinstance(rows, slice):
+            raise TypeError("an encoded batch is read by row slices of its flat reshape(-1, channels) form")
+        lo, hi, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise TypeError("an encoded batch is read by contiguous row slices")
+        per = self._plane_rows
+        hi = max(lo, hi)
+        first, last = lo // per, (hi - 1) // per
+        if lo < hi and first == last:
+            return self._plane(first)[lo - first * per : hi - first * per]
+        out = np.empty((hi - lo, self.shape[1]), dtype=self.dtype)
+        for sample in range(first, last + 1 if lo < hi else first):
+            a, b = max(lo, sample * per), min(hi, (sample + 1) * per)
+            out[a - lo : b - lo] = self._plane(sample)[a - sample * per : b - sample * per]
+        out.flags.writeable = False
         return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("an encoded batch has no array to share; np.asarray builds one")
+        out = np.zeros((len(self._forms), math.prod(self._plane_shape)), dtype=self.dtype)
+        for flat, form in zip(out, self._forms):
+            self._place(flat, form)
+        out = out.reshape(self.shape)
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 def encode_onehot(word: Word | str, alphabet: Alphabet) -> np.ndarray:

@@ -16,15 +16,22 @@ output row the same way whatever the size of its batch and wherever the
 sample sits in it, which lets training run each distinct input once. Pooling
 floors odd extents.
 
+A conv reads its input only through ``reshape(-1, cin)``, ``shape``,
+``dtype`` and row slices of the flat form. So its input may also be an
+``encoding.EncodedBatch``, which scatters each sample's plane when a slice
+first reaches it and hands out read-only rows. The GEMMs then read the same
+tiles in the same order as from the dense batch, and the bits do not
+change; the network's first conv gets its batch this way.
+
 Every ``forward`` takes ``train``. With it (the default), a layer keeps what
-its backward reads: a conv a view of its input and its flat output, a dense
-layer its input, ReLU and sigmoid their output, a pool a view of its input
-and the index of each window's first maximum. It keeps them until
-``forget()``, which ``Network.backward`` calls on every layer once the first
-layer's backward has run, so a training step holds its batch and
-activations only until its backward ends. Without ``train``, the pass is
-inference only: the layer drops what an earlier pass kept and keeps
-nothing, and the pool builds no index.
+its backward reads: a conv a view of its input (for the first conv, the
+encoded batch itself) and its flat output, a dense layer its input, ReLU
+and sigmoid their output, a pool a view of its input and the index of each
+window's first maximum. It keeps them until ``forget()``, which
+``Network.backward`` calls on every layer once the first layer's backward
+has run, so a training step holds its activations only until its backward
+ends. Without ``train``, the pass is inference only: the layer drops what
+an earlier pass kept and keeps nothing, and the pool builds no index.
 
 Every conv and pool forward allocates its output. Five rules then work in
 place:
@@ -61,7 +68,7 @@ array.
 
 Without ``gated`` or ``spent``, no other layer writes into the ``x`` or
 ``dout`` it is given, so a caller whose arrays must stay intact hands ReLU
-read-only views: the network does so with the caller's batch and loss
+read-only views: the network does so with a caller's array batch and loss
 gradient, and the gradient checks with the inputs and projections that they
 perturb and reuse across calls.
 
@@ -137,7 +144,7 @@ def _shifted_gemms(
     """
     rows = src.shape[0]
     if out is None:
-        out = np.empty((rows, mats.shape[2]), dtype=np.result_type(src, mats))
+        out = np.empty((rows, mats.shape[2]), dtype=np.result_type(src.dtype, mats.dtype))
     part = np.empty((min(rows, TILE_ROWS), mats.shape[2]), dtype=out.dtype)
     acc = np.empty_like(part) if gated else None
     for r0 in range(0, rows, TILE_ROWS):

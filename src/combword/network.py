@@ -5,16 +5,18 @@ description drives construction, shape validation, and checkpointing. The
 classifier head is always a single sigmoid unit; training minimizes mean
 binary cross-entropy with probabilities clamped away from 0 and 1.
 
-``Network.forward(x, train)`` passes ``train`` to every layer. A training
-pass leaves each layer holding what backward reads (see ``layers``), the
-first conv a view of the batch among it. ``Network.backward`` runs every
-layer's backward once, last to first, fusing the gate of each ReLU that
-feeds a conv or a pool into that layer's input gradient, and then makes
-every layer forget what the forward kept. So a training step holds one
-batch and one set of activations, and they are freed when its backward
-returns rather than when the next step's forward ends. An inference pass
-leaves nothing behind, so an evaluation batch never holds memory beyond its
-own pass.
+``Network.forward(x, train)`` takes an array or, as the tensor model gets
+from ``encoding.BatchEncoder``, an ``EncodedBatch``, which the first conv
+reads tile by tile without the dense batch ever being built. It passes
+``train`` to every layer. A training pass leaves each layer holding what
+backward reads (see ``layers``), the first conv its input among it.
+``Network.backward`` runs every layer's backward once, last to first,
+fusing the gate of each ReLU that feeds a conv or a pool into that layer's
+input gradient, and then makes every layer forget what the forward kept. So
+a training step holds one set of activations, and it is freed when its
+backward returns rather than when the next step's forward ends. An
+inference pass leaves nothing behind, so an evaluation batch never holds
+memory beyond its own pass.
 
 Every pass allocates its conv and pool outputs; ReLU rectifies and gates in
 place. Backward allocates no plane: each input gradient goes into the spent
@@ -22,9 +24,11 @@ forward array it replaces (see ``layers``). A conv pads its output gradient
 in its own output; a conv or pool after a ReLU writes its gated input
 gradient into that ReLU's output, which for a pool is the previous conv's
 output plane; a conv after a pool writes into the pool's output. So the
-step's peak is its forward end: the batch and the planes of the first two
-convs. The layers get read-only views of the caller's batch and loss
-gradient, so those in-place rules only ever touch arrays the pass made.
+step's peak is its forward end: the planes of the first two convs, and of
+the batch only the two samples' planes the first conv last read. The layers
+get read-only views of a caller's array batch and of the loss gradient, and
+an encoded batch hands out read-only rows, so those in-place rules only
+ever touch arrays the pass made.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodingConfig, channel_count
+from .encoding import EncodedBatch, EncodingConfig, channel_count
 from .layers import SIGMOID_CLAMP, Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sigmoid
 
 
@@ -196,16 +200,19 @@ class Network:
             elif isinstance(layer, Conv2d) and isinstance(before, MaxPool2d):
                 self._spent.add(i)
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray | EncodedBatch, train: bool = True) -> np.ndarray:
         """Per-sample probabilities, shape (batch,); without ``train`` no layer keeps anything.
 
-        The layers get a read-only view of ``x``, which an inference pass's
-        ReLUs therefore never rectify in place.
+        ``x`` is an array or, for a model whose first layer is a conv, an
+        ``encoding.EncodedBatch``, which that conv reads tile by tile. The
+        layers get a read-only view of an array ``x``, which an inference
+        pass's ReLUs therefore never rectify in place.
         """
         if tuple(x.shape[1:]) != self.input_shape:
             raise ValueError(f"input shape {x.shape[1:]} does not match model input {self.input_shape}")
-        x = x.view()
-        x.flags.writeable = False
+        if isinstance(x, np.ndarray):
+            x = x.view()
+            x.flags.writeable = False
         for layer in self.layers:
             x = layer.forward(x, train)
         return x[:, 0]

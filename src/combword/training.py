@@ -2,11 +2,11 @@
 
 Each epoch draws a fresh seeded shuffle of the training split and consumes a
 fixed number of fixed-size batches, cycling the shuffle if the split is
-smaller than one epoch's worth. Dense inputs are built per batch, never for
-a whole dataset. The tensor model's encoder (``encoding.BatchEncoder``)
-keeps the sparse upper-half counts of every repetition pattern it has seen,
-so a word that comes back in a later epoch, in validation or as an
-alphabet-permuted twin is not counted again. That cache grows with the
+smaller than one epoch's worth. The tensor model's encoder
+(``encoding.BatchEncoder``) is called once per step and once per inference
+batch. It keeps the sparse upper-half counts of every repetition pattern it
+has seen, so a word that comes back in a later epoch, in validation or as
+an alphabet-permuted twin is not counted again. That cache grows with the
 distinct patterns of a run: about 7 KB each at n=10, 38 KB at n=15 and
 150 KB at n=20 with channels capped at length 3. It never changes a bit of
 a batch.
@@ -24,23 +24,26 @@ holds about 20 patterns on n=10 palindromes and 27-28 on n=15 passwords.
 Everything is sequential, so identical seeds reproduce identical epoch
 records byte for byte.
 
-A training step's forward keeps every layer's activations, and a view of
-the encoded batch, for its backward; ``Network.backward`` drops them all
-when it is done. So the batch is freed when ``batch_gradients`` returns,
-before the next step encodes its own, and a step never holds two batches.
-``predict_probs`` (and so ``evaluate`` and each epoch's validation) runs
-inference passes, which keep nothing.
+The encoder returns an ``encoding.EncodedBatch``, not a dense array: the
+first conv scatters each sample's plane from the cache as its tiles reach
+it, once in forward and once more for its weight gradient, and holds at
+most two planes at a time. So no step and no inference pass builds the
+whole dense batch. A training step's forward keeps every layer's
+activations, and the encoded batch, for its backward; ``Network.backward``
+drops them all when it is done, so nothing of a step outlives
+``batch_gradients``. ``predict_probs`` (and so ``evaluate`` and each
+epoch's validation) runs inference passes, which keep nothing.
 
 Each pass allocates its conv and pool outputs. ReLU rectifies them in place,
 and backward writes every input gradient into the spent forward array it
 replaces (``layers``): the 3x3 convs and the pools gate theirs into their
 ReLU's output, and the conv after a pool writes into the pool's output. So a
-step allocates its batch, its forward outputs with the pools' first-max
-indices, and in backward only arrays far smaller than a plane (masks of one
-byte per pool output cell, scratch tiles, the dense layers' gradients); its
-peak is the end of its forward. When a step, ``train`` or
-``predict_probs`` returns, or ``train`` stops on a diverged loss, the model
-holds no batch-sized array.
+step allocates its forward outputs with the pools' first-max indices, two
+samples' planes at a time of its batch, and in backward only arrays far
+smaller than a plane (masks of one byte per pool output cell, scratch
+tiles, the dense layers' gradients); its peak is the end of its forward.
+When a step, ``train`` or ``predict_probs`` returns, or ``train`` stops on a
+diverged loss, the model holds no batch-sized array.
 
 ``train`` keeps each epoch's validation probabilities in its record, so
 ``cli train`` splits the final model's validation accuracy by pattern

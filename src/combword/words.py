@@ -72,9 +72,9 @@ class Word:
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("empty word")
-        for i, ch in enumerate(self.text):
-            if ch not in self.alphabet:
-                raise ValueError(f"symbol {ch!r} at position {i} is not in the alphabet")
+        if not self.alphabet._members.issuperset(self.text):
+            i, ch = next((i, ch) for i, ch in enumerate(self.text) if ch not in self.alphabet)
+            raise ValueError(f"symbol {ch!r} at position {i} is not in the alphabet")
 
     def __len__(self) -> int:
         return len(self.text)

@@ -19,6 +19,7 @@ from combword.encoding import (
     encode_dense,
     encode_onehot,
 )
+from combword.layers import TILE_ROWS
 from combword import words
 from combword.words import Alphabet, Bijection, apply_bijection, distinct_subwords, word_over_own_letters
 from oracles import brute_map, enum_subwords
@@ -139,10 +140,62 @@ def test_encode_batch_equals_stacked_encode_dense(dtype, normalization, nu_cap_l
     # then only cached ones, then a short last batch.
     encoder = BatchEncoder(cfg, dtype)
     for call in (words[:3] + ["bbbbbbb", "xyzxyzx", "abcdefg"], words[2:], ["zzzzzzz"]):
-        got = encoder(iter(call))
+        got = np.asarray(encoder(iter(call)))
         assert got.dtype == dtype
         assert got.tobytes() == np.stack([encode_dense(w, cfg, dtype) for w in call]).tobytes()
     assert len(encoder) == len(words)
+
+
+def encoded_rows_cases():
+    """Seeded batches for the row-slice tests: float32 and float64 at n=5 to 10, and one n=15 batch."""
+    for n, dtype in ((5, np.float32), (6, np.float64), (8, np.float32), (10, np.float64), (10, np.float32)):
+        yield n, dtype, gen_palindrome_dataset(n, (6, 1, 1), seed=40 + n)[0].words()
+    yield 15, np.float32, gen_password_dataset((2, 1, 1), 41, n=15)[0].words()
+
+
+@pytest.mark.parametrize("n, dtype, batch_words", list(encoded_rows_cases()), ids=lambda v: getattr(v, "__name__", None))
+def test_encoded_batch_rows_equal_the_dense_batch(n, dtype, batch_words):
+    cfg = EncodingConfig.for_length(n)
+    batch = BatchEncoder(cfg, dtype)(batch_words)
+    dense = np.asarray(batch)
+    assert batch.shape == dense.shape and batch.dtype == dense.dtype == dtype and batch.size == dense.size
+    flat, rows = batch.reshape(-1, dense.shape[-1]), dense.reshape(-1, dense.shape[-1])
+    total, per = rows.shape[0], cfg.pad_to * cfg.pad_to
+    assert flat.shape == rows.shape
+    tiles = [(r0, min(r0 + TILE_ROWS, total)) for r0 in range(0, total, TILE_ROWS)]  # the last one short
+    straddling = [(s * per - 7, s * per + 5) for s in range(1, len(batch_words))] + [(per - 1, 2 * per + 3), (0, total)]
+    out_of_order = [(total - 3, total), (0, 4), (per + 2, per + 9), (3, 11), (total - 3, total), (0, 4)]
+    for lo, hi in tiles + straddling + out_of_order + tiles[::-1]:
+        got = flat[lo:hi]
+        assert isinstance(got, np.ndarray) and got.dtype == dtype and not got.flags.writeable
+        assert got.tobytes() == rows[lo:hi].tobytes(), (lo, hi)
+        with pytest.raises(ValueError):
+            got[...] = 1
+
+
+def test_encoded_batch_rows_stay_put_after_later_reads():
+    cfg = EncodingConfig.for_length(6)
+    words = gen_palindrome_dataset(6, (4, 1, 1), seed=3)[0].words()
+    batch = BatchEncoder(cfg)(words)
+    flat, rows = batch.reshape(-1, batch.shape[-1]), np.asarray(batch).reshape(-1, batch.shape[-1])
+    per = cfg.pad_to * cfg.pad_to
+    held = [(lo, flat[lo : lo + 10]) for lo in range(0, rows.shape[0] - 10, per)]
+    for lo, got in held:
+        assert got.tobytes() == rows[lo : lo + 10].tobytes()
+
+
+def test_encoded_batch_offers_only_flat_row_slices():
+    batch = BatchEncoder(EncodingConfig.for_length(5))(["abcab", "aaaaa"])
+    with pytest.raises(ValueError, match="reshapes only"):
+        batch.reshape(2, -1)
+    with pytest.raises(TypeError):
+        batch[0:1]
+    flat = batch.reshape(-1, batch.shape[-1])
+    with pytest.raises(TypeError):
+        flat[::2]
+    with pytest.raises(TypeError):
+        flat[3]
+    assert flat[4:4].shape == (0, batch.shape[-1])
 
 
 def test_cached_counts_are_read_only():
@@ -187,9 +240,9 @@ def test_permuted_split_adds_no_cache_entry():
     encoder = BatchEncoder(cfg)
     clean_batches = [val.words()[i : i + 16] for i in range(0, 48, 16)]
     permuted_batches = [permuted.words()[i : i + 16] for i in range(0, 48, 16)]
-    clean = [encoder(b).tobytes() for b in clean_batches]
+    clean = [np.asarray(encoder(b)).tobytes() for b in clean_batches]
     seen = len(encoder)
-    assert [encoder(b).tobytes() for b in permuted_batches] == clean
+    assert [np.asarray(encoder(b)).tobytes() for b in permuted_batches] == clean
     assert len(encoder) == seen
     assert [encode_batch(b, cfg).tobytes() for b in permuted_batches] == clean
 

@@ -1,11 +1,13 @@
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from combword.datasets import PALINDROME_ALPHABET, LabeledDataset, gen_palindrome_dataset, permute_dataset
-from combword.encoding import BatchEncoder, EncodingConfig
-from combword.network import binary_cross_entropy, build_char_cnn, build_combinatorial_cnn
+from combword.encoding import BatchEncoder, EncodedBatch, EncodingConfig
+from combword.network import binary_cross_entropy, build_char_cnn, build_combinatorial_cnn, sample_shapes
 from combword.training import (
     EpochRecord,
     TrainConfig,
@@ -141,15 +143,15 @@ def batch_state(model) -> dict[int, list[str]]:
 
 
 class KeepingEncoder:
-    """Wraps an encoder and keeps every batch it hands out, with a copy of it."""
+    """Wraps an encoder and keeps every batch it hands out, with a dense copy of it."""
 
     def __init__(self, encode):
         self.encode = encode
-        self.batches: list[tuple[np.ndarray, np.ndarray]] = []
+        self.batches: list[tuple[np.ndarray | EncodedBatch, np.ndarray]] = []
 
     def __call__(self, words):
         x = self.encode(words)
-        self.batches.append((x, x.copy()))
+        self.batches.append((x, np.array(x)))
         return x
 
 
@@ -181,7 +183,7 @@ def test_inference_leaves_the_encoded_batches_intact(tiny_task, kind):
     predict_probs(model, tr, keeping, batch_size=32)
     assert len(keeping.batches) == 3
     for x, before in keeping.batches:
-        assert x.tobytes() == before.tobytes()
+        assert np.asarray(x).tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["tensor", "char"])
@@ -334,7 +336,48 @@ def test_train_leaves_the_encoded_batches_intact(tiny_task, kind):
     train(model, tr, va, TrainConfig(epochs=1, batch_size=8, steps_per_epoch=3, seed=2), keeping)
     assert len(keeping.batches) == 3 + -(-len(va) // 8)  # the steps, then validation's batches
     for x, before in keeping.batches:
-        assert x.tobytes() == before.tobytes()
+        assert np.asarray(x).tobytes() == before.tobytes()
+
+
+def test_train_and_inference_never_build_the_dense_batch(tiny_task, monkeypatch):
+    tr, va, cfg_enc = tiny_task
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the dense batch was built")
+
+    monkeypatch.setattr(EncodedBatch, "__array__", refuse)
+    enc = BatchEncoder(cfg_enc)
+    with pytest.raises(AssertionError, match="dense batch"):
+        np.asarray(enc(va.words()[:2]))
+    model, records = train(fresh_model(cfg_enc), tr, va, TrainConfig(epochs=2, batch_size=8, steps_per_epoch=3, seed=2), enc)
+    assert predict_probs(model, va, enc).tobytes() == records[-1].val_probs.tobytes()
+    assert evaluate(model, va, enc) == records[-1].val_acc
+
+
+def test_a_step_peaks_below_its_forward_arrays_and_half_a_dense_batch():
+    """Traced step memory at n=10: the forward's planes and indices, plus room for far less than the dense batch."""
+    tr = gen_palindrome_dataset(10, (16, 1, 1), seed=12)[0]
+    words, labels = tr.words(), np.asarray(tr.labels(), dtype=np.float64)
+    assert len(words) == 32
+    cfg_enc = EncodingConfig.for_length(10)
+    model = fresh_model(cfg_enc)
+    item = model.dtype.itemsize
+    shapes = sample_shapes(model.specs, model.input_shape)
+    forward = 0  # bytes per sample of the arrays a training forward allocates
+    for spec, shape, out in zip(model.specs, shapes, shapes[1:]):
+        if spec.kind == "conv2d":
+            forward += math.prod(shape[:2]) * spec.filters * item  # the flat output covers the uncropped plane
+        elif spec.kind == "maxpool2d":
+            forward += math.prod(out) * (item + 1)  # the output and each window's first-max index
+    dense = math.prod(model.input_shape) * item
+    rows = len({pattern_key(w.text) for w in words})
+    tracemalloc.start()
+    try:
+        batch_gradients(model, words, labels, BatchEncoder(cfg_enc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * (forward + dense // 2), (peak, rows * forward, rows * dense)
 
 
 def test_val_accuracy_split_by_pattern_adds_up_to_the_last_record(tiny_task):

@@ -175,3 +175,5 @@ def test_is_palindrome():
 def test_word_validates_letters():
     with pytest.raises(ValueError, match="position 1"):
         Word("axa", Alphabet.of("a"))
+    with pytest.raises(ValueError, match=r"'y' at position 2"):  # the first of several bad letters
+        Word("aaybyx", Alphabet.of("ab"))
