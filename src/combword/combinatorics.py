@@ -46,10 +46,20 @@ of the word's ``SubwordTable``, all read off one agreement matrix in
 The map is symmetric, M[lam, mu, nu] = M[mu, lam, nu], so only the upper
 half lam <= mu is built and kept, in a sparse form (``SparseCounts``): the
 nonzero chain counts sorted by (lam, mu, nu), and channel 0 (nu = empty) as
-a small dense triangle. ``combinatorics_map`` holds that form over the
-unpadded, uncapped (D, D, D) layout; the tensor encoder keeps one per
-repetition pattern over its padded, capped layout and mirrors it into each
-batch.
+a small dense triangle. The tensor encoder keeps one per repetition pattern
+over its padded, capped layout and mirrors it into each batch.
+
+``combinatorics_map`` builds only the word's subword table; the map builds
+the rest over the unpadded, uncapped (D, D, D) layout when first asked for
+it. ``empty_cells`` is channel 0 of the non-empty pairs, one small product;
+``sparse`` is the whole upper half, whose chain counts are nearly all of a
+map's cost, and it takes channel 0 from ``empty_cells``. ``same_counts``
+compares two maps cheapest part first and builds the next part only while
+they agree: the table size D and the subword lengths (row 0 of channel 0,
+free in the table), then ``empty_cells`` (the rest of channel 0), then the
+sparse forms. So two words that differ in D, a subword length or an
+empty-cell count never count their chains, and two that agree on all of
+channel 0 are compared on their full maps.
 """
 
 from __future__ import annotations
@@ -110,15 +120,30 @@ def _one_buffer(*arrays: np.ndarray) -> list[np.ndarray]:
     return views
 
 
-@dataclass(frozen=True, eq=False)
 class CombinatoricsMap:
     """Raw counts over canonical index triples (lam, mu, nu), upper half kept sparse.
 
     Together with its table this is the word's full combinatorial fingerprint.
+    The parts past the table are built when first asked for: ``empty_cells``,
+    channel 0 of the non-empty pairs, and ``sparse``, the whole upper half,
+    which reuses ``empty_cells``. A map made with its ``sparse`` given holds
+    it as is.
     """
 
-    table: SubwordTable
-    sparse: SparseCounts
+    def __init__(self, table: SubwordTable, sparse: SparseCounts | None = None):
+        self.table = table
+        if sparse is not None:
+            self.sparse = sparse
+
+    @cached_property
+    def empty_cells(self) -> np.ndarray:
+        """Channel 0 of the pairs of non-empty subwords, as a symmetric (D-1, D-1) grid."""
+        return _empty_cell_counts(self.table)
+
+    @cached_property
+    def sparse(self) -> SparseCounts:
+        d = self.size
+        return dense_counts(self.table, d, d, None, self.empty_cells)
 
     @property
     def size(self) -> int:
@@ -146,7 +171,19 @@ class CombinatoricsMap:
         return self.counts.get((lam_idx, mu_idx, nu_idx), 0)
 
     def same_counts(self, other: "CombinatoricsMap") -> bool:
-        return self.sparse.same(other.sparse)
+        """Whether both maps hold the same counts, comparing their cheapest parts first.
+
+        The table size D and the subword lengths are row 0 of channel 0, and
+        ``empty_cells`` is the rest of it, so each stage that differs settles
+        the answer ``sparse.same`` would give; the chain counts are built only
+        for two words that agree on all of channel 0.
+        """
+        return (
+            self.size == other.size
+            and np.array_equal(self.table.lengths, other.table.lengths)
+            and np.array_equal(self.empty_cells, other.empty_cells)
+            and self.sparse.same(other.sparse)
+        )
 
     def sparse_lines(self) -> list[str]:
         """One `lam mu nu count` line per nonzero triple, ascending by triple."""
@@ -336,22 +373,26 @@ def _chain_keys(table: SubwordTable, pad_to: int, nu_len_cap: int | None) -> tup
 
 
 def _empty_cell_counts(table: SubwordTable) -> np.ndarray:
-    """M at nu = empty for every non-empty operand pair, as a (D-1, D-1) grid.
+    """M at nu = empty for every non-empty operand pair, as a symmetric (D-1, D-1) float32 grid.
 
     A pair's empty cells are its s_lam * s_mu cells less its matching ones,
-    and the matching cells of every pair are one product cov^T (eq cov).
+    and the matching cells of every pair are one product cov^T (eq cov); the
+    float32 values are exact while n^2 < 2^24.
     """
     cov = table.coverage
-    ones = cov.T @ ((table.agree > 0).astype(np.float32) @ cov)
-    s = table.lengths.astype(np.int64)
-    return s[:, None] * s[None, :] - ones.astype(np.int64)
+    matches = cov.T @ ((table.agree > 0).astype(np.float32) @ cov)
+    s = table.lengths.astype(np.float32)
+    return np.subtract(np.multiply.outer(s, s), matches, out=matches)
 
 
-def dense_counts(table: SubwordTable, pad_to: int, channels: int, nu_len_cap: int | None) -> SparseCounts:
+def dense_counts(
+    table: SubwordTable, pad_to: int, channels: int, nu_len_cap: int | None, empty_cells: np.ndarray | None = None
+) -> SparseCounts:
     """The upper half of a word's counts in a zero-padded (pad_to, pad_to, channels) layout.
 
     Chains producing a subword longer than nu_len_cap are left out. Channel 0
-    holds the empty-cell counts and the border rules of the empty operand.
+    holds the empty-cell counts (``empty_cells``, computed here unless the
+    caller already has them) and the border rules of the empty operand.
     The chain counts come from one sorted block of clip keys for a small
     word, else from one sort per slab of pair rows (see the module
     docstring). Key order is (lam, mu, nu) order; keys are 32-bit while
@@ -370,8 +411,8 @@ def dense_counts(table: SubwordTable, pad_to: int, channels: int, nu_len_cap: in
         raise ValueError(f"channel axis of {channels} cannot hold nu index {int(nus.max())}")
     cells = _upper_cells(pad_to)
     sizes = np.bincount(cell, minlength=pad_to * pad_to).take(cells)
-    plane = np.zeros((pad_to, pad_to), dtype=np.int64)
-    plane[1:d, 1:d] = _empty_cell_counts(table)
+    plane = np.zeros((pad_to, pad_to), dtype=np.int32)
+    plane[1:d, 1:d] = _empty_cell_counts(table) if empty_cells is None else empty_cells
     plane[0, 1:d] = table.lengths
     plane[0, 0] = 1
     arrays = _one_buffer(
@@ -391,5 +432,4 @@ def _narrowest(values: np.ndarray) -> np.ndarray:
 def combinatorics_map(word: Word | str) -> CombinatoricsMap:
     """The full map over all D^2 operand pairs, stored as its upper half."""
     table = distinct_subwords(word)
-    d = len(table)
-    return CombinatoricsMap(table, dense_counts(table, d, d, None))
+    return CombinatoricsMap(table)

@@ -266,6 +266,9 @@ def encode_onehot(word: Word | str, alphabet: Alphabet) -> np.ndarray:
 
 
 def onehot_batch(words, alphabet: Alphabet) -> np.ndarray:
+    """The words' one-hot inputs stacked; no words give an empty (0, 0, 1, |alphabet|) batch."""
+    if not words:
+        return np.zeros((0, 0, 1, len(alphabet)), dtype=np.float32)
     return np.stack([encode_onehot(w, alphabet) for w in words])
 
 

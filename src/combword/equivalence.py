@@ -4,6 +4,13 @@ Two words are pattern-equal when one is the letterwise image of the other
 under an injective letter map. The sparse count map is a complete invariant
 for this relation, so the two checks must always agree; ``check_theorem``
 runs both and reports any disagreement instead of hiding it.
+
+``equivalent_by_tensor`` builds both words' maps with ``combinatorics_map``,
+which builds their subword tables, and compares them with
+``CombinatoricsMap.same_counts``, which builds the rest of each map only as
+far as the two still agree: a pair whose table sizes, subword lengths or
+empty-cell counts differ is settled without counting a chain, and a pair
+that agrees on all of those counts both maps in full.
 """
 
 from __future__ import annotations

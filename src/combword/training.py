@@ -14,7 +14,9 @@ a batch.
 A batch runs through the network once per distinct input: the encoder gets
 one representative word per key of ``input_key`` (the repetition pattern
 for the tensor model, the letters for the char baseline), and the
-probabilities are gathered back to every word of the batch. A row's bits do
+probabilities are gathered back to every word of the batch. ``predict_probs``
+goes further and runs each key once per call: a batch encodes and runs only
+the keys no earlier batch of the split ran, which can be none. A row's bits do
 not depend on the batch it runs in (see ``layers``), so each word gets the
 probability a full forward pass would give it. The loss and accuracy stay
 means over all the batch's words; backward gets each representative's
@@ -165,23 +167,22 @@ def input_key(model: Network):
     return as_text
 
 
-def _forward_distinct(model: Network, words: list, encoder, train: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities of one forward row per distinct input, and each word's row.
+def _rows_of(words: list, key, slots: dict) -> tuple[list, np.ndarray]:
+    """Each word's row under ``slots`` (``input_key`` -> row number), adding a row for each key not in it yet.
 
-    The rows are the first word of each ``input_key``, in batch order; with
-    ``train`` the layers keep what backward reads (``Network.forward``).
+    Returns the words that start new rows, the first word of each new key in
+    order, and every word's row number.
     """
-    key = input_key(model)
-    slots: dict = {}
     reps = []
     inv = np.empty(len(words), dtype=np.intp)
     for i, w in enumerate(words):
         k = key(w)
-        if k not in slots:
-            slots[k] = len(reps)
+        slot = slots.get(k)
+        if slot is None:
+            slot = slots[k] = len(slots)
             reps.append(w)
-        inv[i] = slots[k]
-    return model.forward(encoder(reps), train), inv
+        inv[i] = slot
+    return reps, inv
 
 
 def batch_gradients(model: Network, words: list, labels: np.ndarray, encoder) -> tuple[np.ndarray, float]:
@@ -190,8 +191,8 @@ def batch_gradients(model: Network, words: list, labels: np.ndarray, encoder) ->
     Forward and backward run once per distinct input row, and a row's loss
     gradient is the sum over the words that share it.
     """
-    rows, inv = _forward_distinct(model, words, encoder, train=True)
-    probs = rows[inv]
+    reps, inv = _rows_of(words, input_key(model), {})
+    probs = model.forward(encoder(reps), train=True)[inv]
     loss, dprobs = binary_cross_entropy(probs, labels)
     model.backward(np.bincount(inv, weights=dprobs).astype(probs.dtype))
     return probs, loss
@@ -203,13 +204,25 @@ def evaluate(model: Network, ds: LabeledDataset, encoder, batch_size: int = 32) 
 
 
 def predict_probs(model: Network, ds: LabeledDataset, encoder, batch_size: int = 32) -> np.ndarray:
-    """Per-word probabilities, batch by batch, one forward row per distinct input."""
+    """Per-word probabilities, with one forward row per distinct input of the whole split.
+
+    The split is walked in batches of ``batch_size`` words. Each batch calls
+    the encoder once, on the words whose input no earlier batch of this call
+    ran, and runs them forward; a batch with none calls the encoder on no
+    words and runs nothing, so a wrapped encoder still sees one call per
+    batch. A row does not depend on its batch, so the bits are those of any
+    other batching.
+    """
     words = ds.words()
-    out = []
+    key, slots = input_key(model), {}
+    rows, inv = [], []
     for i in range(0, len(words), batch_size):
-        rows, inv = _forward_distinct(model, words[i : i + batch_size], encoder, train=False)
-        out.append(rows[inv])
-    return np.concatenate(out)
+        reps, batch_inv = _rows_of(words[i : i + batch_size], key, slots)
+        x = encoder(reps)
+        if reps:
+            rows.append(model.forward(x, train=False))
+        inv.append(batch_inv)
+    return np.concatenate(rows)[np.concatenate(inv)]
 
 
 def _hits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from combword.checkpoint import load_checkpoint, save_checkpoint
 from combword.cli import main
 from combword.combinatorics import combinatorics_map
-from combword.encoding import EncodingConfig, channel_count
+from combword.encoding import EncodingConfig, channel_count, dense_text_lines
 from combword.datasets import DatasetFormatError, read_dataset
 from combword.network import Network, build_char_cnn
 from combword.training import accuracy_by_pattern, encoder_for, predict_probs
 
 from damage import damaged
+from oracles import brute_map
 
 
 def run(capsys, *argv):
@@ -91,6 +92,25 @@ def test_equiv_unrelated_pair(capsys):
     code, out, _ = run(capsys, "equiv", "--a", "aab", "--b", "abb", "--oracle")
     assert code == 0
     assert out.strip() == "equal=false bijection=none agree=true"
+
+
+def test_equiv_pair_of_different_table_sizes(capsys):
+    code, out, _ = run(capsys, "equiv", "--a", "ab", "--b", "aa")
+    assert code == 0
+    assert out.strip() == "equal=false bijection=none agree=true"
+
+
+@pytest.mark.parametrize("word", ["ab", "aa", "aab", "abb", "aba", "cdc"])
+def test_tensor_output_matches_the_flood_fill_oracle(capsys, word):
+    _, expected = brute_map(word)
+    _, out, _ = run(capsys, "tensor", "--word", word)
+    assert out.splitlines() == [f"{l} {m} {v} {c}" for (l, m, v), c in sorted(expected.items())]
+    _, out, _ = run(capsys, "tensor", "--word", word, "--format", "dense", "--norm", "none")
+    cfg = EncodingConfig.for_length(len(word), normalization="none")
+    dense = np.zeros((cfg.pad_to, cfg.pad_to, channel_count(cfg)))
+    for triple, c in expected.items():
+        dense[triple] = c
+    assert out.splitlines() == dense_text_lines(dense)
 
 
 def test_gradcheck_passes(capsys):

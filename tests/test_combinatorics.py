@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combword import combinatorics
+from combword import combinatorics, datasets
 from combword.combinatorics import CombinatoricsMap, _chain_keys, _empty_cell_counts, combinatorics_map, dense_counts
 from combword.encoding import EncodingConfig, channel_count
 from combword.words import distinct_subwords
@@ -220,8 +220,9 @@ word_pairs = st.one_of(
 @settings(max_examples=150, deadline=None)
 def test_same_counts_iff_grids_equal(pair):
     ma, mb = (combinatorics_map(w) for w in pair)
+    staged = ma.same_counts(mb)  # before either map's sparse form is built
     ga, gb = dense_grid(ma), dense_grid(mb)
-    assert ma.same_counts(mb) == (ga.shape == gb.shape and np.array_equal(ga, gb))
+    assert staged == ma.sparse.same(mb.sparse) == (ga.shape == gb.shape and np.array_equal(ga, gb))
 
 
 def test_same_counts_compares_every_array():
@@ -232,6 +233,53 @@ def test_same_counts_compares_every_array():
         other = CombinatoricsMap(m.table, dataclasses.replace(m.sparse, **{name: changed}))
         assert not m.same_counts(other), name
     assert m.same_counts(combinatorics_map("cabca"))
+
+
+def test_staged_comparison_equals_the_full_one_on_every_pair_up_to_five_letters():
+    texts = ["".join(t) for n in range(1, 6) for t in itertools.product("abc", repeat=n)]
+    pairs = list(itertools.combinations(zip(texts, map(combinatorics_map, texts)), 2))
+    assert len(pairs) == 65703
+    for (a, ma), (b, mb) in pairs:
+        assert ma.same_counts(mb) == ma.sparse.same(mb.sparse), (a, b)
+
+
+def seeded_theorem_pairs(n: int) -> list[tuple[str, str]]:
+    """Like the benchmark's theorem pairs: each test word with its permuted image and with the next test word."""
+    if n == 10:
+        _, _, test = datasets.gen_palindrome_dataset(10, (2, 2, 12), seed=41)
+    else:
+        _, _, test = datasets.gen_password_dataset((2, 2, 8), seed=42, n=n)
+    clean = [w.text for w in test.words()]
+    permuted = [w.text for w in datasets.permute_dataset(test, 43).words()]
+    return list(zip(clean, permuted)) + list(zip(clean, clean[1:] + clean[:1]))
+
+
+@pytest.mark.parametrize("n", [10, 15])
+def test_staged_comparison_equals_the_full_one_on_seeded_pairs(n):
+    for a, b in seeded_theorem_pairs(n):
+        ma, mb = combinatorics_map(a), combinatorics_map(b)
+        assert ma.same_counts(mb) == ma.sparse.same(mb.sparse), (a, b)
+
+
+def counted_stages(a: str, b: str) -> tuple[bool, int, int]:
+    """same_counts of two fresh maps, and how often it built a channel-0 grid and counted chains."""
+    with (
+        mock.patch.object(combinatorics, "_empty_cell_counts", wraps=combinatorics._empty_cell_counts) as grids,
+        mock.patch.object(combinatorics, "_chain_keys", wraps=combinatorics._chain_keys) as chains,
+    ):
+        same = combinatorics_map(a).same_counts(combinatorics_map(b))
+    return same, grids.call_count, chains.call_count
+
+
+def test_an_unrelated_pair_stops_at_the_first_part_that_differs():
+    assert counted_stages("ab", "aa") == (False, 0, 0)  # D = 4 against 3
+    ta, tb = distinct_subwords("aab"), distinct_subwords("abb")
+    assert np.array_equal(ta.lengths, tb.lengths)  # so channel 0's grid settles it
+    assert counted_stages("aab", "abb") == (False, 2, 0)
+
+
+def test_a_related_pair_counts_both_maps_and_each_channel_0_once():
+    assert counted_stages("aba", "cdc") == (True, 2, 2)
 
 
 @given(words_lower)

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from combword.datasets import PALINDROME_ALPHABET, LabeledDataset, gen_palindrome_dataset, permute_dataset
+from combword.datasets import PALINDROME_ALPHABET, LabeledDataset, gen_palindrome_dataset, gen_password_dataset, permute_dataset
 from combword.encoding import BatchEncoder, EncodedBatch, EncodingConfig
 from combword.network import binary_cross_entropy, build_char_cnn, build_combinatorial_cnn, sample_shapes
 from combword.training import (
@@ -450,6 +450,51 @@ def test_train_encodes_each_pattern_once_per_call(tiny_task):
         keys = [pattern_key(t) for t in texts]
         assert texts and len(set(keys)) == len(keys)
     assert sum(map(len, enc.calls)) < len(enc.calls) * cfg.batch_size  # some batch repeated a pattern
+
+
+def test_predict_probs_encodes_each_input_of_the_split_once(tiny_task):
+    _, va, cfg_enc = tiny_task
+    enc = RecordingEncoder(BatchEncoder(cfg_enc))
+    predict_probs(fresh_model(cfg_enc), va, enc, batch_size=8)
+    seen, expected = set(), []
+    for i in range(0, len(va), 8):
+        expected.append([])
+        for w in va.words()[i : i + 8]:
+            if pattern_key(w.text) not in seen:
+                seen.add(pattern_key(w.text))
+                expected[-1].append(w.text)
+    assert enc.calls == expected  # one call per batch, each on the inputs no earlier batch ran
+    assert sum(map(len, expected)) == len(seen) < len(va)
+
+
+@pytest.mark.parametrize("kind", ["tensor", "char"])
+def test_a_batch_of_seen_inputs_calls_the_encoder_on_no_words(tiny_task, kind):
+    tr, _, cfg_enc = tiny_task
+    model, enc = model_and_encoder(cfg_enc, kind)
+    head = LabeledDataset(tr.items[:4], tr.task, tr.split, tr.seed, tr.word_length)
+    # The tensor model's row is the pattern's, so alphabet-permuted twins repeat it; the char model's is the word's.
+    twins = permute_dataset(head, seed=4).items if kind == "tensor" else head.items
+    ds = LabeledDataset(head.items + twins, tr.task, tr.split, tr.seed, tr.word_length)
+    recording = RecordingEncoder(enc)
+    probs = predict_probs(model, ds, recording, batch_size=4)
+    assert [len(c) for c in recording.calls] == [len({pattern_key(w.text) for w in head.words()}) if kind == "tensor" else 4, 0]
+    assert probs[4:].tobytes() == probs[:4].tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 15])
+def test_predict_probs_matches_the_per_batch_path_on_seeded_splits(n):
+    if n == 10:
+        _, va, _ = gen_palindrome_dataset(10, (1, 32, 1), seed=23)
+    else:
+        _, va, _ = gen_password_dataset((1, 32, 1), seed=24, n=15)
+    cfg_enc = EncodingConfig.for_length(n)
+    model, enc = fresh_model(cfg_enc, seed=5), BatchEncoder(cfg_enc)
+    words = va.words()
+    per_batch = np.concatenate([model.forward(enc(words[i : i + 32]), train=False) for i in range(0, len(words), 32)])
+    for ds in (va, permute_dataset(va, seed=6)):
+        recording = RecordingEncoder(enc)
+        assert predict_probs(model, ds, recording).tobytes() == per_batch.tobytes()
+        assert sum(map(len, recording.calls)) == len({pattern_key(w.text) for w in words})
 
 
 def test_char_model_runs_pattern_twins_as_separate_rows():
