@@ -51,15 +51,17 @@ over its padded, capped layout and mirrors it into each batch.
 
 ``combinatorics_map`` builds only the word's subword table; the map builds
 the rest over the unpadded, uncapped (D, D, D) layout when first asked for
-it. ``empty_cells`` is channel 0 of the non-empty pairs, one small product;
-``sparse`` is the whole upper half, whose chain counts are nearly all of a
-map's cost, and it takes channel 0 from ``empty_cells``. ``same_counts``
-compares two maps cheapest part first and builds the next part only while
-they agree: the table size D and the subword lengths (row 0 of channel 0,
-free in the table), then ``empty_cells`` (the rest of channel 0), then the
-sparse forms. So two words that differ in D, a subword length or an
-empty-cell count never count their chains, and two that agree on all of
-channel 0 are compared on their full maps.
+it. Channel 0 of the non-empty pairs is the table's ``empty_cells`` grid,
+one small product cached on the table; ``sparse`` is the whole upper half,
+whose chain counts are nearly all of a map's cost, and ``dense_counts``
+takes its channel 0 from that grid and then drops it from the table, since
+the result holds it. ``same_counts`` compares two maps cheapest part first
+and builds the next part only while they agree: the table size D and the
+subword lengths (row 0 of channel 0, free in the table), then the tables'
+``empty_cells`` (the rest of channel 0), then the sparse forms. So two words
+that differ in D, a subword length or an empty-cell count never count their
+chains, and two that agree on all of channel 0 are compared on their full
+maps, each word's grid computed once.
 """
 
 from __future__ import annotations
@@ -124,10 +126,8 @@ class CombinatoricsMap:
     """Raw counts over canonical index triples (lam, mu, nu), upper half kept sparse.
 
     Together with its table this is the word's full combinatorial fingerprint.
-    The parts past the table are built when first asked for: ``empty_cells``,
-    channel 0 of the non-empty pairs, and ``sparse``, the whole upper half,
-    which reuses ``empty_cells``. A map made with its ``sparse`` given holds
-    it as is.
+    ``sparse``, the upper half, is built when first asked for; a map made
+    with its ``sparse`` given holds it as is.
     """
 
     def __init__(self, table: SubwordTable, sparse: SparseCounts | None = None):
@@ -136,14 +136,9 @@ class CombinatoricsMap:
             self.sparse = sparse
 
     @cached_property
-    def empty_cells(self) -> np.ndarray:
-        """Channel 0 of the pairs of non-empty subwords, as a symmetric (D-1, D-1) grid."""
-        return _empty_cell_counts(self.table)
-
-    @cached_property
     def sparse(self) -> SparseCounts:
         d = self.size
-        return dense_counts(self.table, d, d, None, self.empty_cells)
+        return dense_counts(self.table, d, d, None)
 
     @property
     def size(self) -> int:
@@ -174,14 +169,14 @@ class CombinatoricsMap:
         """Whether both maps hold the same counts, comparing their cheapest parts first.
 
         The table size D and the subword lengths are row 0 of channel 0, and
-        ``empty_cells`` is the rest of it, so each stage that differs settles
-        the answer ``sparse.same`` would give; the chain counts are built only
-        for two words that agree on all of channel 0.
+        the tables' ``empty_cells`` grids are the rest of it, so each stage
+        that differs settles the answer ``sparse.same`` would give; the chain
+        counts are built only for two words that agree on all of channel 0.
         """
         return (
             self.size == other.size
             and np.array_equal(self.table.lengths, other.table.lengths)
-            and np.array_equal(self.empty_cells, other.empty_cells)
+            and np.array_equal(self.table.empty_cells, other.table.empty_cells)
             and self.sparse.same(other.sparse)
         )
 
@@ -372,27 +367,12 @@ def _chain_keys(table: SubwordTable, pad_to: int, nu_len_cap: int | None) -> tup
     return (keys[0], counts[0]) if len(keys) == 1 else (np.concatenate(keys), np.concatenate(counts))
 
 
-def _empty_cell_counts(table: SubwordTable) -> np.ndarray:
-    """M at nu = empty for every non-empty operand pair, as a symmetric (D-1, D-1) float32 grid.
-
-    A pair's empty cells are its s_lam * s_mu cells less its matching ones,
-    and the matching cells of every pair are one product cov^T (eq cov); the
-    float32 values are exact while n^2 < 2^24.
-    """
-    cov = table.coverage
-    matches = cov.T @ ((table.agree > 0).astype(np.float32) @ cov)
-    s = table.lengths.astype(np.float32)
-    return np.subtract(np.multiply.outer(s, s), matches, out=matches)
-
-
-def dense_counts(
-    table: SubwordTable, pad_to: int, channels: int, nu_len_cap: int | None, empty_cells: np.ndarray | None = None
-) -> SparseCounts:
+def dense_counts(table: SubwordTable, pad_to: int, channels: int, nu_len_cap: int | None) -> SparseCounts:
     """The upper half of a word's counts in a zero-padded (pad_to, pad_to, channels) layout.
 
     Chains producing a subword longer than nu_len_cap are left out. Channel 0
-    holds the empty-cell counts (``empty_cells``, computed here unless the
-    caller already has them) and the border rules of the empty operand.
+    holds the table's ``empty_cells`` grid, which is dropped from the table
+    once copied, and the border rules of the empty operand.
     The chain counts come from one sorted block of clip keys for a small
     word, else from one sort per slab of pair rows (see the module
     docstring). Key order is (lam, mu, nu) order; keys are 32-bit while
@@ -412,7 +392,8 @@ def dense_counts(
     cells = _upper_cells(pad_to)
     sizes = np.bincount(cell, minlength=pad_to * pad_to).take(cells)
     plane = np.zeros((pad_to, pad_to), dtype=np.int32)
-    plane[1:d, 1:d] = _empty_cell_counts(table) if empty_cells is None else empty_cells
+    plane[1:d, 1:d] = table.empty_cells
+    del vars(table)["empty_cells"]  # the result holds channel 0; the table need not keep the grid
     plane[0, 1:d] = table.lengths
     plane[0, 0] = 1
     arrays = _one_buffer(

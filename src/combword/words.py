@@ -11,7 +11,7 @@ word's agreement matrix (the common-prefix length of every pair of suffixes)
 and reads off it each window's first occurrence, the canonical index of
 every window, and the diagonal runs of equal letters that the count map is
 built from. A ``SubwordTable`` holds those arrays and builds its string
-entries only when asked for them.
+entries, window coverage and empty-cell grid only when asked for them.
 """
 
 from __future__ import annotations
@@ -176,6 +176,19 @@ class SubwordTable:
         """(n, D-1) 0/1 float32: 1 where position u lies in the window of entry a + 1."""
         pos = np.arange(len(self.word), dtype=np.int32)[:, None]
         return ((pos >= self.starts) & (pos < self.starts + self.lengths)).astype(np.float32)
+
+    @cached_property
+    def empty_cells(self) -> np.ndarray:
+        """(D-1, D-1) symmetric float32: the empty cells of every pair of non-empty entries.
+
+        A pair's empty cells are its s_lam * s_mu cells less its matching
+        ones, and the matching cells of every pair are one product
+        cov^T (eq cov); the float32 values are exact while n^2 < 2^24.
+        """
+        cov = self.coverage
+        matches = cov.T @ ((self.agree > 0).astype(np.float32) @ cov)
+        s = self.lengths.astype(np.float32)
+        return np.subtract(np.multiply.outer(s, s), matches, out=matches)
 
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Maximal diagonal runs of equal letters, as (row, col, length) arrays in row-major order.

@@ -3,6 +3,7 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combword import combinatorics, datasets
-from combword.combinatorics import CombinatoricsMap, _chain_keys, _empty_cell_counts, combinatorics_map, dense_counts
+from combword.combinatorics import CombinatoricsMap, _chain_keys, combinatorics_map, dense_counts
 from combword.encoding import EncodingConfig, channel_count
-from combword.words import distinct_subwords
+from combword.words import SubwordTable, distinct_subwords
 from oracles import brute_map, grid_components
 
 words_abc = st.text(alphabet="abc", min_size=1, max_size=8)
@@ -76,7 +77,7 @@ def produced_subwords(text: str, lam: str, mu: str) -> list[str]:
     lams, mus, nus = chain_contributions(t, None)
     li, mi = sorted((t.index_of(lam), t.index_of(mu)))
     chains = [t[int(nu)].content for l, m, nu in zip(lams, mus, nus) if l == li and m == mi]
-    empties = int(_empty_cell_counts(t)[li - 1, mi - 1])
+    empties = int(t.empty_cells[li - 1, mi - 1])
     return sorted(chains + [""] * empties)
 
 
@@ -263,12 +264,15 @@ def test_staged_comparison_equals_the_full_one_on_seeded_pairs(n):
 
 def counted_stages(a: str, b: str) -> tuple[bool, int, int]:
     """same_counts of two fresh maps, and how often it built a channel-0 grid and counted chains."""
+    grid, built = SubwordTable.__dict__["empty_cells"], []
+    counted = cached_property(lambda table: built.append(table) or grid.func(table))
+    counted.__set_name__(SubwordTable, "empty_cells")
     with (
-        mock.patch.object(combinatorics, "_empty_cell_counts", wraps=combinatorics._empty_cell_counts) as grids,
+        mock.patch.object(SubwordTable, "empty_cells", counted),
         mock.patch.object(combinatorics, "_chain_keys", wraps=combinatorics._chain_keys) as chains,
     ):
         same = combinatorics_map(a).same_counts(combinatorics_map(b))
-    return same, grids.call_count, chains.call_count
+    return same, len(built), chains.call_count
 
 
 def test_an_unrelated_pair_stops_at_the_first_part_that_differs():
@@ -280,6 +284,13 @@ def test_an_unrelated_pair_stops_at_the_first_part_that_differs():
 
 def test_a_related_pair_counts_both_maps_and_each_channel_0_once():
     assert counted_stages("aba", "cdc") == (True, 2, 2)
+
+
+def test_a_map_keeps_no_empty_cell_grid_once_its_sparse_form_is_built():
+    ma, mb = combinatorics_map("aba"), combinatorics_map("cdc")
+    assert ma.same_counts(mb)
+    assert "empty_cells" not in vars(ma.table) and "empty_cells" not in vars(mb.table)
+    assert np.array_equal(ma.table.empty_cells, distinct_subwords("aba").empty_cells)
 
 
 @given(words_lower)
@@ -360,6 +371,7 @@ def test_map_of_a_30_letter_word_stays_within_its_memory_bound():
     tracemalloc.start()
     try:
         m = combinatorics_map(text)
+        m.sparse  # the map counts its chains when first asked for them
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -374,6 +386,7 @@ def test_map_of_a_48_letter_word_over_8_letters_holds_one_key_per_entry():
     tracemalloc.start()
     try:
         m = combinatorics_map(text)
+        m.sparse  # the map counts its chains when first asked for them
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
