@@ -91,6 +91,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _nu_cap(text: str) -> int:
+    """A channel cap flag: subwords of length up to an integer >= 1."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"nu_cap_len must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _norm_flag(value: str) -> str:
     return {"none": NORM_NONE, "log": NORM_LOG}[value]
 
@@ -292,7 +299,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tensor", help="print a word's count map or dense tensor")
     p.add_argument("--word", required=True)
     p.add_argument("--format", choices=["sparse", "dense"], default="sparse")
-    p.add_argument("--nu-cap", type=int, default=None, help="channel cap (dense format)")
+    p.add_argument("--nu-cap", type=_nu_cap, default=None, help="channel cap (dense format)")
     p.add_argument("--norm", choices=["none", "log"], default="log")
     p.set_defaults(func=cmd_tensor)
 
@@ -312,7 +319,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--steps-per-epoch", type=int, default=30)
-    p.add_argument("--nu-cap", type=int, default=None)
+    p.add_argument("--nu-cap", type=_nu_cap, default=None)
     p.add_argument("--norm", choices=["none", "log"], default="log")
     p.add_argument("--optimizer", choices=["adam", "sgd-momentum"], default="adam")
     p.add_argument("--stop-at-val-acc", type=float, default=None)

@@ -17,11 +17,16 @@ sample sits in it, which lets training run each distinct input once. Pooling
 floors odd extents.
 
 A conv reads its input only through ``reshape(-1, cin)``, ``shape``,
-``dtype`` and row slices of the flat form. So its input may also be an
+``dtype`` and row slices of the flat form, one slice per tile: the tile's
+rows and those its kernel's shifts reach. So its input may also be an
 ``encoding.EncodedBatch``, which scatters each sample's plane when a slice
-first reaches it and hands out read-only rows. The GEMMs then read the same
-tiles in the same order as from the dense batch, and the bits do not
-change; the network's first conv gets its batch this way.
+first reaches it and hands out read-only rows; the network's first conv
+gets its batch this way. It may also be a ``ReluRows``: the ReLU of a 1x1
+conv's output, which ``Conv2d.forward(x, relu_rows=True)`` hands out
+instead of building its output plane, and which fills a window of those
+rows from the 1x1 conv's input as the slices advance. The GEMMs then read
+the same rows in the same order as from a whole plane, and the bits do not
+change.
 
 Every ``forward`` takes ``train``. With it (the default), a layer keeps what
 its backward reads: a conv a view of its input (for the first conv, the
@@ -33,8 +38,8 @@ has run, so a training step holds its activations only until its backward
 ends. Without ``train``, the pass is inference only: the layer drops what
 an earlier pass kept and keeps nothing, and the pool builds no index.
 
-Every conv and pool forward allocates its output. Five rules then work in
-place:
+Every conv and pool forward allocates its output, except a 1x1 conv that
+hands out ``ReluRows``. Five rules then work in place:
 
 - ReLU rectifies its input in place whenever that input is writable, and
   its backward gates a writable ``dout`` in place;
@@ -43,12 +48,16 @@ place:
 - a conv right after a ReLU fuses that ReLU's backward into its own:
   ``backward(dout, gated=True)`` sums each TILE_ROWS tile of the input
   gradient in a scratch tile and writes it, gated by ``input > 0``, into the
-  same rows of its input, which is the ReLU's output and which nothing
-  reads once the conv's weight gradient is done. The ReLU's
-  ``backward(dout, gated=True)`` then hands the gradient on as it is. The
-  rows are summed in the same order and gated by the same mask as unfused,
-  so the bits do not change, and the step makes neither a plane-sized input
-  gradient nor a mask;
+  same rows of its input, which is the ReLU's output and which no later
+  tile's weight gradient reads. The ReLU's ``backward(dout, gated=True)``
+  then hands the gradient on as it is. The rows are summed in the same order
+  and gated by the same mask as unfused, so the bits do not change, and the
+  step makes neither a plane-sized input gradient nor a mask. If that input
+  is ``ReluRows``, the conv refills their window tile by tile for its weight
+  gradient and the gate, and hands each gated tile to the rows, which add
+  it to the 1x1 conv's weight and bias gradients; that conv's backward then
+  has nothing left to do. So no pass makes the 1x1 conv's output plane or
+  its gradient;
 - a pool right after a conv's ReLU fuses that ReLU's backward into its
   own: ``backward(dout, gated=True)`` writes each window cell's gradient,
   gated by that cell's value > 0, over the cell in its input, which is the
@@ -63,8 +72,10 @@ place:
 
 ``Network.backward`` asks each conv and pool for the last three wherever
 they fit; a ReLU at layer 0 fuses into nothing, since its backward never
-runs. So a training backward of the package's models makes no plane-sized
-array.
+runs. ``Network.forward`` asks for ``ReluRows`` where the first layer is a
+1x1 conv before a ReLU and a conv, as in the tensor model. So a training
+backward of the package's models makes no plane-sized array, and no pass
+makes the tensor model's first plane.
 
 Without ``gated`` or ``spent``, no other layer writes into the ``x`` or
 ``dout`` it is given, so a caller whose arrays must stay intact hands ReLU
@@ -80,6 +91,8 @@ float64 for finite-difference checks.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -129,36 +142,108 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shifted_gemms(
-    src: np.ndarray, mats: np.ndarray, shifts: list[int], out: np.ndarray | None = None, gated: bool = False
-) -> np.ndarray:
-    """Row r of the result is the sum over k of ``src[r + shifts[k]] @ mats[k]``.
+def _shifted_tile(src, mats: np.ndarray, shifts: list[int], r0: int, r1: int, tile: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """Rows [r0, r1) of the sum over k of ``src[r + shifts[k]] @ mats[k]``, into ``tile``.
 
     Terms whose source row falls outside ``src`` are left out. ``shifts[0]``
-    must be 0 and the shifts' magnitudes ascend. Runs tile by tile of
-    TILE_ROWS result rows, every offset's product into one cached scratch
-    tile, and adds each row's terms in offset order. Writes into ``out``
-    when given. With ``gated``, ``out`` holds a ReLU's output: each tile is
-    summed in a second scratch tile, then written into its rows of ``out``
-    where they are > 0 and zeroed elsewhere, as that ReLU's backward would.
+    must be 0 and the shifts' magnitudes ascend. The tile's source rows are
+    read as one slice, so a source that computes its rows (``ReluRows``)
+    fills each row once; every row's terms are added in offset order, each
+    offset's product made in the scratch ``part``.
     """
     rows = src.shape[0]
-    if out is None:
-        out = np.empty((rows, mats.shape[2]), dtype=np.result_type(src.dtype, mats.dtype))
+    base = max(r0 + min(shifts), 0)
+    block = src[base : min(r1 + max(shifts), rows)]
+    _matmul(block[r0 - base : r1 - base], mats[0], tile)
+    for mat, d in zip(mats[1:], shifts[1:]):
+        lo, hi = max(r0, -d), min(r1, rows - d)
+        if hi <= lo:
+            break  # every later offset shifts further and misses this tile too
+        tile[lo - r0 : hi - r0] += _matmul(block[lo + d - base : hi + d - base], mat, part[: hi - lo])
+    return tile
+
+
+def _shifted_gemms(src, mats: np.ndarray, shifts: list[int]) -> np.ndarray:
+    """``_shifted_tile`` over every tile of TILE_ROWS result rows, into a new array."""
+    rows = src.shape[0]
+    out = np.empty((rows, mats.shape[2]), dtype=np.result_type(src.dtype, mats.dtype))
     part = np.empty((min(rows, TILE_ROWS), mats.shape[2]), dtype=out.dtype)
-    acc = np.empty_like(part) if gated else None
     for r0 in range(0, rows, TILE_ROWS):
         r1 = min(r0 + TILE_ROWS, rows)
-        tile = out[r0:r1] if acc is None else acc[: r1 - r0]
-        _matmul(src[r0:r1], mats[0], tile)
-        for mat, d in zip(mats[1:], shifts[1:]):
-            lo, hi = max(r0, -d), min(r1, rows - d)
-            if hi <= lo:
-                break  # every later offset shifts further and misses this tile too
-            tile[lo - r0 : hi - r0] += _matmul(src[lo + d : hi + d], mat, part[: hi - lo])
-        if gated:
-            _gate(tile, out[r0:r1] > 0, out=out[r0:r1])
+        _shifted_tile(src, mats, shifts, r0, r1, out[r0:r1], part)
     return out
+
+
+class ReluRows:
+    """The ReLU of a 1x1 conv's output, computed a window of flat rows at a time.
+
+    Stands in for that ReLU's output plane as the input of the next conv,
+    with the protocol an ``encoding.EncodedBatch`` gives a conv: ``shape``,
+    ``dtype``, ``reshape(-1, channels)`` and read-only row slices of the
+    flat form. A slice makes its rows the window: it keeps the rows the
+    last slice already holds and fills the others from the 1x1 conv's input,
+    as ``max(x @ w + b, 0)`` one GEMM per fill. A row does not depend on
+    where the fills fall (``_matmul``), so it has the bits of the whole
+    plane's row. The next conv slices each tile's rows and its largest
+    shift in tile order, so every row is filled once per pass and the window
+    holds TILE_ROWS rows plus that shift.
+
+    In backward that conv hands each tile's gated input gradient to
+    ``backward``, which adds it to the 1x1 conv's weight gradient, tile by
+    tile over the same rows as that conv's own backward, and to its bias
+    gradient as one running sum in row order, as ``sum`` over the plane
+    adds its rows.
+    """
+
+    def __init__(self, conv: "Conv2d", xf, shape: tuple):
+        self._conv = conv
+        self._xf = xf  # the 1x1 conv's flat input rows
+        self.shape = shape
+        self.dtype = np.result_type(xf.dtype, conv.w.dtype)
+        self._window = np.empty((0, conv.w.shape[3]), dtype=self.dtype)
+        self._lo = self._hi = 0  # the window holds rows [_lo, _hi)
+
+    def reshape(self, *shape) -> "ReluRows":
+        """The flat rows: ``reshape(-1, channels)`` is the only shape offered."""
+        flat = (math.prod(self.shape[:-1]), self.shape[-1])
+        if tuple(shape) not in ((-1, flat[1]), flat):
+            raise ValueError(f"ReLU rows reshape only to (-1, {flat[1]}), not {shape}")
+        return ReluRows(self._conv, self._xf, flat)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        if len(self.shape) != 2 or not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError("ReLU rows are read by contiguous row slices of their flat reshape(-1, channels) form")
+        lo, hi, _ = rows.indices(self.shape[0])
+        hi = max(lo, hi)
+        kept = max(0, min(hi, self._hi) - lo) if self._lo <= lo else 0
+        start = lo - self._lo
+        if len(self._window) < hi - lo:
+            window = np.empty((hi - lo, self._window.shape[1]), dtype=self.dtype)
+            window[:kept] = self._window[start : start + kept]
+            self._window = window
+        elif kept and start:
+            self._window[:kept] = self._window[start : start + kept]
+        if lo + kept < hi:
+            conv, new = self._conv, self._window[kept : hi - lo]
+            _matmul(self._xf[lo + kept : hi], conv.w.reshape(conv.w.shape[2:]), new)
+            new += conv.b
+            np.maximum(new, 0, out=new)
+        self._lo, self._hi = lo, hi
+        out = self._window[: hi - lo].view()
+        out.flags.writeable = False
+        return out
+
+    def backward(self, lo: int, grad: np.ndarray) -> None:
+        """Add the gradient of rows [lo, lo + len(grad)) to the 1x1 conv's; tiles come in order from row 0."""
+        conv = self._conv
+        x = self._xf[lo : lo + len(grad)]
+        dw = conv.dw.reshape(x.shape[1], -1)
+        if lo == 0:
+            dw[...] = 0
+            conv.db[...] = np.add.reduce(grad, axis=0)
+        else:
+            conv.db[...] = np.add.reduce(np.concatenate([conv.db[None], grad]), axis=0)
+        dw += x.T @ grad
 
 
 class Layer:
@@ -217,7 +302,8 @@ class Conv2d(Layer):
         kh, kw = self.w.shape[:2]
         return [ki * wd + kj for ki in range(kh) for kj in range(kw)]
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x, train: bool = True, relu_rows: bool = False):
+        """The output plane; with ``relu_rows`` (a 1x1 conv only), its ReLU as a ``ReluRows`` instead."""
         kh, kw, cin, cout = self.w.shape
         n, h, wd, c = x.shape
         if c != cin:
@@ -227,13 +313,20 @@ class Conv2d(Layer):
         if not train:
             self.forget()
         xf = x.reshape(-1, cin)
-        out = _shifted_gemms(xf, self.w.reshape(-1, cin, cout), self._shifts(wd))
-        out += self.b
+        if relu_rows:
+            if (kh, kw) != (1, 1):
+                raise ValueError(f"conv2d: only a 1x1 conv hands out ReLU rows, not a {kh}x{kw} one")
+            out = ReluRows(self, xf, (n, h, wd, cout))
+        else:
+            out = _shifted_gemms(xf, self.w.reshape(-1, cin, cout), self._shifts(wd))
+            out += self.b
         if train:
             self._xf, self._in_shape, self._out = xf, x.shape, out
+        if relu_rows:
+            return out
         return out.reshape(n, h, wd, cout)[:, : h - kh + 1, : wd - kw + 1]
 
-    def backward(self, dout: np.ndarray, input_grad: bool = True, gated: bool = False, spent: bool = False):
+    def backward(self, dout, input_grad: bool = True, gated: bool = False, spent: bool = False):
         """The parameter gradients, then the input gradient unless ``input_grad`` is false.
 
         A conv whose output is cropped builds the zero-padded output gradient
@@ -243,8 +336,18 @@ class Conv2d(Layer):
         this call, and the input gradient is written into the input's array.
         ``gated`` is ``spent`` for an input that is a ReLU's output: the
         input gradient is also gated by ``input > 0``, as that ReLU's
-        backward would gate it.
+        backward would gate it. If that input is a ``ReluRows``, each gated
+        tile goes to its ``backward`` instead, which adds it to the 1x1
+        conv's gradients, and the rows come back in place of the gradient.
+        A conv that handed out ReLU rows gets those back as ``dout``: its
+        gradients are then already done.
+
+        Runs tile by tile: a tile's weight gradient terms, then its rows of
+        the input gradient, which are written only once every later tile's
+        terms no longer read them.
         """
+        if isinstance(dout, ReluRows):
+            return None
         xf = self._xf
         n, h, wd, cin = self._in_shape
         oh, ow = dout.shape[1:3]
@@ -263,20 +366,35 @@ class Conv2d(Layer):
         shifts = self._shifts(wd)
         dw = self.dw.reshape(len(shifts), cin, -1)
         dw[...] = 0
-        # Summed tile by tile in a fixed order: short GEMMs whose result does
-        # not depend on the BLAS thread count.
+        streamed = isinstance(xf, ReluRows)
+        if input_grad:
+            if streamed and not gated:
+                raise ValueError("conv2d: the input gradient of ReLU rows goes into their conv's gradients, gated")
+            wt = self.w.transpose(0, 1, 3, 2).reshape(len(shifts), -1, cin)  # a contiguous copy
+            back = [-s for s in shifts]
+            part = np.empty((min(rows, TILE_ROWS), cin), dtype=np.result_type(gf.dtype, wt.dtype))
+            dx = None if streamed else xf if gated or spent else np.empty((rows, cin), dtype=part.dtype)
+            acc = np.empty_like(part) if gated else None
+        # The weight gradient is summed tile by tile in a fixed order: short
+        # GEMMs whose result does not depend on the BLAS thread count.
         for r0 in range(0, rows, TILE_ROWS):
             r1 = min(r0 + TILE_ROWS, rows)
+            src = xf[r0 : min(r1 + shifts[-1], rows)]  # the tile's input rows and those its shifts reach
             for k, s in enumerate(shifts):
                 e = min(r1, rows - s)
                 if e <= r0:
                     break
-                dw[k] += xf[r0 + s : e + s].T @ gf[r0:e]
+                dw[k] += src[s : e - r0 + s].T @ gf[r0:e]
+            if not input_grad:
+                continue
+            tile = _shifted_tile(gf, wt, back, r0, r1, dx[r0:r1] if acc is None else acc[: r1 - r0], part)
+            if streamed:
+                xf.backward(r0, _gate(tile, src[: r1 - r0] > 0, out=tile))
+            elif gated:
+                _gate(tile, src[: r1 - r0] > 0, out=dx[r0:r1])
         if not input_grad:
             return None
-        wt = self.w.transpose(0, 1, 3, 2).reshape(len(shifts), -1, cin)  # a contiguous copy
-        dx = _shifted_gemms(gf, wt, [-s for s in shifts], xf if gated or spent else None, gated)
-        return dx.reshape(self._in_shape)
+        return xf if streamed else dx.reshape(self._in_shape)
 
 
 class MaxPool2d(Layer):
@@ -349,7 +467,8 @@ class ReLU(Layer):
     kept = ("_out",)
 
     def forward(self, x, train: bool = True):
-        out = np.maximum(x, 0, out=x if x.flags.writeable else None)
+        """``max(x, 0)``; ``ReluRows`` are rectified already and pass as they are."""
+        out = x if isinstance(x, ReluRows) else np.maximum(x, 0, out=x if x.flags.writeable else None)
         self._out = out if train else None
         return out
 

@@ -18,17 +18,25 @@ backward returns rather than when the next step's forward ends. An
 inference pass leaves nothing behind, so an evaluation batch never holds
 memory beyond its own pass.
 
-Every pass allocates its conv and pool outputs; ReLU rectifies and gates in
-place. Backward allocates no plane: each input gradient goes into the spent
-forward array it replaces (see ``layers``). A conv pads its output gradient
-in its own output; a conv or pool after a ReLU writes its gated input
-gradient into that ReLU's output, which for a pool is the previous conv's
-output plane; a conv after a pool writes into the pool's output. So the
-step's peak is its forward end: the planes of the first two convs, and of
-the batch only the two samples' planes the first conv last read. The layers
+Every pass allocates its conv and pool outputs but one; ReLU rectifies and
+gates in place. A first layer that is a 1x1 conv before a ReLU and a conv,
+as in the tensor model, builds no output plane: it hands out its ReLU's
+rows (``layers.ReluRows``), which the ReLU passes on and the next conv
+fills a window at a time, in forward and again in its backward, where it
+also hands each gated tile of their gradient to the 1x1 conv's gradients.
+So no pass holds the tensor model's largest array, the first conv's
+32-channel output (the L1 plane). Backward allocates no plane: each other
+input gradient goes into the spent forward array it replaces (see
+``layers``). A conv pads its output gradient in its own output; a conv or
+pool after a ReLU writes its gated input gradient into that ReLU's output,
+which for a pool is the previous conv's output plane; a conv after a pool
+writes into the pool's output. So a step peaks in the second conv's
+backward, a little above its forward end: that conv's plane and the later,
+smaller arrays, the window, and of the batch the two samples' planes last
+read, plus scratch tiles and a sample's plane scattered again. The layers
 get read-only views of a caller's array batch and of the loss gradient, and
-an encoded batch hands out read-only rows, so those in-place rules only
-ever touch arrays the pass made.
+an encoded batch and ReLU rows hand out read-only rows, so those in-place
+rules only ever touch arrays the pass made.
 """
 
 from __future__ import annotations
@@ -199,6 +207,15 @@ class Network:
                     self._gated |= {i - 1, i}
             elif isinstance(layer, Conv2d) and isinstance(before, MaxPool2d):
                 self._spent.add(i)
+        # A first 1x1 conv before a ReLU and a conv hands that conv its ReLU's rows (see ``layers``).
+        first = self.layers[0]
+        self._relu_rows = (
+            len(self.layers) > 2
+            and isinstance(first, Conv2d)
+            and first.w.shape[:2] == (1, 1)
+            and isinstance(self.layers[1], ReLU)
+            and isinstance(self.layers[2], Conv2d)
+        )
 
     def forward(self, x: np.ndarray | EncodedBatch, train: bool = True) -> np.ndarray:
         """Per-sample probabilities, shape (batch,); without ``train`` no layer keeps anything.
@@ -206,15 +223,16 @@ class Network:
         ``x`` is an array or, for a model whose first layer is a conv, an
         ``encoding.EncodedBatch``, which that conv reads tile by tile. The
         layers get a read-only view of an array ``x``, which an inference
-        pass's ReLUs therefore never rectify in place.
+        pass's ReLUs therefore never rectify in place. A first 1x1 conv
+        before a ReLU and a conv is asked for ReLU rows, not its plane.
         """
         if tuple(x.shape[1:]) != self.input_shape:
             raise ValueError(f"input shape {x.shape[1:]} does not match model input {self.input_shape}")
         if isinstance(x, np.ndarray):
             x = x.view()
             x.flags.writeable = False
-        for layer in self.layers:
-            x = layer.forward(x, train)
+        for i, layer in enumerate(self.layers):
+            x = layer.forward(x, train, relu_rows=True) if i == 0 and self._relu_rows else layer.forward(x, train)
         return x[:, 0]
 
     def backward(self, dprobs: np.ndarray) -> None:
@@ -223,10 +241,12 @@ class Network:
         The layers get a read-only view of ``dprobs``, which no ReLU then gates
         in place. A conv right after a ReLU (not the first layer), or a pool
         right after a conv's ReLU, gates its input gradient itself, into that
-        ReLU's spent output, and the ReLU's backward passes it on. A conv
-        right after a pool writes its input gradient into the pool's spent
-        output. Every layer's backward runs once; then every layer forgets
-        what the forward kept, the batch included.
+        ReLU's spent output, and the ReLU's backward passes it on; a conv that
+        reads ReLU rows hands them the gated tiles instead, and the first
+        layer's backward finds its gradients done. A conv right after a pool
+        writes its input gradient into the pool's spent output. Every layer's
+        backward runs once; then every layer forgets what the forward kept,
+        the batch included.
         """
         d = dprobs[:, None]
         d.flags.writeable = False

@@ -28,22 +28,27 @@ records byte for byte.
 
 The encoder returns an ``encoding.EncodedBatch``, not a dense array: the
 first conv scatters each sample's plane from the cache as its tiles reach
-it, once in forward and once more for its weight gradient, and holds at
-most two planes at a time. So no step and no inference pass builds the
-whole dense batch. A training step's forward keeps every layer's
+it, once in forward and once more in backward, and holds at most two planes
+at a time. So no step and no inference pass builds the whole dense batch. A training step's forward keeps every layer's
 activations, and the encoded batch, for its backward; ``Network.backward``
 drops them all when it is done, so nothing of a step outlives
 ``batch_gradients``. ``predict_probs`` (and so ``evaluate`` and each
 epoch's validation) runs inference passes, which keep nothing.
 
-Each pass allocates its conv and pool outputs. ReLU rectifies them in place,
-and backward writes every input gradient into the spent forward array it
-replaces (``layers``): the 3x3 convs and the pools gate theirs into their
-ReLU's output, and the conv after a pool writes into the pool's output. So a
-step allocates its forward outputs with the pools' first-max indices, two
-samples' planes at a time of its batch, and in backward only arrays far
-smaller than a plane (masks of one byte per pool output cell, scratch
-tiles, the dense layers' gradients); its peak is the end of its forward.
+Each pass allocates its conv and pool outputs but the first conv's: that
+1x1 conv hands the 3x3 conv after its ReLU a window of ReLU'd rows, filled
+from the batch as the 3x3 conv's tiles advance, in forward and again in
+backward, so no pass holds the L1 plane, the largest activation. ReLU
+rectifies the other outputs in place, and backward writes every input
+gradient into the spent forward array it replaces (``layers``): the pools
+gate theirs into their ReLU's output, the conv after a pool writes into the
+pool's output, and the 3x3 conv after the first ReLU hands each gated tile
+straight to the first conv's gradients. So a step allocates its forward
+outputs from L2 on with the pools' first-max indices, two samples' planes
+at a time of its batch, and otherwise only arrays far smaller than a plane
+(the window, masks of one byte per pool output cell, scratch tiles, the
+dense layers' gradients). Its peak comes in that 3x3 conv's backward, about
+one sample's plane and the scratch tiles above the end of its forward.
 When a step, ``train`` or ``predict_probs`` returns, or ``train`` stops on a
 diverged loss, the model holds no batch-sized array.
 

@@ -387,15 +387,29 @@ def test_eval_char_checkpoint_with_wrong_word_length_exits_io(mini_run, tmp_path
     [
         (["gen", "passwords", "--len", "15", "--train", "0", "--val", "1", "--test", "1"], "at least one item"),
         (["tensor", "--word", "abc", "--format", "dense", "--nu-cap", "0"], "nu_cap_len"),
+        (["tensor", "--word", "abc", "--nu-cap", "0"], "nu_cap_len"),
         (["tensor", "--word", ""], "empty word"),
         (["equiv", "--a", "", "--b", "ab"], "empty word"),
         (["equiv", "--a", "abcdefghi", "--b", "bcdefghia", "--oracle"], "at most 8 distinct letters"),
         (["train", "--task", "palindrome", "--epochs", "1", "--model", "char"], "word length >= 4"),
         (["train", "--task", "palindrome", "--epochs", "1", "--batch-size", "0"], "batch_size"),
+        (["train", "--task", "palindrome", "--epochs", "1", "--model", "char", "--nu-cap", "0"], "nu_cap_len"),
         (["eval", "--permute-seed", "-1"], "seed must be an integer >= 0"),
         (["gradcheck", "--seed", "-2"], "seed must be an integer >= 0"),
     ],
-    ids=["gen", "tensor-cap", "tensor-word", "equiv-word", "equiv-oracle", "train-char", "train-config", "eval", "gradcheck"],
+    ids=[
+        "gen",
+        "tensor-cap",
+        "tensor-sparse-cap",
+        "tensor-word",
+        "equiv-word",
+        "equiv-oracle",
+        "train-char",
+        "train-config",
+        "train-char-cap",
+        "eval",
+        "gradcheck",
+    ],
 )
 def test_each_subcommand_reports_a_value_it_cannot_take_as_usage(mini_run, tmp_path, capsys, argv, message):
     data, out = mini_run

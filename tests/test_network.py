@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from combword import layers
-from combword.encoding import EncodingConfig, channel_count
+from combword.encoding import BatchEncoder, EncodingConfig, channel_count
 from combword.gradcheck import check_model_gradients
+from combword.layers import ReluRows
 from combword.network import (
     Network,
     binary_cross_entropy,
@@ -179,6 +180,16 @@ def test_repeated_step_matches_and_writes_no_caller_array(specs):
     assert x.tobytes() == x_before.tobytes() and dprobs.tobytes() == d_before.tobytes()
 
 
+def plain_forward(model, x, train: bool = True) -> np.ndarray:
+    """Each layer's own forward in turn, every plane built whole: no conv reads ReLU rows."""
+    if isinstance(x, np.ndarray):
+        x = x.view()
+        x.flags.writeable = False
+    for layer in model.layers:
+        x = layer.forward(x, train)
+    return x[:, 0]
+
+
 def plain_backward(model, dprobs) -> None:
     """Each layer's own backward in turn, last to first, with no gate fused into a conv."""
     d = dprobs[:, None]
@@ -192,7 +203,7 @@ def fused_and_plain_grads(model, x, dprobs) -> tuple[list[bytes], list[bytes]]:
     model.forward(x)
     model.backward(dprobs)
     fused = [g.tobytes() for g in model.grads()]
-    model.forward(x)
+    plain_forward(model, x)
     plain_backward(model, dprobs)
     return fused, [g.tobytes() for g in model.grads()]
 
@@ -231,6 +242,84 @@ def test_fused_backward_matches_in_float64(specs, shape, batch, monkeypatch):
     fused, plain = fused_and_plain_grads(model, x, dprobs)
     assert fused == plain
     assert x.tobytes() == x_before.tobytes() and dprobs.tobytes() == d_before.tobytes()
+
+
+def step_and_plain_bits(model, x, dprobs) -> tuple[list[bytes], list[bytes]]:
+    """Probabilities and every gradient: the network's step, then each layer's own forward and backward."""
+    steps = []
+    for forward, backward in ((model.forward, model.backward), (lambda x: plain_forward(model, x), lambda d: plain_backward(model, d))):
+        probs = forward(x)
+        backward(dprobs)
+        steps.append([probs.tobytes()] + [g.tobytes() for g in model.grads()])
+    return steps[0], steps[1]
+
+
+# A window of ReLU rows spans TILE_ROWS rows plus L2's largest shift: 1 and 7 rows, one row
+# below a sample's plane (so that windows straddle two samples), and the default.
+RELU_ROW_TILES = ["default", 1, 7, "below_a_plane"]
+
+
+def tile_rows(tile, plane_rows: int, monkeypatch) -> None:
+    if tile != "default":
+        monkeypatch.setattr(layers, "TILE_ROWS", plane_rows - 1 if tile == "below_a_plane" else tile)
+
+
+@pytest.mark.parametrize("tile", RELU_ROW_TILES)
+def test_relu_rows_step_matches_the_plane_path_in_float32_from_an_encoded_batch(tile, monkeypatch):
+    cfg = EncodingConfig.for_length(6)
+    model = build_combinatorial_cnn(cfg, seed=5, filters=(8, 4, 2), dense_units=6)
+    tile_rows(tile, cfg.pad_to**2, monkeypatch)
+    words = ["abcdef", "abcabc", "aabbcc", "abccba", "aaaaab"]
+    x = BatchEncoder(cfg)(words)
+    dprobs = np.random.default_rng(5).standard_normal(len(words)).astype(np.float32)
+    rows, plane = step_and_plain_bits(model, x, dprobs)
+    assert rows == plane
+    model.forward(x)
+    assert isinstance(model.layers[1]._out, ReluRows)  # for contrast: the step read ReLU rows
+    model.backward(dprobs)
+
+
+@pytest.mark.parametrize("tile", RELU_ROW_TILES)
+@pytest.mark.parametrize("batch", [1, 4])
+def test_relu_rows_step_matches_the_plane_path_in_float64_from_an_array(tile, batch, monkeypatch):
+    # Odd extents; negative inputs and bias so that the ReLU gates some rows of every tile.
+    specs = [conv(1, 1, 4), relu(), conv(3, 3, 3), relu(), pool(2, 2), flatten(), dense(1), sigmoid()]
+    model = Network(specs, (7, 6, 3), seed=7, dtype=np.float64)
+    model.layers[0].b[...] = [-0.5, 0.25, 0.0, -1.0]
+    tile_rows(tile, 7 * 6, monkeypatch)
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, 7, 6, 3))
+    dprobs = rng.standard_normal(batch)
+    x_before = x.copy()
+    rows, plane = step_and_plain_bits(model, x, dprobs)
+    assert rows == plane
+    assert x.tobytes() == x_before.tobytes()
+
+
+@pytest.mark.parametrize("tile", RELU_ROW_TILES)
+def test_relu_rows_inference_matches_the_plane_path_at_batch_1_7_and_32(tile, monkeypatch):
+    cfg = EncodingConfig.for_length(5)
+    model = build_combinatorial_cnn(cfg, seed=8, filters=(8, 4, 2), dense_units=6)
+    tile_rows(tile, cfg.pad_to**2, monkeypatch)
+    rng = np.random.default_rng(8)
+    words = ["".join(rng.choice(list("abcd"), 5)) for _ in range(32)]
+    for batch in (1, 7, 32):
+        x = BatchEncoder(cfg)(words[:batch])
+        rows = model.forward(x, train=False)
+        assert rows.tobytes() == plain_forward(model, x, train=False).tobytes(), batch
+
+
+def test_a_1x1_conv_before_a_relu_and_a_pool_keeps_its_plane_and_bits():
+    # No conv reads the ReLU's output, so the 1x1 conv builds its plane as before.
+    model = Network([conv(1, 1, 3), relu(), pool(2, 2), flatten(), dense(1), sigmoid()], (6, 5, 2), seed=2, dtype=np.float64)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((3, 6, 5, 2))
+    dprobs = rng.standard_normal(3)
+    network, plane = step_and_plain_bits(model, x, dprobs)
+    assert network == plane
+    model.forward(x)
+    assert isinstance(model.layers[1]._out, np.ndarray) and model.layers[1]._out.shape == (3, 6, 5, 3)
+    model.backward(dprobs)
 
 
 @pytest.mark.parametrize("n", [6, 9, 12, 15])
@@ -290,8 +379,9 @@ def test_backward_of_a_conv_after_a_relu_allocates_no_plane():
 
 
 def test_whole_backward_allocates_less_than_a_quarter_plane():
-    # Every input gradient goes into a spent forward array: L2's into L1's plane, the
-    # pool L4's into L2's plane, L5's into L4's output, the pool L7's into L5's plane.
+    # Every input gradient goes into a spent forward array or a scratch tile: L2's, tile by
+    # tile, into L0's gradients, the pool L4's into L2's plane, L5's into L4's output, the
+    # pool L7's into L5's plane.
     model = build_combinatorial_cnn(EncodingConfig.for_length(8), seed=2)
     x = np.random.default_rng(3).random((32, *model.input_shape), dtype=np.float32)
     model.forward(x)

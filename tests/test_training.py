@@ -7,6 +7,7 @@ import pytest
 
 from combword.datasets import PALINDROME_ALPHABET, LabeledDataset, gen_palindrome_dataset, gen_password_dataset, permute_dataset
 from combword.encoding import BatchEncoder, EncodedBatch, EncodingConfig
+from combword.layers import ReluRows
 from combword.network import binary_cross_entropy, build_char_cnn, build_combinatorial_cnn, sample_shapes
 from combword.training import (
     EpochRecord,
@@ -132,11 +133,12 @@ def test_predict_probs_batching_consistent(tiny_task):
 
 
 def batch_state(model) -> dict[int, list[str]]:
-    """Per layer index, the arrays it holds besides its parameters and their gradients."""
+    """Per layer index, the arrays and array stand-ins it holds besides its parameters and their gradients."""
     out = {}
     for i, layer in enumerate(model.layers):
         own = [id(a) for a in layer.params() + layer.grads()]
-        names = [k for k, v in vars(layer).items() if isinstance(v, np.ndarray) and id(v) not in own]
+        held = (np.ndarray, EncodedBatch, ReluRows)
+        names = [k for k, v in vars(layer).items() if isinstance(v, held) and id(v) not in own]
         if names:
             out[i] = names
     return out
@@ -378,6 +380,46 @@ def test_a_step_peaks_below_its_forward_arrays_and_half_a_dense_batch():
     finally:
         tracemalloc.stop()
     assert peak < rows * (forward + dense // 2), (peak, rows * forward, rows * dense)
+
+
+def test_a_step_and_an_inference_pass_peak_below_their_forward_arrays_less_half_the_l1_plane():
+    """Traced memory at n=10: no pass holds the first conv's ReLU'd output, the L1 plane.
+
+    Half of that plane is the room left for what a pass holds besides its
+    forward arrays: the batch's sample planes, a window of ReLU rows and
+    scratch tiles. A pass that builds the plane peaks above its forward arrays.
+    """
+    tr = gen_palindrome_dataset(10, (16, 1, 1), seed=12)[0]
+    words, labels = tr.words(), np.asarray(tr.labels(), dtype=np.float64)
+    cfg_enc = EncodingConfig.for_length(10)
+    model = fresh_model(cfg_enc)
+    item = model.dtype.itemsize
+    shapes = sample_shapes(model.specs, model.input_shape)
+    step = infer = 0  # bytes per sample of the arrays a training / an inference forward allocates
+    for spec, shape, out in zip(model.specs, shapes, shapes[1:]):
+        if spec.kind == "conv2d":
+            step += math.prod(shape[:2]) * spec.filters * item  # the flat output covers the uncropped plane
+            infer += math.prod(shape[:2]) * spec.filters * item
+        elif spec.kind == "maxpool2d":
+            step += math.prod(out) * (item + 1)  # the output and each window's first-max index
+            infer += math.prod(out) * item
+    l1 = math.prod(shapes[1]) * item
+    assert model.specs[0].kernel == (1, 1) and l1 > step / 2  # the L1 plane: the largest forward array
+    distinct = list({pattern_key(w.text): w for w in words}.values())
+    rows = len(distinct)
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    stepped = peak(lambda: batch_gradients(model, words, labels, BatchEncoder(cfg_enc)))
+    assert stepped < rows * (step - l1 // 2), (stepped, rows * step, rows * l1)
+    inferred = peak(lambda: model.forward(BatchEncoder(cfg_enc)(distinct), train=False))
+    assert inferred < rows * (infer - l1 // 2), (inferred, rows * infer, rows * l1)
 
 
 def test_val_accuracy_split_by_pattern_adds_up_to_the_last_record(tiny_task):
