@@ -218,12 +218,12 @@ class EncodedBatch:
         """Sample ``sample``'s read-only (pad_to * pad_to, channels) rows, scattered on first use."""
         plane = self._planes.get(sample)
         if plane is None:
+            if len(self._planes) == 2:
+                del self._planes[next(iter(self._planes))]  # before the new plane, so that two stay live
             plane = np.zeros(math.prod(self._plane_shape), dtype=self.dtype)
             self._place(plane, self._forms[sample])
             plane = plane.reshape(self._plane_rows, -1)
             plane.flags.writeable = False
-            if len(self._planes) == 2:
-                del self._planes[next(iter(self._planes))]
             self._planes[sample] = plane
         return plane
 

@@ -38,26 +38,23 @@ has run, so a training step holds its activations only until its backward
 ends. Without ``train``, the pass is inference only: the layer drops what
 an earlier pass kept and keeps nothing, and the pool builds no index.
 
-Every conv and pool forward allocates its output, except a 1x1 conv that
-hands out ``ReluRows``. Five rules then work in place:
+These are the in-place rules of a pass; ``network`` builds, per layer, the
+keyword arguments that ask for them and nothing else restates them. Every
+conv and pool forward allocates its output, except a 1x1 conv that hands
+out ``ReluRows``. Then:
 
 - ReLU rectifies its input in place whenever that input is writable, and
   its backward gates a writable ``dout`` in place;
 - a conv's backward builds its zero-padded output gradient in its flat
   forward output. Every later layer's backward has read that output by then;
-- a conv right after a ReLU fuses that ReLU's backward into its own:
-  ``backward(dout, gated=True)`` sums each TILE_ROWS tile of the input
-  gradient in a scratch tile and writes it, gated by ``input > 0``, into the
-  same rows of its input, which is the ReLU's output and which no later
-  tile's weight gradient reads. The ReLU's ``backward(dout, gated=True)``
-  then hands the gradient on as it is. The rows are summed in the same order
-  and gated by the same mask as unfused, so the bits do not change, and the
-  step makes neither a plane-sized input gradient nor a mask. If that input
-  is ``ReluRows``, the conv refills their window tile by tile for its weight
-  gradient and the gate, and hands each gated tile to the rows, which add
-  it to the 1x1 conv's weight and bias gradients; that conv's backward then
-  has nothing left to do. So no pass makes the 1x1 conv's output plane or
-  its gradient;
+- a conv whose input is ``ReluRows`` refills their window tile by tile for
+  its weight gradient, sums each TILE_ROWS tile of its input gradient in a
+  scratch tile, gates it by ``input > 0`` and hands it to the rows, which
+  add it to the 1x1 conv's weight and bias gradients. The ReLU's
+  ``backward(dout, gated=True)`` hands the rows on as they are, and the 1x1
+  conv's backward then has nothing left to do. The rows are summed in the
+  same order and gated by the same mask as unfused, so the bits do not
+  change, and no pass makes the 1x1 conv's output plane or its gradient;
 - a pool right after a conv's ReLU fuses that ReLU's backward into its
   own: ``backward(dout, gated=True)`` writes each window cell's gradient,
   gated by that cell's value > 0, over the cell in its input, which is the
@@ -70,12 +67,14 @@ hands out ``ReluRows``. Five rules then work in place:
   ``backward(dout, spent=True)`` into its input, the pool's output, which
   no earlier backward reads. It is summed exactly as into a new array.
 
-``Network.backward`` asks each conv and pool for the last three wherever
-they fit; a ReLU at layer 0 fuses into nothing, since its backward never
-runs. ``Network.forward`` asks for ``ReluRows`` where the first layer is a
-1x1 conv before a ReLU and a conv, as in the tensor model. So a training
-backward of the package's models makes no plane-sized array, and no pass
-makes the tensor model's first plane.
+A conv after a ReLU whose output is an array, which only custom stacks
+have, takes its own backward into a new input gradient, and the ReLU gates
+that in place. So a training backward of the package's models makes no
+plane-sized array, and no pass makes the tensor model's first plane: a step
+peaks in the backward of the conv that reads the ReLU rows, a little above
+the end of its forward, with that conv's output plane, the later and smaller
+arrays, the window, the two sample planes the batch keeps and scratch tiles
+live.
 
 Without ``gated`` or ``spent``, no other layer writes into the ``x`` or
 ``dout`` it is given, so a caller whose arrays must stay intact hands ReLU
@@ -326,21 +325,19 @@ class Conv2d(Layer):
             return out
         return out.reshape(n, h, wd, cout)[:, : h - kh + 1, : wd - kw + 1]
 
-    def backward(self, dout, input_grad: bool = True, gated: bool = False, spent: bool = False):
+    def backward(self, dout, input_grad: bool = True, spent: bool = False):
         """The parameter gradients, then the input gradient unless ``input_grad`` is false.
 
-        A conv whose output is cropped builds the zero-padded output gradient
-        in the array the training forward returned a view of; a ``dout``
-        that already is that view (a fused pool wrote it there) only gets
-        its border zeroed. With ``spent``, nothing reads the input after
-        this call, and the input gradient is written into the input's array.
-        ``gated`` is ``spent`` for an input that is a ReLU's output: the
-        input gradient is also gated by ``input > 0``, as that ReLU's
-        backward would gate it. If that input is a ``ReluRows``, each gated
-        tile goes to its ``backward`` instead, which adds it to the 1x1
-        conv's gradients, and the rows come back in place of the gradient.
-        A conv that handed out ReLU rows gets those back as ``dout``: its
-        gradients are then already done.
+        The zero-padded output gradient is built in the flat output array the
+        training forward kept; a ``dout`` that already is the view of it the
+        forward returned (a fused pool wrote it there) only gets its border
+        zeroed. With ``spent``, nothing reads the input after this call, and
+        the input gradient is written into the input's array. If the input is
+        a ``ReluRows``, each input gradient tile is gated by ``input > 0`` in
+        a scratch tile and handed to their ``backward``, which adds it to the
+        1x1 conv's gradients, and the rows come back in place of the
+        gradient. A conv that handed out ReLU rows gets those back as
+        ``dout``: its gradients are then already done.
 
         Runs tile by tile: a tile's weight gradient terms, then its rows of
         the input gradient, which are written only once every later tile's
@@ -352,29 +349,23 @@ class Conv2d(Layer):
         n, h, wd, cin = self._in_shape
         oh, ow = dout.shape[1:3]
         self.db[...] = dout.sum(axis=(0, 1, 2))
-        if (oh, ow) == (h, wd):
-            gf = dout.reshape(xf.shape[0], -1)
-        else:
-            # The forward output's array, which every later layer's backward has read by now.
-            g = self._out.reshape(n, h, wd, -1)
-            g[:, oh:] = 0
-            g[:, :oh, ow:] = 0
-            if not np.may_share_memory(dout, g):
-                g[:, :oh, :ow] = dout
-            gf = g.reshape(xf.shape[0], -1)
+        # The forward output's array, which every later layer's backward has read by now.
+        g = self._out.reshape(n, h, wd, -1)
+        g[:, oh:] = 0
+        g[:, :oh, ow:] = 0
+        if not np.may_share_memory(dout, g):
+            g[:, :oh, :ow] = dout
+        gf = g.reshape(xf.shape[0], -1)
         rows = gf.shape[0]
         shifts = self._shifts(wd)
         dw = self.dw.reshape(len(shifts), cin, -1)
         dw[...] = 0
         streamed = isinstance(xf, ReluRows)
         if input_grad:
-            if streamed and not gated:
-                raise ValueError("conv2d: the input gradient of ReLU rows goes into their conv's gradients, gated")
             wt = self.w.transpose(0, 1, 3, 2).reshape(len(shifts), -1, cin)  # a contiguous copy
             back = [-s for s in shifts]
             part = np.empty((min(rows, TILE_ROWS), cin), dtype=np.result_type(gf.dtype, wt.dtype))
-            dx = None if streamed else xf if gated or spent else np.empty((rows, cin), dtype=part.dtype)
-            acc = np.empty_like(part) if gated else None
+            dx = np.empty_like(part) if streamed else xf if spent else np.empty((rows, cin), dtype=part.dtype)
         # The weight gradient is summed tile by tile in a fixed order: short
         # GEMMs whose result does not depend on the BLAS thread count.
         for r0 in range(0, rows, TILE_ROWS):
@@ -387,11 +378,9 @@ class Conv2d(Layer):
                 dw[k] += src[s : e - r0 + s].T @ gf[r0:e]
             if not input_grad:
                 continue
-            tile = _shifted_tile(gf, wt, back, r0, r1, dx[r0:r1] if acc is None else acc[: r1 - r0], part)
+            tile = _shifted_tile(gf, wt, back, r0, r1, dx[: r1 - r0] if streamed else dx[r0:r1], part)
             if streamed:
                 xf.backward(r0, _gate(tile, src[: r1 - r0] > 0, out=tile))
-            elif gated:
-                _gate(tile, src[: r1 - r0] > 0, out=dx[r0:r1])
         if not input_grad:
             return None
         return xf if streamed else dx.reshape(self._in_shape)

@@ -10,33 +10,15 @@ from ``encoding.BatchEncoder``, an ``EncodedBatch``, which the first conv
 reads tile by tile without the dense batch ever being built. It passes
 ``train`` to every layer. A training pass leaves each layer holding what
 backward reads (see ``layers``), the first conv its input among it.
-``Network.backward`` runs every layer's backward once, last to first,
-fusing the gate of each ReLU that feeds a conv or a pool into that layer's
-input gradient, and then makes every layer forget what the forward kept. So
-a training step holds one set of activations, and it is freed when its
-backward returns rather than when the next step's forward ends. An
-inference pass leaves nothing behind, so an evaluation batch never holds
-memory beyond its own pass.
+``Network.backward`` runs every layer's backward once, last to first, and
+then makes every layer forget what the forward kept. So a training step
+holds one set of activations, and it is freed when its backward returns
+rather than when the next step's forward ends. An inference pass leaves
+nothing behind.
 
-Every pass allocates its conv and pool outputs but one; ReLU rectifies and
-gates in place. A first layer that is a 1x1 conv before a ReLU and a conv,
-as in the tensor model, builds no output plane: it hands out its ReLU's
-rows (``layers.ReluRows``), which the ReLU passes on and the next conv
-fills a window at a time, in forward and again in its backward, where it
-also hands each gated tile of their gradient to the 1x1 conv's gradients.
-So no pass holds the tensor model's largest array, the first conv's
-32-channel output (the L1 plane). Backward allocates no plane: each other
-input gradient goes into the spent forward array it replaces (see
-``layers``). A conv pads its output gradient in its own output; a conv or
-pool after a ReLU writes its gated input gradient into that ReLU's output,
-which for a pool is the previous conv's output plane; a conv after a pool
-writes into the pool's output. So a step peaks in the second conv's
-backward, a little above its forward end: that conv's plane and the later,
-smaller arrays, the window, and of the batch the two samples' planes last
-read, plus scratch tiles and a sample's plane scattered again. The layers
-get read-only views of a caller's array batch and of the loss gradient, and
-an encoded batch and ReLU rows hand out read-only rows, so those in-place
-rules only ever touch arrays the pass made.
+Which layers work in place is one plan, built once per network: each
+layer's forward and backward keyword arguments, read off its neighbours by
+the rules in the ``layers`` docstring, which also says where a step peaks.
 """
 
 from __future__ import annotations
@@ -195,70 +177,55 @@ class Network:
                 self.layers.append(Dense(shape[0], spec.units, rng, dtype))
             else:
                 self.layers.append(Sigmoid())
-        # Layers whose backward writes its input gradient into its spent input (see ``layers``).
-        # Gated: a conv after a ReLU, or a pool after a conv's ReLU, and that ReLU, unless the
-        # ReLU is layer 0, whose backward never runs. Spent: a conv after a pool.
-        self._gated, self._spent = set(), set()
-        for i in range(1, len(self.layers)):
-            layer, before = self.layers[i], self.layers[i - 1]
-            if i >= 2 and isinstance(before, ReLU):
-                after_conv = isinstance(self.layers[i - 2], Conv2d)
-                if isinstance(layer, Conv2d) or (isinstance(layer, MaxPool2d) and after_conv):
-                    self._gated |= {i - 1, i}
-            elif isinstance(layer, Conv2d) and isinstance(before, MaxPool2d):
-                self._spent.add(i)
-        # A first 1x1 conv before a ReLU and a conv hands that conv its ReLU's rows (see ``layers``).
-        first = self.layers[0]
-        self._relu_rows = (
-            len(self.layers) > 2
-            and isinstance(first, Conv2d)
-            and first.w.shape[:2] == (1, 1)
-            and isinstance(self.layers[1], ReLU)
-            and isinstance(self.layers[2], Conv2d)
-        )
+        # Each layer's forward and backward keyword arguments: the in-place rules of ``layers``. The first
+        # layer's backward builds no input gradient, or does not run (None) if it has no parameters.
+        layers, first = self.layers, self.layers[0]
+        plan = [({}, {"input_grad": False} if first.params() else None)] + [({}, {}) for _ in layers[1:]]
+        for i in range(1, len(layers)):
+            layer, before = layers[i], layers[i - 1]
+            if isinstance(layer, Conv2d) and isinstance(before, MaxPool2d):
+                plan[i][1]["spent"] = True
+            elif i >= 2 and isinstance(layer, MaxPool2d) and isinstance(before, ReLU) and isinstance(layers[i - 2], Conv2d):
+                plan[i][1]["gated"] = plan[i - 1][1]["gated"] = True
+        # A first 1x1 conv before a ReLU and a conv hands that conv its ReLU's rows, which the ReLU passes on.
+        if len(layers) > 2 and isinstance(first, Conv2d) and first.w.shape[:2] == (1, 1):
+            if isinstance(layers[1], ReLU) and isinstance(layers[2], Conv2d):
+                plan[0][0]["relu_rows"] = plan[1][1]["gated"] = True
+        self._plan = plan
 
     def forward(self, x: np.ndarray | EncodedBatch, train: bool = True) -> np.ndarray:
         """Per-sample probabilities, shape (batch,); without ``train`` no layer keeps anything.
 
-        ``x`` is an array or, for a model whose first layer is a conv, an
-        ``encoding.EncodedBatch``, which that conv reads tile by tile. The
-        layers get a read-only view of an array ``x``, which an inference
-        pass's ReLUs therefore never rectify in place. A first 1x1 conv
-        before a ReLU and a conv is asked for ReLU rows, not its plane.
+        ``x`` is an array or an ``encoding.EncodedBatch``. Only a first conv
+        reads the batch as it is, tile by tile; any other first layer (one
+        whose backward never runs) gets ``np.asarray(x)``. The layers get a
+        read-only view of an array, which an inference pass's ReLUs
+        therefore never rectify in place. Each layer's forward gets its
+        entry of the plan.
         """
         if tuple(x.shape[1:]) != self.input_shape:
             raise ValueError(f"input shape {x.shape[1:]} does not match model input {self.input_shape}")
-        if isinstance(x, np.ndarray):
-            x = x.view()
+        if isinstance(x, np.ndarray) or self._plan[0][1] is None:  # a first layer with no parameters is no conv
+            x = np.asarray(x).view()
             x.flags.writeable = False
-        for i, layer in enumerate(self.layers):
-            x = layer.forward(x, train, relu_rows=True) if i == 0 and self._relu_rows else layer.forward(x, train)
+        for layer, (kwargs, _) in zip(self.layers, self._plan):
+            x = layer.forward(x, train, **kwargs)
         return x[:, 0]
 
     def backward(self, dprobs: np.ndarray) -> None:
         """Fill every layer's parameter gradients; the input gradient is never built.
 
-        The layers get a read-only view of ``dprobs``, which no ReLU then gates
-        in place. A conv right after a ReLU (not the first layer), or a pool
-        right after a conv's ReLU, gates its input gradient itself, into that
-        ReLU's spent output, and the ReLU's backward passes it on; a conv that
-        reads ReLU rows hands them the gated tiles instead, and the first
-        layer's backward finds its gradients done. A conv right after a pool
-        writes its input gradient into the pool's spent output. Every layer's
-        backward runs once; then every layer forgets what the forward kept,
-        the batch included.
+        Runs each layer's backward once, last to first, with its entry of the
+        plan, skipping a first layer without parameters, whose input gradient
+        nobody reads. The layers get a read-only view of ``dprobs``, which no
+        ReLU then gates in place. Then every layer forgets what the forward
+        kept, the batch included.
         """
         d = dprobs[:, None]
         d.flags.writeable = False
-        for i in range(len(self.layers) - 1, 0, -1):
-            if i in self._gated:
-                d = self.layers[i].backward(d, gated=True)
-            elif i in self._spent:
-                d = self.layers[i].backward(d, spent=True)
-            else:
-                d = self.layers[i].backward(d)
-        if self.layers[0].params():
-            self.layers[0].backward(d, input_grad=False)
+        for layer, (_, kwargs) in zip(self.layers[::-1], self._plan[::-1]):
+            if kwargs is not None:
+                d = layer.backward(d, **kwargs)
         for layer in self.layers:
             layer.forget()
 

@@ -26,31 +26,16 @@ holds about 20 patterns on n=10 palindromes and 27-28 on n=15 passwords.
 Everything is sequential, so identical seeds reproduce identical epoch
 records byte for byte.
 
-The encoder returns an ``encoding.EncodedBatch``, not a dense array: the
-first conv scatters each sample's plane from the cache as its tiles reach
-it, once in forward and once more in backward, and holds at most two planes
-at a time. So no step and no inference pass builds the whole dense batch. A training step's forward keeps every layer's
-activations, and the encoded batch, for its backward; ``Network.backward``
-drops them all when it is done, so nothing of a step outlives
-``batch_gradients``. ``predict_probs`` (and so ``evaluate`` and each
-epoch's validation) runs inference passes, which keep nothing.
-
-Each pass allocates its conv and pool outputs but the first conv's: that
-1x1 conv hands the 3x3 conv after its ReLU a window of ReLU'd rows, filled
-from the batch as the 3x3 conv's tiles advance, in forward and again in
-backward, so no pass holds the L1 plane, the largest activation. ReLU
-rectifies the other outputs in place, and backward writes every input
-gradient into the spent forward array it replaces (``layers``): the pools
-gate theirs into their ReLU's output, the conv after a pool writes into the
-pool's output, and the 3x3 conv after the first ReLU hands each gated tile
-straight to the first conv's gradients. So a step allocates its forward
-outputs from L2 on with the pools' first-max indices, two samples' planes
-at a time of its batch, and otherwise only arrays far smaller than a plane
-(the window, masks of one byte per pool output cell, scratch tiles, the
-dense layers' gradients). Its peak comes in that 3x3 conv's backward, about
-one sample's plane and the scratch tiles above the end of its forward.
-When a step, ``train`` or ``predict_probs`` returns, or ``train`` stops on a
-diverged loss, the model holds no batch-sized array.
+The encoder returns an ``encoding.EncodedBatch``, not a dense array, so no
+step and no inference pass builds the whole dense batch. A training step's
+forward keeps every layer's activations, and the encoded batch, for its
+backward; ``Network.backward`` drops them all when it is done, so nothing of
+a step outlives ``batch_gradients``. ``predict_probs`` (and so ``evaluate``
+and each epoch's validation) runs inference passes, which keep nothing. What
+a pass allocates and where a step peaks follow from the in-place rules in
+the ``layers`` docstring. When a step, ``train`` or ``predict_probs``
+returns, or ``train`` stops on a diverged loss, the model holds no
+batch-sized array.
 
 ``train`` keeps each epoch's validation probabilities in its record, so
 ``cli train`` splits the final model's validation accuracy by pattern
@@ -81,7 +66,6 @@ class TrainConfig:
     steps_per_epoch: int = 30
     learning_rate: float = 1e-3
     optimizer: str = "adam"  # "adam" | "sgd-momentum"
-    momentum: float = 0.9
     seed: int = 0
     stop_at_val_acc: float | None = None
 
@@ -145,7 +129,7 @@ class SGDMomentum:
 def make_optimizer(cfg: TrainConfig, params: list[np.ndarray]):
     if cfg.optimizer == "adam":
         return Adam(params, cfg.learning_rate)
-    return SGDMomentum(params, cfg.learning_rate, cfg.momentum)
+    return SGDMomentum(params, cfg.learning_rate)
 
 
 def char_encoder(task: str):

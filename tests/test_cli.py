@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from combword.checkpoint import load_checkpoint, save_checkpoint
 from combword.cli import main
 from combword.combinatorics import combinatorics_map
-from combword.encoding import EncodingConfig, channel_count, dense_text_lines
+from combword.encoding import BatchEncoder, EncodingConfig, channel_count, dense_text_lines
 from combword.datasets import DatasetFormatError, read_dataset
-from combword.network import Network, build_char_cnn
+from combword.network import Network, build_char_cnn, dense, flatten, pool, relu, sigmoid
 from combword.training import accuracy_by_pattern, encoder_for, predict_probs
 
 from damage import damaged
@@ -380,6 +380,23 @@ def test_eval_char_checkpoint_with_wrong_word_length_exits_io(mini_run, tmp_path
     code, text, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data / "val.tsv"))
     assert code == 3 and text == ""
     assert err.startswith("error: io:") and "'word_length'/'alphabet_size'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("first", ["relu", "pool"])
+def test_eval_of_a_tensor_checkpoint_whose_first_layer_is_no_conv(tmp_path, capsys, first):
+    data = tmp_path / "d"
+    assert main(["gen", "palindromes", "--len", "4", "--train", "4", "--val", "6", "--test", "2", "--seed", "2", "--out", str(data)]) == 0
+    cfg = EncodingConfig.for_length(4)
+    specs = [relu() if first == "relu" else pool(2, 2), flatten(), dense(1), sigmoid()]
+    meta = {"model": "combinatorial", "encoding": cfg.to_dict(), "task": "palindrome"}
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(Network(specs, (cfg.pad_to, cfg.pad_to, channel_count(cfg)), seed=3, meta=meta), ckpt)
+    capsys.readouterr()
+    code, text, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data / "val.tsv"), "--out", str(tmp_path / "e"))
+    assert code == 0 and "Traceback" not in err
+    ds = read_dataset(data / "val.tsv", task="palindrome")
+    probs = load_checkpoint(ckpt).forward(np.asarray(BatchEncoder(cfg)(ds.words())), train=False)
+    assert text == f"accuracy={np.mean((probs > 0.5) == np.asarray(ds.labels())):.6f}\n"
 
 
 @pytest.mark.parametrize(

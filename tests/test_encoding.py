@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,23 @@ def test_encoded_batch_rows_stay_put_after_later_reads():
     held = [(lo, flat[lo : lo + 10]) for lo in range(0, rows.shape[0] - 10, per)]
     for lo, got in held:
         assert got.tobytes() == rows[lo : lo + 10].tobytes()
+
+
+def test_reading_an_encoded_batch_sample_by_sample_keeps_at_most_two_planes_live():
+    # The oldest plane goes before the next is scattered; the rest of the room is the scatter's index arrays.
+    cfg = EncodingConfig.for_length(10)
+    batch = BatchEncoder(cfg)(["abcdefghij", "abcabcabca", "aabbccddee", "abcdeedcba", "aaaaabbbbb"])
+    flat = batch.reshape(-1, batch.shape[-1])
+    per = cfg.pad_to * cfg.pad_to
+    plane = per * batch.shape[-1] * batch.dtype.itemsize
+    tracemalloc.start()
+    try:
+        for s in range(batch.shape[0]):
+            flat[s * per : (s + 1) * per]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * plane, peak / plane
 
 
 def test_encoded_batch_offers_only_flat_row_slices():

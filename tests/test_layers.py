@@ -95,23 +95,6 @@ def test_conv_matches_direct_reference(kernel, tile, monkeypatch):
 
 @pytest.mark.parametrize("tile", ["default", 1, 7])
 @pytest.mark.parametrize("kernel", CONV_KERNELS)
-def test_gated_conv_backward_is_the_relu_backward_of_its_input_gradient(kernel, tile, monkeypatch):
-    if tile != "default":
-        monkeypatch.setattr(layers, "TILE_ROWS", tile)
-    rng = np.random.default_rng(sum(kernel) + 1)
-    conv, relu = Conv2d(*kernel, 3, 4, rng, dtype=np.float32), ReLU()
-    x = relu.forward(rng.standard_normal((3, 6, 5, 3)).astype(np.float32))
-    dout = rng.standard_normal(conv.forward(x).shape).astype(np.float32)
-    expected = relu.backward(conv.backward(dout))
-    dw = conv.dw.tobytes()
-    dx = conv.backward(dout, gated=True)
-    assert np.shares_memory(dx, x)  # written into the spent ReLU output
-    assert dx.tobytes() == expected.tobytes() and conv.dw.tobytes() == dw
-    assert relu.backward(dx, gated=True) is dx
-
-
-@pytest.mark.parametrize("tile", ["default", 1, 7])
-@pytest.mark.parametrize("kernel", CONV_KERNELS)
 def test_spent_conv_backward_writes_its_input_gradient_into_its_input(kernel, tile, monkeypatch):
     if tile != "default":
         monkeypatch.setattr(layers, "TILE_ROWS", tile)

@@ -322,6 +322,56 @@ def test_a_1x1_conv_before_a_relu_and_a_pool_keeps_its_plane_and_bits():
     model.backward(dprobs)
 
 
+GATED, SPENT = {"gated": True}, {"spent": True}
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (
+            lambda: build_combinatorial_cnn(EncodingConfig.for_length(6), seed=0),
+            # conv 1x1, relu, conv 3x3, relu, pool, conv 3x3, relu, pool, flatten, dense, relu, dense, sigmoid
+            [({"relu_rows": True}, {"input_grad": False}), ({}, GATED), ({}, {}), ({}, GATED), ({}, GATED), ({}, SPENT)]
+            + [({}, GATED), ({}, GATED)] + [({}, {})] * 5,
+        ),
+        (
+            lambda: build_char_cnn(6, 4, seed=0),
+            # conv, relu, pool, flatten, dense, relu, dense, sigmoid
+            [({}, {"input_grad": False}), ({}, GATED), ({}, GATED)] + [({}, {})] * 5,
+        ),
+        (
+            lambda: build_char_cnn(15, 4, seed=0),
+            # conv, relu, pool, conv, relu, pool, flatten, dense, relu, dense, sigmoid
+            [({}, {"input_grad": False}), ({}, GATED), ({}, GATED), ({}, SPENT), ({}, GATED), ({}, GATED)] + [({}, {})] * 5,
+        ),
+    ],
+    ids=["combinatorial", "char-6", "char-15"],
+)
+def test_the_plan_of_each_package_model(build, expected):
+    assert build()._plan == expected
+
+
+@pytest.mark.parametrize("tile", ["default", 1, 7])
+@pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (3, 1), (2, 3)])
+def test_a_conv_after_an_array_relu_matches_each_layers_own_backward(kernel, tile, monkeypatch):
+    # The first conv is no 1x1 conv, so its ReLU's output is an array, which the second conv's
+    # backward leaves to that ReLU's own backward to gate. A 1x1 second conv crops nothing.
+    if tile != "default":
+        monkeypatch.setattr(layers, "TILE_ROWS", tile)
+    specs = [conv(2, 2, 3), relu(), conv(*kernel, 4), relu(), flatten(), dense(1), sigmoid()]
+    model = Network(specs, (6, 5, 2), seed=sum(kernel), dtype=np.float32)
+    model.layers[0].b[...] = [-0.5, 0.25, 0.0]  # so that the ReLU gates some rows of every tile
+    assert model._plan[1:3] == [({}, {}), ({}, {})]
+    rng = np.random.default_rng(sum(kernel))
+    x = rng.standard_normal((3, 6, 5, 2)).astype(np.float32)
+    dprobs = rng.standard_normal(3).astype(np.float32)
+    network, plain = step_and_plain_bits(model, x, dprobs)
+    assert network == plain
+    model.forward(x)
+    assert isinstance(model.layers[1]._out, np.ndarray)  # for contrast: an array ReLU, not ReLU rows
+    model.backward(dprobs)
+
+
 @pytest.mark.parametrize("n", [6, 9, 12, 15])
 def test_fused_backward_matches_on_the_char_model(n, monkeypatch):
     # (2, 1) pools after each conv's ReLU; at n=9 and 15 a pool floors an odd length.
