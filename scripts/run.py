@@ -23,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from combword.checkpoint import load_checkpoint
 from combword.cli import main as cli
 from combword.datasets import permute_dataset, read_dataset
+from combword.network import read_meta
 from combword.training import encoder_for, evaluate
 
 # Defaults of the flags that differ between presets.
@@ -36,7 +37,7 @@ PRESETS = {
 
 def accuracy_pair(ckpt_path: Path, val_path: Path, permute_seed: int) -> tuple[float, float]:
     model = load_checkpoint(ckpt_path)
-    task = model.meta["task"]
+    task = read_meta(model.meta).task
     val = read_dataset(val_path, task=task, split="val")
     encoder = encoder_for(model, task)
     return evaluate(model, val, encoder), evaluate(model, permute_dataset(val, permute_seed), encoder)

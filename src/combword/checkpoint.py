@@ -7,7 +7,9 @@ Layout, all little-endian:
     <raw '<f4' parameter values, C order, in declaration order>
 
 Parameters are stored as 32-bit reals; loading a checkpoint restores them
-bit for bit. A file whose parameters are not all finite is rejected.
+bit for bit. A file whose parameters are not all finite is rejected. The
+metadata is checked by ``network.read_meta``, its one reader: a meta that
+describes no input, or another input than the header's, is rejected too.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ import math
 
 import numpy as np
 
-from .datasets import TASKS
-from .encoding import EncodingConfig, channel_count
-from .network import LayerSpec, Network, param_shapes
+from .network import LayerSpec, Network, param_shapes, read_meta
 
 MAGIC = b"combword-checkpoint v1"
 VERSION = 1
@@ -75,27 +75,14 @@ _HEADER_FIELDS = {
 
 
 def _check_meta(path, meta: dict, input_shape: tuple) -> None:
-    """The meta may name only a known task, and must describe the model's input.
-
-    A char model's word length and alphabet size must be its input shape; a
-    tensor model's meta must rebuild an encoder that fits its input shape.
-    """
-    if "task" in meta and meta["task"] not in TASKS:
-        raise CheckpointError(f"{path}: corrupted header: meta names an unknown task {meta['task']!r}")
-    if meta.get("model") == "char":
-        shape = (meta.get("word_length"), 1, meta.get("alphabet_size"))
-        if not (_is_int(shape[0]) and _is_int(shape[2]) and shape == input_shape):
-            raise CheckpointError(
-                f"{path}: corrupted header: meta 'word_length'/'alphabet_size' do not match input_shape {list(input_shape)}"
-            )
-        return
+    """The meta must describe an input (``network.read_meta``), and that input must be the model's."""
     try:
-        cfg = EncodingConfig.from_dict(meta["encoding"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"{path}: corrupted header: meta has no valid 'encoding' ({exc!r})") from exc
-    # Plane sizes first: they bound the word length before channel_count loops over it.
-    if input_shape[:2] != (cfg.pad_to, cfg.pad_to) or channel_count(cfg) != input_shape[2]:
-        raise CheckpointError(f"{path}: corrupted header: meta 'encoding' does not match input_shape {list(input_shape)}")
+        reads = read_meta(meta)
+        if reads.shape != input_shape:
+            names, verb = "/".join(map(repr, reads.fields)), "does" if len(reads.fields) == 1 else "do"
+            raise ValueError(f"meta {names} {verb} not match input_shape {list(input_shape)}")
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: corrupted header: {exc}") from exc
 
 
 def load_checkpoint(path) -> Network:

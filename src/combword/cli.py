@@ -2,9 +2,9 @@
 checking, training, evaluation, and the gradient self-test.
 
 Exit codes: 0 success, 1 usage error (a flag, a word or a word length the
-command cannot take), 2 invariant violation (equivalence disagreement,
-gradient check failure, training divergence, or any other internal error),
-3 I/O error.
+command cannot take, or an input too large for memory), 2 invariant
+violation (equivalence disagreement, gradient check failure, training
+divergence, or any other internal error), 3 I/O error.
 Every training or evaluation run writes one JSON manifest beside its outputs.
 """
 
@@ -33,7 +33,7 @@ from .datasets import (
 from .encoding import NORM_LOG, NORM_NONE, EncodingConfig, dense_text_lines, encode_dense
 from .equivalence import EXHAUSTIVE_MAX_LETTERS, check_theorem
 from .gradcheck import DEFAULT_TOLERANCE, run_gradcheck
-from .network import build_char_cnn, build_combinatorial_cnn
+from .network import build_char_cnn, build_combinatorial_cnn, read_meta
 from .training import (
     TrainConfig,
     TrainingDiverged,
@@ -239,17 +239,16 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = time.time()
     model = load_checkpoint(args.checkpoint)
-    task = model.meta.get("task", "palindrome")
-    ds = read_dataset(args.data, task=task, split="eval")
-    char = model.meta.get("model") == "char"
-    n = model.meta["word_length"] if char else EncodingConfig.from_dict(model.meta["encoding"]).word_length
-    if ds.word_length != n:
+    reads = read_meta(model.meta)
+    ds = read_dataset(args.data, task=reads.task, split="eval")
+    if ds.word_length != reads.word_length:
         raise DatasetFormatError(
-            f"{args.data}: words of length {ds.word_length} do not fit the model {args.checkpoint}, built for length {n}"
+            f"{args.data}: words of length {ds.word_length} do not fit the model {args.checkpoint}, "
+            f"built for length {reads.word_length}"
         )
     if args.permute_seed is not None:
         ds = permute_dataset(ds, args.permute_seed)
-    acc = evaluate(model, ds, encoder_for(model, task))
+    acc = evaluate(model, ds, encoder_for(model, reads.task))
     print(f"accuracy={acc:.6f}")
     out = Path(args.out) if args.out else Path(args.checkpoint).parent
     out.mkdir(parents=True, exist_ok=True)
@@ -358,6 +357,9 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
     except UsageError as exc:
         _fail("usage", str(exc))
+        return EXIT_USAGE
+    except MemoryError as exc:
+        _fail("usage", f"memory ran out, the input is too large: {' '.join(str(exc).split()) or type(exc).__name__}")
         return EXIT_USAGE
     except ValueError as exc:
         # Every check on the command line's values raised UsageError above, so this is the package's fault.

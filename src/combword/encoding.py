@@ -22,7 +22,7 @@ encoder's call, so there is one way to build a tensor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,12 +65,7 @@ class EncodingConfig:
         return cls(word_length=n, pad_to=max_table_size(n), nu_cap_len=nu_cap_len, normalization=normalization)
 
     def to_dict(self) -> dict:
-        return {
-            "word_length": self.word_length,
-            "pad_to": self.pad_to,
-            "nu_cap_len": self.nu_cap_len,
-            "normalization": self.normalization,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncodingConfig":
@@ -93,7 +88,7 @@ def channel_count(cfg: EncodingConfig) -> int:
     if cfg.nu_cap_len is None:
         return cfg.pad_to
     cap = min(cfg.nu_cap_len, n)
-    return min(cfg.pad_to, 1 + sum(n - length + 1 for length in range(1, cap + 1)))
+    return min(cfg.pad_to, 1 + cap * (n + 1) - cap * (cap + 1) // 2)
 
 
 def _norm_lookup(cfg: EncodingConfig, dtype) -> np.ndarray | None:

@@ -33,10 +33,11 @@ its backward reads: a conv a view of its input (for the first conv, the
 encoded batch itself) and its flat output, a dense layer its input, ReLU
 and sigmoid their output, a pool a view of its input and the index of each
 window's first maximum. It keeps them until ``forget()``, which
-``Network.backward`` calls on every layer once the first layer's backward
-has run, so a training step holds its activations only until its backward
-ends. Without ``train``, the pass is inference only: the layer drops what
-an earlier pass kept and keeps nothing, and the pool builds no index.
+``Network.backward`` calls on every layer once the last backward it runs
+has returned, so a training step holds its activations only until its
+backward ends. Without ``train``, the pass is inference only: the layer
+drops what an earlier pass kept and keeps nothing, and the pool builds no
+index.
 
 These are the in-place rules of a pass; ``network`` builds, per layer, the
 keyword arguments that ask for them and nothing else restates them. Every
@@ -84,9 +85,9 @@ perturb and reuse across calls.
 
 A conv's or dense layer's ``backward(dout, input_grad=False)`` computes only
 the parameter gradients and returns None; the network asks this of its first
-layer, whose input gradient nobody reads. All layers preserve the dtype of
-their parameters/input, so the same code runs in float32 for training and
-float64 for finite-difference checks.
+layer with parameters, whose input gradient nobody reads. All layers
+preserve the dtype of their parameters/input, so the same code runs in
+float32 for training and float64 for finite-difference checks.
 """
 
 from __future__ import annotations
@@ -106,12 +107,13 @@ SIGMOID_CLAMP = 1e-7
 # depend on the thread count; with 2048-row tiles n=10 gradients differed.
 TILE_ROWS = 1024
 
-# Rows of every forward GEMM of a dense layer; a short last tile is padded with
-# zero rows. OpenBLAS picks its kernels by a product's size (and numpy sends a
-# one-column product to GEMV), so rows of one (n, nin) @ (nin, nout) product
-# differ in their last bits as n changes. With every GEMM the same size, a
-# row's output does not depend on the size of its batch, and a full batch of
-# 32 gets the same bits as one whole-batch product.
+# Rows of every forward GEMM of a dense layer: the batch is copied into whole
+# tiles of this many rows, the last one padded with zero rows. OpenBLAS picks
+# its kernels by a product's size (and numpy sends a one-column product to
+# GEMV), so rows of one (n, nin) @ (nin, nout) product differ in their last
+# bits as n changes. With every GEMM the same size, a row's output does not
+# depend on the size of its batch, and a full batch of 32 gets the same bits
+# as one whole-batch product.
 DENSE_ROWS = 32
 
 
@@ -503,16 +505,9 @@ class Dense(Layer):
             raise ValueError(f"dense: expected {self.w.shape[0]} inputs, got {x.shape[1]}")
         self._x = x if train else None
         n = x.shape[0]
-        out = np.empty((n, self.w.shape[1]), dtype=np.result_type(x, self.w))
-        for r0 in range(0, n, DENSE_ROWS):
-            tile = x[r0 : r0 + DENSE_ROWS]
-            if tile.shape[0] == DENSE_ROWS:
-                np.matmul(tile, self.w, out=out[r0 : r0 + DENSE_ROWS])
-            else:
-                pad = np.zeros((DENSE_ROWS - tile.shape[0], tile.shape[1]), dtype=tile.dtype)
-                out[r0:] = (np.concatenate([tile, pad]) @ self.w)[: tile.shape[0]]
-        out += self.b
-        return out
+        tiles = np.zeros((-(-n // DENSE_ROWS), DENSE_ROWS, x.shape[1]), dtype=x.dtype)
+        tiles.reshape(-1, x.shape[1])[:n] = x
+        return (tiles @ self.w).reshape(-1, self.w.shape[1])[:n] + self.b
 
     def backward(self, dout, input_grad: bool = True):
         self.dw[...] = self._x.T @ dout

@@ -19,14 +19,22 @@ nothing behind.
 Which layers work in place is one plan, built once per network: each
 layer's forward and backward keyword arguments, read off its neighbours by
 the rules in the ``layers`` docstring, which also says where a step peaks.
+
+The builders write a model's ``meta``: ``{"model": "combinatorial",
+"encoding": {...}}`` or ``{"model": "char", "word_length", "alphabet_size"}``,
+to which ``cli train`` adds the ``"task"``. ``read_meta`` is the one function
+that reads it back: what the model reads (letters, or tensors of its
+encoding), its task, its word length and its per-sample input shape. The
+checkpoint loader, the training loops and the CLI all go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .datasets import TASKS, task_alphabet
 from .encoding import EncodedBatch, EncodingConfig, channel_count
 from .layers import SIGMOID_CLAMP, Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sigmoid
 
@@ -40,23 +48,11 @@ class LayerSpec:
     units: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "kernel": list(self.kernel),
-            "filters": self.filters,
-            "pool": list(self.pool),
-            "units": self.units,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerSpec":
-        return cls(
-            kind=d["kind"],
-            kernel=tuple(d["kernel"]),
-            filters=int(d["filters"]),
-            pool=tuple(d["pool"]),
-            units=int(d["units"]),
-        )
+        return cls(d["kind"], tuple(d["kernel"]), d["filters"], tuple(d["pool"]), d["units"])
 
 
 def conv(kh: int, kw: int, filters: int) -> LayerSpec:
@@ -177,10 +173,11 @@ class Network:
                 self.layers.append(Dense(shape[0], spec.units, rng, dtype))
             else:
                 self.layers.append(Sigmoid())
-        # Each layer's forward and backward keyword arguments: the in-place rules of ``layers``. The first
-        # layer's backward builds no input gradient, or does not run (None) if it has no parameters.
+        # Each layer's forward and backward keyword arguments: the in-place rules of ``layers``. No
+        # backward runs (None) before the first layer with parameters, and that one builds no input gradient.
         layers, first = self.layers, self.layers[0]
-        plan = [({}, {"input_grad": False} if first.params() else None)] + [({}, {}) for _ in layers[1:]]
+        start = next((i for i, layer in enumerate(layers) if layer.params()), len(layers))
+        plan = [({}, None if i < start else {"input_grad": False} if i == start else {}) for i in range(len(layers))]
         for i in range(1, len(layers)):
             layer, before = layers[i], layers[i - 1]
             if isinstance(layer, Conv2d) and isinstance(before, MaxPool2d):
@@ -216,8 +213,9 @@ class Network:
         """Fill every layer's parameter gradients; the input gradient is never built.
 
         Runs each layer's backward once, last to first, with its entry of the
-        plan, skipping a first layer without parameters, whose input gradient
-        nobody reads. The layers get a read-only view of ``dprobs``, which no
+        plan, down to the first layer with parameters, which builds no input
+        gradient: nobody reads it, nor anything the layers before would make
+        of it. The layers get a read-only view of ``dprobs``, which no
         ReLU then gates in place. Then every layer forgets what the forward
         kept, the batch included.
         """
@@ -303,3 +301,43 @@ def build_char_cnn(n: int, alphabet_size: int, seed: int, dtype=np.float32) -> N
     specs += [flatten(), dense(64), relu(), dense(1), sigmoid()]
     meta = {"model": "char", "word_length": n, "alphabet_size": alphabet_size}
     return Network(specs, (n, 1, alphabet_size), seed, dtype, meta)
+
+
+@dataclass(frozen=True)
+class ModelInput:
+    """What a model reads, as its meta describes it (``read_meta``).
+
+    ``encoding`` is None for the char baseline, which reads its task's
+    letters one-hot; the tensor model reads its encoding's tensors. ``shape``
+    is one sample's input shape, read from the meta ``fields`` named.
+    """
+
+    task: str
+    encoding: EncodingConfig | None
+    word_length: int
+    shape: tuple[int, int, int]
+    fields: tuple[str, ...]
+
+
+def read_meta(meta: dict) -> ModelInput:
+    """What a model with this meta reads; ValueError for a meta that describes no input.
+
+    A meta without a task is a palindrome model's, and one without a model
+    kind the tensor model's. A char model's alphabet is its task's.
+    """
+    task = meta.get("task", "palindrome")
+    if task not in TASKS:
+        raise ValueError(f"meta names an unknown task {task!r}")
+    kind = meta.get("model", "combinatorial")
+    if kind == "char":
+        n, size = meta.get("word_length"), meta.get("alphabet_size")
+        if not (type(n) is int and type(size) is int and size == len(task_alphabet(task))):
+            raise ValueError(f"meta 'word_length'/'alphabet_size' do not match a char model of the {task} alphabet: {n!r}/{size!r}")
+        return ModelInput(task, None, n, (n, 1, size), ("word_length", "alphabet_size"))
+    if kind != "combinatorial":
+        raise ValueError(f"meta names an unknown model {kind!r}")
+    try:
+        cfg = EncodingConfig.from_dict(meta["encoding"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"meta has no valid 'encoding' ({exc!r})") from exc
+    return ModelInput(task, cfg, cfg.word_length, (cfg.pad_to, cfg.pad_to, channel_count(cfg)), ("encoding",))

@@ -13,7 +13,8 @@ a batch.
 
 A batch runs through the network once per distinct input: the encoder gets
 one representative word per key of ``input_key`` (the repetition pattern
-for the tensor model, the letters for the char baseline), and the
+for the tensor model, the letters for the char baseline; ``input_key`` and
+``encoder_for`` tell the two apart by ``network.read_meta``), and the
 probabilities are gathered back to every word of the batch. ``predict_probs``
 goes further and runs each key once per call: a batch encodes and runs only
 the keys no earlier batch of the split ran, which can be none. A row's bits do
@@ -50,8 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import LabeledDataset, task_alphabet
-from .encoding import BatchEncoder, EncodingConfig, onehot_batch
-from .network import Network, binary_cross_entropy
+from .encoding import BatchEncoder, onehot_batch
+from .network import Network, binary_cross_entropy, read_meta
 from .words import as_text, pattern_key
 
 
@@ -138,22 +139,19 @@ def char_encoder(task: str):
 
 
 def encoder_for(model: Network, task: str):
-    """The batch encoder matching a model's input, from its build metadata."""
-    if model.meta.get("model") == "char":
-        return char_encoder(task)
-    return BatchEncoder(EncodingConfig.from_dict(model.meta["encoding"]))
+    """The batch encoder matching what a model reads (``network.read_meta``)."""
+    encoding = read_meta(model.meta).encoding
+    return char_encoder(task) if encoding is None else BatchEncoder(encoding)
 
 
 def input_key(model: Network):
     """Per word, the key that determines the model's input row.
 
     The tensor model's input is a function of the word's repetition pattern,
-    so pattern twins share a row; any other model (the char baseline) reads
-    the letters, and only equal words do.
+    so pattern twins share a row; the char baseline reads the letters, and
+    only equal words do.
     """
-    if "encoding" in model.meta:
-        return lambda w: pattern_key(as_text(w))
-    return as_text
+    return as_text if read_meta(model.meta).encoding is None else lambda w: pattern_key(as_text(w))
 
 
 def _rows_of(words: list, key, slots: dict) -> tuple[list, np.ndarray]:

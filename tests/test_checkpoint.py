@@ -152,6 +152,8 @@ def _put_encoding(**fields):
         (_put_spec(8, kind="relu"), "invalid architecture"),  # dense on an unflattened plane
         (_put_meta(task="anagram"), "unknown task"),
         (_put_meta(task=["palindrome"]), "unknown task"),
+        (_put_meta(model="foo"), "unknown model 'foo'"),
+        (_put_meta(model="char"), "'word_length'/'alphabet_size' do not match"),
     ],
 )
 def test_malformed_header_raises_checkpoint_error(model, tmp_path, edit, match):
@@ -177,6 +179,8 @@ def char_model():
         (_put_meta(word_length="8"), "'word_length'/'alphabet_size' do not match"),
         (lambda h: {**h, "meta": {"model": "char", "alphabet_size": 26}}, "'word_length'/'alphabet_size' do not match"),
         (_put_meta(task="anagram"), "unknown task"),
+        (_put_meta(task="password"), "'word_length'/'alphabet_size' do not match"),  # 26 letters, not 94
+        (_put_meta(model="foo"), "unknown model 'foo'"),
     ],
 )
 def test_char_model_meta_must_match_input_shape(char_model, tmp_path, edit, match):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from combword.checkpoint import load_checkpoint, save_checkpoint
 from combword.cli import main
 from combword.combinatorics import combinatorics_map
 from combword.encoding import BatchEncoder, EncodingConfig, channel_count, dense_text_lines
-from combword.datasets import DatasetFormatError, read_dataset
+from combword.datasets import DatasetFormatError, gen_password_dataset, read_dataset, write_dataset
 from combword.network import Network, build_char_cnn, dense, flatten, pool, relu, sigmoid
 from combword.training import accuracy_by_pattern, encoder_for, predict_probs
 
@@ -380,6 +381,64 @@ def test_eval_char_checkpoint_with_wrong_word_length_exits_io(mini_run, tmp_path
     code, text, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data / "val.tsv"))
     assert code == 3 and text == ""
     assert err.startswith("error: io:") and "'word_length'/'alphabet_size'" in err and "Traceback" not in err
+
+
+def test_eval_of_a_char_checkpoint_ignores_an_encoding_in_its_meta(tmp_path, capsys):
+    # Pattern twins (abccba/xyzzyx, abcabc/qrsqrs, ...) differ in their letters, which the char model reads.
+    data = tmp_path / "twins.tsv"
+    data.write_text("1\tabccba\n1\txyzzyx\n0\tabcabc\n0\tqrsqrs\n1\taabbaa\n1\tkkmmkk\n0\tabcdef\n0\tuvwxyz\n")
+    model = build_char_cnn(6, 26, seed=3)
+    model.meta["task"] = "palindrome"
+    plain, extra = tmp_path / "plain.ckpt", tmp_path / "extra.ckpt"
+    save_checkpoint(model, plain)
+    model.meta["encoding"] = EncodingConfig.for_length(6).to_dict()
+    save_checkpoint(model, extra)
+    outputs = [run(capsys, "eval", "--checkpoint", str(path), "--data", str(data)) for path in (plain, extra)]
+    assert outputs[0] == outputs[1] == (0, "accuracy=0.625000\n", "")
+    ds = read_dataset(data, task="palindrome")
+    probs = [predict_probs(m, ds, encoder_for(m, "palindrome")) for m in map(load_checkpoint, (plain, extra))]
+    assert probs[0].tobytes() == probs[1].tobytes()
+    assert probs[0][0] != probs[0][1]  # for contrast: the twins abccba and xyzzyx get their own rows
+
+
+def test_eval_of_a_char_checkpoint_whose_alphabet_is_not_its_tasks_exits_io(tmp_path, capsys):
+    data = tmp_path / "val.tsv"
+    write_dataset(gen_password_dataset((2, 2, 2), seed=1, n=15)[1], data)
+    model = build_char_cnn(15, 26, seed=1)
+    model.meta["task"] = "password"
+    ckpt = tmp_path / "char.ckpt"
+    save_checkpoint(model, ckpt)
+    code, text, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(tmp_path))
+    assert code == 3 and text == ""
+    assert err.startswith(f"error: io: {ckpt}: corrupted header:") and "'alphabet_size'" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_eval_of_a_checkpoint_of_an_unknown_model_kind_exits_io(mini_run, tmp_path, capsys):
+    code, text, err = _eval_edited_header(capsys, mini_run, tmp_path, lambda h: h["meta"].update(model="foo"))
+    assert code == 3 and text == ""
+    assert err == f"error: io: {tmp_path / 'bad.ckpt'}: corrupted header: meta names an unknown model 'foo'\n"
+
+
+def test_train_on_an_input_too_large_for_memory_exits_usage(tmp_path):
+    # At n=100 the tensor model's first dense layer is 6 GB; the child's address space is capped at 2 GiB.
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cli = [sys.executable, "-c", "import sys; from combword.cli import main; sys.exit(main())"]
+    procs = [
+        subprocess.run(cli + argv, env=env, capture_output=True, text=True, timeout=600, preexec_fn=cap_address_space)
+        for argv in (
+            ["gen", "palindromes", "--len", "100", "--train", "2", "--val", "2", "--test", "2", "--out", str(tmp_path / "d")],
+            ["train", "--task", "palindrome", "--data", str(tmp_path / "d"), "--epochs", "1", "--out", str(tmp_path / "r")],
+        )
+    ]
+    assert procs[0].returncode == 0, procs[0].stderr
+    assert procs[1].returncode == 1 and procs[1].stdout == ""
+    assert procs[1].stderr.startswith("error: usage: memory ran out") and len(procs[1].stderr.splitlines()) == 1
+    assert "Traceback" not in procs[1].stderr
 
 
 @pytest.mark.parametrize("first", ["relu", "pool"])

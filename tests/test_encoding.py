@@ -55,6 +55,23 @@ def test_channel_count():
     assert channel_count(EncodingConfig.for_length(4, nu_cap_len=99, normalization=NORM_NONE)) == 11
 
 
+def looped_channel_count(cfg: EncodingConfig) -> int:
+    """The channel count as a sum over subword lengths, one term per length up to the cap."""
+    n = cfg.word_length
+    if cfg.nu_cap_len is None:
+        return cfg.pad_to
+    cap = min(cfg.nu_cap_len, n)
+    return min(cfg.pad_to, 1 + sum(n - length + 1 for length in range(1, cap + 1)))
+
+
+def test_channel_count_equals_the_sum_over_subword_lengths():
+    for n in range(1, 61):
+        for cap in [None, *range(1, n + 3)]:
+            for extra in (0, 5):
+                cfg = EncodingConfig(n, words.max_table_size(n) + extra, cap, NORM_NONE)
+                assert channel_count(cfg) == looped_channel_count(cfg), (n, cap, extra)
+
+
 def test_encode_ab_raw_counts():
     cfg = EncodingConfig(word_length=2, pad_to=4, nu_cap_len=None, normalization=NORM_NONE)
     t = encode_dense("ab", cfg)

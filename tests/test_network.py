@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from combword import layers
+from combword.datasets import TASKS, task_alphabet
 from combword.encoding import BatchEncoder, EncodingConfig, channel_count
 from combword.gradcheck import check_model_gradients
 from combword.layers import ReluRows
@@ -16,7 +17,9 @@ from combword.network import (
     dense,
     flatten,
     pool,
+    read_meta,
     relu,
+    sample_shapes,
     sigmoid,
 )
 
@@ -349,6 +352,49 @@ GATED, SPENT = {"gated": True}, {"spent": True}
 )
 def test_the_plan_of_each_package_model(build, expected):
     assert build()._plan == expected
+
+
+@pytest.mark.parametrize("first", [[relu()], [relu(), pool(2, 1)]], ids=["relu", "relu-pool"])
+def test_backward_stops_at_the_first_layer_with_parameters(first, monkeypatch):
+    model = Network([*first, conv(3, 1, 4), relu(), flatten(), dense(1), sigmoid()], (8, 1, 3), seed=2)
+    start = len(first)
+    assert [kwargs for _, kwargs in model._plan[:start]] == [None] * start
+    assert model._plan[start][1]["input_grad"] is False
+    backward, returned = model.layers[start].backward, []
+
+    def spy(*args, **kwargs):
+        returned.append(backward(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(model.layers[start], "backward", spy)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((5, 8, 1, 3)).astype(np.float32)
+    dprobs = rng.standard_normal(5).astype(np.float32)
+    network, plain = step_and_plain_bits(model, x, dprobs)
+    assert returned[0] is None  # the network's step; the plain one builds the conv's input gradient
+    assert returned[1].shape == (5, *sample_shapes(model.specs, model.input_shape)[start])
+    assert network == plain
+
+
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("n", [4, 6, 10, 15])
+def test_read_meta_gives_the_input_shape_of_a_char_model(n, task):
+    model = build_char_cnn(n, len(task_alphabet(task)), seed=0)
+    model.meta["task"] = task
+    reads = read_meta(model.meta)
+    assert (reads.task, reads.encoding, reads.word_length, reads.shape) == (task, None, n, model.input_shape)
+
+
+@pytest.mark.parametrize("with_task", [False, True])
+@pytest.mark.parametrize("n, cap", [(4, None), (6, None), (6, 1), (8, 2), (10, 99), (15, 3), (20, 3)])
+def test_read_meta_gives_the_input_shape_of_a_tensor_model(n, cap, with_task):
+    cfg = EncodingConfig.for_length(n, nu_cap_len=cap)
+    model = build_combinatorial_cnn(cfg, seed=0, filters=(2, 2, 2), dense_units=2)
+    if with_task:
+        model.meta["task"] = "password"
+    reads = read_meta(model.meta)
+    assert (reads.task, reads.encoding, reads.word_length) == ("password" if with_task else "palindrome", cfg, n)
+    assert reads.shape == model.input_shape
 
 
 @pytest.mark.parametrize("tile", ["default", 1, 7])
