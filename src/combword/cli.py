@@ -91,6 +91,15 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _word(text: str):
+    """A word argument over its own letters; bytes that are not UTF-8 reach argv as lone surrogates."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"word is not valid UTF-8 at character {exc.start + 1}") from None
+    return word_over_own_letters(text)
+
+
 def _nu_cap(text: str) -> int:
     """A channel cap flag: subwords of length up to an integer >= 1."""
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
@@ -140,7 +149,7 @@ def cmd_gen(args) -> int:
 
 def cmd_tensor(args) -> int:
     with _flags():
-        word = word_over_own_letters(args.word)
+        word = _word(args.word)
     if args.format == "sparse":
         for line in combinatorics_map(word).sparse_lines():
             print(line)
@@ -154,7 +163,7 @@ def cmd_tensor(args) -> int:
 
 def cmd_equiv(args) -> int:
     with _flags():
-        a, b = word_over_own_letters(args.a), word_over_own_letters(args.b)
+        a, b = _word(args.a), _word(args.b)
     if args.oracle and max(len(a.distinct_letters), len(b.distinct_letters)) > EXHAUSTIVE_MAX_LETTERS:
         raise UsageError(f"--oracle searches words of at most {EXHAUSTIVE_MAX_LETTERS} distinct letters")
     report = check_theorem(a, b, use_oracle=args.oracle)
@@ -175,6 +184,8 @@ def cmd_train(args) -> int:
     train_ds = read_dataset(data / "train.tsv", task=args.task, split="train")
     val_ds = read_dataset(data / "val.tsv", task=args.task, split="val")
     n = train_ds.word_length
+    if val_ds.word_length != n:
+        raise DatasetFormatError(f"{data / 'val.tsv'}: words of length {val_ds.word_length} do not match train.tsv's length {n}")
     with _flags():
         if args.model == "char":
             model = build_char_cnn(n, len(task_alphabet(args.task)), seed=args.seed)

@@ -22,7 +22,7 @@ encoder's call, so there is one way to build a tensor.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,18 +63,6 @@ class EncodingConfig:
         if nu_cap_len is _AUTO:
             nu_cap_len = _AUTO_CAP if n > _AUTO_CAP_THRESHOLD else None
         return cls(word_length=n, pad_to=max_table_size(n), nu_cap_len=nu_cap_len, normalization=normalization)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncodingConfig":
-        return cls(
-            word_length=int(d["word_length"]),
-            pad_to=int(d["pad_to"]),
-            nu_cap_len=None if d["nu_cap_len"] is None else int(d["nu_cap_len"]),
-            normalization=str(d["normalization"]),
-        )
 
 
 def channel_count(cfg: EncodingConfig) -> int:

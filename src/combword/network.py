@@ -26,11 +26,20 @@ to which ``cli train`` adds the ``"task"``. ``read_meta`` is the one function
 that reads it back: what the model reads (letters, or tensors of its
 encoding), its task, its word length and its per-sample input shape. The
 checkpoint loader, the training loops and the CLI all go through it.
+
+``from_json`` builds a dataclass from parsed JSON by its field annotations
+and casts nothing. It is how a checkpoint's ``checkpoint.Header`` (with its
+``LayerSpec`` specs) is read, and how ``read_meta`` reads the encoding, an
+``EncodingConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from functools import cache
+from reprlib import repr as short_repr
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,12 +56,45 @@ class LayerSpec:
     pool: tuple[int, int] = (0, 0)
     units: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LayerSpec":
-        return cls(d["kind"], tuple(d["kernel"]), d["filters"], tuple(d["pool"]), d["units"])
+_JSON_NAMES = {int: "an integer", str: "a string", dict: "an object", list: "a list", tuple: "a list"}
+_field_types = cache(get_type_hints)
+
+
+def from_json(tp, value, where: str):
+    """Parsed JSON ``value`` as a ``tp``; ValueError naming the path ``where`` and the value if it is none.
+
+    ``tp`` is int, str, dict, ``X | None``, ``list[X]``, ``tuple[X, ...]``,
+    a fixed-length tuple, or a dataclass read by its field annotations.
+    Nothing is cast: an int is no bool or float, a tuple is a list of its
+    length, and a dataclass is an object with exactly its fields, whose
+    constructor's ValueError is reported at ``where`` too.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None
+        return None if value is None else from_json(args[0], value, where)
+    kind = dict if is_dataclass(tp) else origin or tp
+    if type(value) is not (list if kind is tuple else kind):
+        raise ValueError(f"{where} is not {_JSON_NAMES[kind]}: {short_repr(value)}")
+    if is_dataclass(tp):
+        names, hints = [f.name for f in fields(tp)], _field_types(tp)
+        missing, unknown = sorted(set(names) - set(value)), sorted(set(value) - set(names))
+        wrong = [f"{what} fields {short_repr(keys)}" for what, keys in (("missing", missing), ("unknown", unknown)) if keys]
+        if wrong:
+            raise ValueError(f"{where} has {' and '.join(wrong)}")
+        kwargs = {name: from_json(hints[name], value[name], f"{where}[{name!r}]") for name in names}
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+    if not args:
+        return value
+    if args[-1] is Ellipsis or kind is list:
+        args = args[:1] * len(value)
+    elif len(value) != len(args):
+        raise ValueError(f"{where} is not a list of {len(args)}: {short_repr(value)}")
+    items = [from_json(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value))]
+    return items if kind is list else tuple(items)
 
 
 def conv(kh: int, kw: int, filters: int) -> LayerSpec:
@@ -276,7 +318,7 @@ def build_combinatorial_cnn(
         dense(1),
         sigmoid(),
     ]
-    meta = {"model": "combinatorial", "encoding": enc_cfg.to_dict()}
+    meta = {"model": "combinatorial", "encoding": asdict(enc_cfg)}
     return Network(specs, (pad, pad, chans), seed, dtype, meta)
 
 
@@ -336,8 +378,5 @@ def read_meta(meta: dict) -> ModelInput:
         return ModelInput(task, None, n, (n, 1, size), ("word_length", "alphabet_size"))
     if kind != "combinatorial":
         raise ValueError(f"meta names an unknown model {kind!r}")
-    try:
-        cfg = EncodingConfig.from_dict(meta["encoding"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"meta has no valid 'encoding' ({exc!r})") from exc
+    cfg = from_json(EncodingConfig, meta.get("encoding"), "meta['encoding']")
     return ModelInput(task, cfg, cfg.word_length, (cfg.pad_to, cfg.pad_to, channel_count(cfg)), ("encoding",))

@@ -262,9 +262,7 @@ def train(
     per_epoch = cfg.batch_size * cfg.steps_per_epoch
     records: list[EpochRecord] = []
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(items))
-        while order.size < per_epoch:
-            order = np.concatenate([order, rng.permutation(len(items))])
+        order = np.concatenate([rng.permutation(len(items)) for _ in range(-(-per_epoch // len(items)))])
         losses = []
         correct = 0
         for step in range(cfg.steps_per_epoch):

@@ -1,4 +1,7 @@
+import hashlib
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -80,6 +83,24 @@ def test_wrong_version(model, tmp_path):
         load_checkpoint(p)
 
 
+# The header line ``save_checkpoint`` writes for two seeded n=4 models; files saved before keep loading unchanged.
+@pytest.mark.parametrize(
+    "build, sha1",
+    [
+        (lambda: build_combinatorial_cnn(EncodingConfig.for_length(4), seed=5), "e426647463b8c0a331796c5167dbac5d5e5002af"),
+        (lambda: build_char_cnn(4, 26, seed=3), "656e6596ca66fc3ba491baaa91b7a5a67ec8e5ff"),
+    ],
+    ids=["tensor", "char"],
+)
+def test_header_bytes_are_pinned(tmp_path, build, sha1):
+    m = build()
+    m.meta["task"] = "palindrome"
+    save_checkpoint(m, tmp_path / "m.ckpt")
+    header = (tmp_path / "m.ckpt").read_bytes().split(b"\n")[1]
+    assert hashlib.sha1(header).hexdigest() == sha1
+    assert load_checkpoint(tmp_path / "m.ckpt").meta == m.meta
+
+
 def test_truncated_blob_reports_sizes(model, tmp_path):
     p = tmp_path / "x.ckpt"
     save_checkpoint(model, p)
@@ -154,6 +175,18 @@ def _put_encoding(**fields):
         (_put_meta(task=["palindrome"]), "unknown task"),
         (_put_meta(model="foo"), "unknown model 'foo'"),
         (_put_meta(model="char"), "'word_length'/'alphabet_size' do not match"),
+        # No value is cast: each of these loaded when the encoding was read with int() and str().
+        (_put_encoding(pad_to=22.0), "'encoding'"),
+        (_put_encoding(pad_to=22.9), "'encoding'"),
+        (_put_encoding(nu_cap_len="6"), "'encoding'"),
+        (_put_encoding(word_length="6"), "'encoding'"),
+        # An object has exactly its dataclass's fields.
+        (_put("comment", "hand-edited"), r"unknown fields \['comment'\]"),
+        (_put_spec_field("stride", 1), "'specs'"),
+        (_put_encoding(channels=11), "'encoding'"),
+        # The version is checked first, and true == 1 == 1.0 in Python.
+        (_put("version", True), "unsupported version True"),
+        (_put("version", 1.0), "unsupported version 1.0"),
     ],
 )
 def test_malformed_header_raises_checkpoint_error(model, tmp_path, edit, match):
@@ -162,6 +195,27 @@ def test_malformed_header_raises_checkpoint_error(model, tmp_path, edit, match):
     _rewrite_header(p, edit)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(p)
+
+
+# The one error line shows a rejected value shortened, and names only the field lists that are not empty.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_put("meta", list(range(10**4))), "header['meta'] is not an object: [0, 1, 2, 3, 4, 5, ...]"),
+        (_put("input_shape", [11] * 10**4), "header['input_shape'] is not a list of 3: [11, 11, 11, 11, 11, 11, ...]"),
+        (_put("seed", "7" * 10**4), "header['seed'] is not an integer: '777777777777...7777777777777'"),
+        (_drop("seed"), "header has missing fields ['seed']"),
+        (_put("comment", "hand-edited"), "header has unknown fields ['comment']"),
+        (lambda h: {**_drop("seed")(h), "comment": 1}, "header has missing fields ['seed'] and unknown fields ['comment']"),
+    ],
+)
+def test_a_rejected_header_value_is_named_briefly(model, tmp_path, edit, message):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(model, p)
+    _rewrite_header(p, edit)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(p)
+    assert str(info.value) == f"{p}: corrupted header: {message}"
 
 
 @pytest.fixture(scope="module")
@@ -288,3 +342,82 @@ def test_damaged_checkpoint_loads_or_raises_checkpoint_error(saved_small, data):
         return
     assert [p.shape for p in loaded.params()] == param_shapes(loaded.specs, loaded.input_shape)
     assert all(np.isfinite(p).all() for p in loaded.params())
+
+
+@pytest.fixture(scope="module")
+def saved_headers(tmp_path_factory):
+    """Saved n=4 tensor and char models, each as (magic, parsed header, blob), and a dataset both evaluate."""
+    root = tmp_path_factory.mktemp("leaves")
+    saved = {}
+    for kind, m in (("tensor", build_combinatorial_cnn(EncodingConfig.for_length(4), seed=5)), ("char", build_char_cnn(4, 26, seed=3))):
+        m.meta["task"] = "palindrome"
+        save_checkpoint(m, root / "m.ckpt")
+        magic, header, blob = (root / "m.ckpt").read_bytes().split(b"\n", 2)
+        saved[kind] = magic, json.loads(header), blob
+    write_dataset(gen_palindrome_dataset(4, (1, 2, 1), seed=1)[1], root / "val.tsv")
+    return root, saved
+
+
+def _leaves(value, path=()):
+    """The path of every leaf (number, string, bool or null) of parsed JSON."""
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in _leaves(v, (*path, k))]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _leaves(v, (*path, i))]
+    return [path]
+
+
+_LEAF_VALUES = [True, 1.0, 11.9, "4", -1, 0, 10**30, float("nan"), [], [1], {}, None, "x"]
+
+
+def _write_with_leaf(ckpt, saved, path, value) -> bool:
+    """Write ``saved`` with the header leaf at ``path`` set to ``value``; whether that changes the leaf's JSON type.
+
+    The one leaf whose declared type admits two JSON types is the encoding's ``nu_cap_len``: ``int | None``.
+    """
+    magic, header, blob = saved
+    edited = json.loads(json.dumps(header))
+    *parents, last = path
+    target = edited
+    for key in parents:
+        target = target[key]
+    old, target[last] = target[last], value
+    ckpt.write_bytes(magic + b"\n" + json.dumps(edited).encode("utf-8") + b"\n" + blob)
+    return type(value) not in ({int, type(None)} if last == "nu_cap_len" else {type(old)})
+
+
+def _loads(ckpt) -> bool:
+    try:
+        load_checkpoint(ckpt)
+    except CheckpointError:
+        return False
+    return True
+
+
+def test_no_header_leaf_of_another_json_type_loads(saved_headers):
+    root, saved = saved_headers
+    ckpt = root / "edited.ckpt"
+    loaded = [
+        (kind, path, value)
+        for kind in sorted(saved)
+        for path in _leaves(saved[kind][1])
+        for value in _LEAF_VALUES
+        if _write_with_leaf(ckpt, saved[kind], path, value) and _loads(ckpt)
+    ]
+    assert loaded == []
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_every_header_leaf_of_another_value_loads_or_exits_io_in_eval(saved_headers, data):
+    root, saved = saved_headers
+    kind = data.draw(st.sampled_from(sorted(saved)))
+    path = data.draw(st.sampled_from(_leaves(saved[kind][1])))
+    ckpt = root / "edited.ckpt"
+    retyped = _write_with_leaf(ckpt, saved[kind], path, data.draw(st.sampled_from(_LEAF_VALUES)))
+    loads = _loads(ckpt)
+    assert not (retyped and loads)
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(root / "val.tsv"), "--out", str(root)])
+    assert code == (0 if loads else 3) and "Traceback" not in err.getvalue(), err.getvalue()

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,40 @@ def test_eval_rejects_dataset_of_another_word_length(tmp_path, capsys, model):
     assert "length 8" in err and "length 6" in err
 
 
+@pytest.mark.parametrize("model", ["combinatorial", "char"])
+def test_train_rejects_a_val_split_of_another_word_length_before_training(tmp_path, capsys, model):
+    data, other = tmp_path / "d6", tmp_path / "d8"
+    for n, path in ((6, data), (8, other)):
+        assert main(["gen", "palindromes", "--len", str(n), "--train", "8", "--val", "4", "--test", "4", "--out", str(path)]) == 0
+    (data / "val.tsv").write_bytes((other / "val.tsv").read_bytes())
+    out = tmp_path / "run"
+    capsys.readouterr()
+    argv = ["train", "--task", "palindrome", "--data", str(data), "--epochs", "1", "--model", model, "--out", str(out)]
+    code, text, err = run(capsys, *argv, "--batch-size", "8", "--steps-per-epoch", "1")
+    assert code == 3 and text == ""
+    assert err.startswith("error: io:") and str(data / "val.tsv") in err and "Traceback" not in err
+    assert "length 8" in err and "length 6" in err
+    assert not (out / "model.ckpt").exists() and not (out / "metrics.csv").exists()
+
+
+# Bytes that are not UTF-8 reach argv as lone surrogates: b"a\xff" as "a\udcff", an encoded surrogate as three.
+@pytest.mark.parametrize(
+    "argv, at",
+    [
+        (["tensor", "--word", "a\udcff"], 2),
+        (["tensor", "--word", "a\udcff", "--format", "dense"], 2),
+        (["tensor", "--word", "\udced\udca0\udc80"], 1),
+        (["equiv", "--a", "a\udcff", "--b", "ab"], 2),
+        (["equiv", "--a", "ab", "--b", "ab\udcff", "--oracle"], 3),
+    ],
+    ids=["tensor", "tensor-dense", "tensor-surrogate", "equiv-a", "equiv-b-oracle"],
+)
+def test_word_that_is_not_utf8_exits_usage(capsys, argv, at):
+    code, text, err = run(capsys, *argv)
+    assert code == 1 and text == ""
+    assert err == f"error: usage: word is not valid UTF-8 at character {at}\n"
+
+
 @settings(max_examples=60)
 @given(bad=damaged(b"1\tabccba\n0\tabcdef\n1\tqwwwwq\n0\txyzzyq\n"))
 def test_eval_on_a_damaged_dataset_exits_io_or_evaluates(mini_run, bad):
@@ -391,7 +426,7 @@ def test_eval_of_a_char_checkpoint_ignores_an_encoding_in_its_meta(tmp_path, cap
     model.meta["task"] = "palindrome"
     plain, extra = tmp_path / "plain.ckpt", tmp_path / "extra.ckpt"
     save_checkpoint(model, plain)
-    model.meta["encoding"] = EncodingConfig.for_length(6).to_dict()
+    model.meta["encoding"] = asdict(EncodingConfig.for_length(6))
     save_checkpoint(model, extra)
     outputs = [run(capsys, "eval", "--checkpoint", str(path), "--data", str(data)) for path in (plain, extra)]
     assert outputs[0] == outputs[1] == (0, "accuracy=0.625000\n", "")
@@ -447,7 +482,7 @@ def test_eval_of_a_tensor_checkpoint_whose_first_layer_is_no_conv(tmp_path, caps
     assert main(["gen", "palindromes", "--len", "4", "--train", "4", "--val", "6", "--test", "2", "--seed", "2", "--out", str(data)]) == 0
     cfg = EncodingConfig.for_length(4)
     specs = [relu() if first == "relu" else pool(2, 2), flatten(), dense(1), sigmoid()]
-    meta = {"model": "combinatorial", "encoding": cfg.to_dict(), "task": "palindrome"}
+    meta = {"model": "combinatorial", "encoding": asdict(cfg), "task": "palindrome"}
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(Network(specs, (cfg.pad_to, cfg.pad_to, channel_count(cfg)), seed=3, meta=meta), ckpt)
     capsys.readouterr()
