@@ -6,6 +6,8 @@ command cannot take, or an input too large for memory), 2 invariant
 violation (equivalence disagreement, gradient check failure, training
 divergence, or any other internal error), 3 I/O error.
 Every training or evaluation run writes one JSON manifest beside its outputs.
+`tensor` writes one lam row at a time, so it never holds the text of the
+whole map or tensor; its --nu-cap and --norm apply to --format dense only.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .datasets import (
     task_alphabet,
     write_dataset,
 )
-from .encoding import NORM_LOG, NORM_NONE, EncodingConfig, dense_text_lines, encode_dense
+from .encoding import NORM_LOG, NORM_NONE, EncodingConfig, encode_dense
 from .equivalence import EXHAUSTIVE_MAX_LETTERS, check_theorem
 from .gradcheck import DEFAULT_TOLERANCE, run_gradcheck
 from .network import build_char_cnn, build_combinatorial_cnn, read_meta
@@ -107,14 +109,12 @@ def _nu_cap(text: str) -> int:
     return int(text)
 
 
-def _norm_flag(value: str) -> str:
-    return {"none": NORM_NONE, "log": NORM_LOG}[value]
-
-
 def _encoding_config(n: int, nu_cap: int | None, norm: str) -> EncodingConfig:
+    """The encoding of --nu-cap (None keeps the length's default cap) and --norm."""
+    normalization = {"none": NORM_NONE, "log": NORM_LOG}[norm]
     if nu_cap is None:
-        return EncodingConfig.for_length(n, normalization=_norm_flag(norm))
-    return EncodingConfig.for_length(n, nu_cap_len=nu_cap, normalization=_norm_flag(norm))
+        return EncodingConfig.for_length(n, normalization=normalization)
+    return EncodingConfig.for_length(n, nu_cap_len=nu_cap, normalization=normalization)
 
 
 def cmd_gen(args) -> int:
@@ -151,13 +151,18 @@ def cmd_tensor(args) -> int:
     with _flags():
         word = _word(args.word)
     if args.format == "sparse":
-        for line in combinatorics_map(word).sparse_lines():
-            print(line)
+        given = [flag for flag, value in (("--nu-cap", args.nu_cap), ("--norm", args.norm)) if value is not None]
+        if given:
+            raise UsageError(f"--format sparse takes no {' or '.join(given)} (dense format only)")
+        for lam, row in enumerate(combinatorics_map(word).sparse.rows()):
+            sys.stdout.write("".join(f"{lam} {mu} {nu} {c}\n" for mu, nu, c in row))
         return EXIT_OK
     with _flags():
-        cfg = _encoding_config(len(word), args.nu_cap, args.norm)
-    for line in dense_text_lines(encode_dense(word, cfg)):
-        print(line)
+        cfg = _encoding_config(len(word), args.nu_cap, args.norm or "log")
+    tensor = encode_dense(word, cfg)
+    print(*tensor.shape)
+    for plane in tensor:  # one lam row at a time, so the text of the whole tensor is never held
+        sys.stdout.write("".join(f"{v:.9g}\n" for v in plane.ravel().tolist()))
     return EXIT_OK
 
 
@@ -309,8 +314,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tensor", help="print a word's count map or dense tensor")
     p.add_argument("--word", required=True)
     p.add_argument("--format", choices=["sparse", "dense"], default="sparse")
-    p.add_argument("--nu-cap", type=_nu_cap, default=None, help="channel cap (dense format)")
-    p.add_argument("--norm", choices=["none", "log"], default="log")
+    p.add_argument("--nu-cap", type=_nu_cap, default=None, help="channel cap (dense format only)")
+    p.add_argument("--norm", choices=["none", "log"], default=None, help="count normalization (dense format only; default log)")
     p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("equiv", help="compare two words by bijection and by count map")

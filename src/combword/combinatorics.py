@@ -47,7 +47,11 @@ The map is symmetric, M[lam, mu, nu] = M[mu, lam, nu], so only the upper
 half lam <= mu is built and kept, in a sparse form (``SparseCounts``): the
 nonzero chain counts sorted by (lam, mu, nu), and channel 0 (nu = empty) as
 a small dense triangle. The tensor encoder keeps one per repetition pattern
-over its padded, capped layout and mirrors it into each batch.
+over its padded, capped layout and mirrors it into each batch. Outside that
+scatter, ``SparseCounts.rows`` is the one reader of the full map: it yields
+one row lam at a time, read off the upper half's column and row lam, so
+``CombinatoricsMap.counts`` and ``combword tensor`` never build both halves
+at once.
 
 ``combinatorics_map`` builds only the word's subword table; the map builds
 the rest over the unpadded, uncapped (D, D, D) layout when first asked for
@@ -66,6 +70,7 @@ maps, each word's grid computed once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -102,6 +107,30 @@ class SparseCounts:
 
     def same(self, other: "SparseCounts") -> bool:
         return all(np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays()))
+
+    def rows(self):
+        """Row lam of the full, mirrored grid for each lam in turn: its nonzero (mu, nu, count) int triples, ascending.
+
+        Row lam is column lam of the upper half (mu < lam), then row lam of
+        it (mu >= lam), and each cell gives channel 0 and then its chains,
+        so only one row of the full map is ever held.
+        """
+        side = (math.isqrt(8 * self.empty.shape[0] + 1) - 1) // 2
+        sizes = self.sizes.astype(np.intp)  # narrow unsigned types would wrap or turn differences into floats
+        starts = np.cumsum(sizes) - sizes
+        mu = np.arange(side)
+        diagonal = mu * side - mu * (mu - 1) // 2  # the cell (a, a); the cell (a, b >= a) is b - a further
+        for lam in range(side):
+            cell = diagonal[np.minimum(mu, lam)] + np.abs(mu - lam)
+            chains = sizes[cell]
+            entry = np.repeat(starts[cell] - (np.cumsum(chains) - chains), chains) + np.arange(chains.sum())
+            # Channel 0 of every cell first, then the chains: a stable sort by mu puts each cell's channel 0 before its chains.
+            row_mu = np.concatenate([mu, np.repeat(mu, chains)])
+            order = np.argsort(row_mu, kind="stable")
+            nus = np.concatenate([np.zeros_like(mu), self.nus[entry]])[order]
+            counts = np.concatenate([self.empty[cell], self.counts[entry]])[order]
+            kept = counts != 0
+            yield zip(row_mu[order][kept].tolist(), nus[kept].tolist(), counts[kept].tolist())
 
 
 def _one_buffer(*arrays: np.ndarray) -> list[np.ndarray]:
@@ -147,23 +176,7 @@ class CombinatoricsMap:
     @cached_property
     def counts(self) -> dict[tuple[int, int, int], int]:
         """Every nonzero triple of both halves, ascending, mapped to its count."""
-        s, d = self.sparse, self.size
-        rows, cols = np.triu_indices(d)
-        cells = np.repeat(np.arange(rows.shape[0]), s.sizes)
-        lam = np.concatenate([rows[cells], rows])
-        mu = np.concatenate([cols[cells], cols])
-        nu = np.concatenate([s.nus, np.zeros_like(rows)])
-        values = np.concatenate([s.counts, s.empty])
-        filled = values != 0
-        lam, mu, nu, values = lam[filled], mu[filled], nu[filled], values[filled]
-        keys = np.concatenate([(lam * d + mu) * d + nu, (mu * d + lam) * d + nu])
-        # np.unique sorts the keys and drops the second copy of each lam == mu entry.
-        keys, first = np.unique(keys, return_index=True)
-        triples = zip(*(a.tolist() for a in np.unravel_index(keys, (d, d, d))))
-        return dict(zip(triples, np.concatenate([values, values])[first].tolist()))
-
-    def count(self, lam_idx: int, mu_idx: int, nu_idx: int) -> int:
-        return self.counts.get((lam_idx, mu_idx, nu_idx), 0)
+        return {(lam, mu, nu): c for lam, row in enumerate(self.sparse.rows()) for mu, nu, c in row}
 
     def same_counts(self, other: "CombinatoricsMap") -> bool:
         """Whether both maps hold the same counts, comparing their cheapest parts first.
@@ -179,10 +192,6 @@ class CombinatoricsMap:
             and np.array_equal(self.table.empty_cells, other.table.empty_cells)
             and self.sparse.same(other.sparse)
         )
-
-    def sparse_lines(self) -> list[str]:
-        """One `lam mu nu count` line per nonzero triple, ascending by triple."""
-        return [f"{l} {m} {v} {c}" for (l, m, v), c in self.counts.items()]
 
 
 _BLOCK_CELLS = 1 << 18  # (run or letter, pair) cells per block of the slab path, bounds a block's temporaries

@@ -16,7 +16,8 @@ zeros) only when a tile reaches it, keeping at most two planes. So no
 training step or inference pass holds the whole dense batch.
 ``np.asarray`` on a batch scatters every sample into one array the same way,
 and ``encode_batch`` and ``encode_dense`` are that array for one fresh
-encoder's call, so there is one way to build a tensor.
+encoder's call, so there is one way to build a tensor; ``combword tensor
+--format dense`` prints ``encode_dense``'s, one lam row at a time.
 """
 
 from __future__ import annotations
@@ -253,11 +254,3 @@ def onehot_batch(words, alphabet: Alphabet) -> np.ndarray:
     if not words:
         return np.zeros((0, 0, 1, len(alphabet)), dtype=np.float32)
     return np.stack([encode_onehot(w, alphabet) for w in words])
-
-
-def dense_text_lines(tensor: np.ndarray) -> list[str]:
-    """Text form of a dense tensor: `P P C` header, then row-major values."""
-    p0, p1, c = tensor.shape
-    lines = [f"{p0} {p1} {c}"]
-    lines.extend(f"{v:.9g}" for v in tensor.ravel(order="C"))
-    return lines

@@ -274,7 +274,7 @@ def train(
                 raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch} step {step + 1}")
             opt.step(model.grads())
             losses.append(loss)
-            correct += int(np.sum((probs > 0.5).astype(np.int64) == y.astype(np.int64)))
+            correct += int(np.sum(_hits(probs, y)))
         val_probs = predict_probs(model, val_ds, encoder, cfg.batch_size)
         val_acc = _accuracy(val_probs, val_ds)
         records.append(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 
 from combword.checkpoint import load_checkpoint, save_checkpoint
 from combword.cli import main
-from combword.combinatorics import combinatorics_map
-from combword.encoding import BatchEncoder, EncodingConfig, channel_count, dense_text_lines
+from combword import combinatorics, encoding
+from combword.encoding import BatchEncoder, EncodingConfig, channel_count, encode_dense
 from combword.datasets import DatasetFormatError, gen_password_dataset, read_dataset, write_dataset
 from combword.network import Network, build_char_cnn, dense, flatten, pool, relu, sigmoid
 from combword.training import accuracy_by_pattern, encoder_for, predict_probs
@@ -54,10 +55,48 @@ def test_gen_impossible_request_exits_usage(tmp_path, capsys):
     assert err.startswith("error: usage:")
 
 
-def test_tensor_sparse_matches_library(capsys):
-    code, out, _ = run(capsys, "tensor", "--word", "ab", "--format", "sparse")
-    assert code == 0
-    assert out.splitlines() == combinatorics_map("ab").sparse_lines()
+# A 20-letter word over 8 letters, drawn by np.random.default_rng(20).integers(0, 8, 20).
+WORD_20 = "hccdhabebdcaaafhhfhd"
+# sha1 of `tensor`'s stdout per word and flag set: its text is a fixed format.
+TENSOR_SHA1 = {
+    ("abracadabra", "sparse"): "24d7689356101cbedb7ed9e45289693b025a4e1b",
+    ("abracadabra", "dense"): "043c93a2166ee6c32cf8faccf3791b0b38286ae1",
+    ("abracadabra", "dense-raw"): "eb5aa84f9ee2f3efaac030d67359893808ce9084",
+    ("abracadabra", "dense-cap2"): "d37040937370895e778e9cd8ed5939380217a736",
+    ("abba", "sparse"): "cccf9aee9dd5f2a14d89be7af160b13e841a0610",
+    ("abba", "dense"): "ae78f3ac5971a98ce4b74f12df845106dd075ef9",
+    ("abba", "dense-raw"): "9dc72b61fb830b2a6fdc9d69f945560b7adfb9ac",
+    ("abba", "dense-cap2"): "da05bad4315dec89ae3f3e7efd93e6ca10d16085",
+    (WORD_20, "sparse"): "3ef7315c10f98073740f7dae2d3b25f3c111b208",
+    (WORD_20, "dense"): "ade95449a3ee9d763c7e1aac0a0ec64e27ed7a64",
+    (WORD_20, "dense-raw"): "bd5921626ff50d7c42d7b802405649bc29a7d245",
+    (WORD_20, "dense-cap2"): "07475d189ecd52ed87b9dd463c25ca11ee0dce6e",
+}
+TENSOR_FLAGS = {
+    "sparse": [],
+    "dense": ["--format", "dense"],
+    "dense-raw": ["--format", "dense", "--norm", "none"],
+    "dense-cap2": ["--format", "dense", "--nu-cap", "2"],
+}
+
+
+@pytest.mark.parametrize("word, form", list(TENSOR_SHA1), ids=[f"{w}-{f}" for w, f in TENSOR_SHA1])
+def test_tensor_stdout_is_pinned(capsys, word, form):
+    code, out, err = run(capsys, "tensor", "--word", word, *TENSOR_FLAGS[form])
+    assert code == 0 and err == ""
+    assert hashlib.sha1(out.encode()).hexdigest() == TENSOR_SHA1[word, form]
+
+
+@pytest.mark.parametrize("form", ["sparse", "dense"])
+def test_tensor_internal_value_error_exits_invariant(capsys, monkeypatch, form):
+    def broken(*args):
+        raise ValueError("channel axis of 1 cannot hold nu index 2")
+
+    monkeypatch.setattr(combinatorics, "dense_counts", broken)
+    monkeypatch.setattr(encoding, "dense_counts", broken)
+    code, out, err = run(capsys, "tensor", "--word", "abba", *TENSOR_FLAGS[form])
+    assert code == 2 and out == ""
+    assert err == "error: invariant: internal error: channel axis of 1 cannot hold nu index 2\n"
 
 
 def test_tensor_sparse_known_lines(capsys):
@@ -112,7 +151,16 @@ def test_tensor_output_matches_the_flood_fill_oracle(capsys, word):
     dense = np.zeros((cfg.pad_to, cfg.pad_to, channel_count(cfg)))
     for triple, c in expected.items():
         dense[triple] = c
-    assert out.splitlines() == dense_text_lines(dense)
+    assert out.splitlines() == [f"{cfg.pad_to} {cfg.pad_to} {channel_count(cfg)}"] + [f"{v:.9g}" for v in dense.ravel()]
+
+
+def test_tensor_dense_layout(capsys):
+    _, out, _ = run(capsys, "tensor", "--word", "ab", "--format", "dense", "--norm", "none")
+    lines = out.splitlines()
+    assert lines[0] == "4 4 4"
+    assert len(lines) == 1 + 4 * 4 * 4
+    flat = encode_dense("ab", EncodingConfig(word_length=2, pad_to=4, nu_cap_len=None, normalization="none")).ravel()
+    assert lines[1:] == [f"{v:.9g}" for v in flat]
 
 
 def test_gradcheck_passes(capsys):
@@ -455,16 +503,26 @@ def test_eval_of_a_checkpoint_of_an_unknown_model_kind_exits_io(mini_run, tmp_pa
     assert err == f"error: io: {tmp_path / 'bad.ckpt'}: corrupted header: meta names an unknown model 'foo'\n"
 
 
-def test_train_on_an_input_too_large_for_memory_exits_usage(tmp_path):
-    # At n=100 the tensor model's first dense layer is 6 GB; the child's address space is capped at 2 GiB.
+def child_cli(address_space: int | None = None) -> tuple[list[str], dict]:
+    """The argv prefix that runs the CLI in a child process, and its subprocess keyword arguments.
+
+    The child imports this checkout's src with one BLAS thread, and
+    ``address_space``, if given, caps its address space (RLIMIT_AS) in bytes.
+    """
     def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     cli = [sys.executable, "-c", "import sys; from combword.cli import main; sys.exit(main())"]
+    return cli, {"env": env, "preexec_fn": cap_address_space if address_space else None}
+
+
+def test_train_on_an_input_too_large_for_memory_exits_usage(tmp_path):
+    # At n=100 the tensor model's first dense layer is 6 GB; the child's address space is capped at 2 GiB.
+    cli, child = child_cli(2 << 30)
     procs = [
-        subprocess.run(cli + argv, env=env, capture_output=True, text=True, timeout=600, preexec_fn=cap_address_space)
+        subprocess.run(cli + argv, **child, capture_output=True, text=True, timeout=600)
         for argv in (
             ["gen", "palindromes", "--len", "100", "--train", "2", "--val", "2", "--test", "2", "--out", str(tmp_path / "d")],
             ["train", "--task", "palindrome", "--data", str(tmp_path / "d"), "--epochs", "1", "--out", str(tmp_path / "r")],
@@ -474,6 +532,35 @@ def test_train_on_an_input_too_large_for_memory_exits_usage(tmp_path):
     assert procs[1].returncode == 1 and procs[1].stdout == ""
     assert procs[1].stderr.startswith("error: usage: memory ran out") and len(procs[1].stderr.splitlines()) == 1
     assert "Traceback" not in procs[1].stderr
+
+
+def test_tensor_of_a_40_letter_word_fits_the_address_space_of_its_map(tmp_path):
+    """Printed a row at a time, the map of a 40-letter word over 8 letters (4.8M lines) fits in 512 MiB.
+
+    The map alone peaks near 75 MB of resident memory, interpreter
+    included; holding every line's text before printing peaked near 1 GB.
+    """
+    word = "efafdhaadfahfdacfegfgahacfbaeagcfbbgbgbb"  # np.random.default_rng(40).integers(0, 8, 40) over a..h
+    cli, child = child_cli(512 << 20)
+    out = tmp_path / "out.txt"
+    with out.open("wb") as f:
+        proc = subprocess.run(cli + ["tensor", "--word", word], **child, stdout=f, stderr=subprocess.PIPE, timeout=30)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert hashlib.sha1(out.read_bytes()).hexdigest() == "aa35701d1655c438249862829d92ab84b79e8292"
+
+
+@pytest.mark.parametrize("form", ["sparse", "dense"])
+def test_tensor_into_a_pipe_closed_after_its_first_line_exits_io(form):
+    cli, child = child_cli()
+    proc = subprocess.Popen(cli + ["tensor", "--word", WORD_20, *TENSOR_FLAGS[form]], **child, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1].decode()
+    finally:
+        proc.kill()
+    assert first == {"sparse": b"0 0 0 1\n", "dense": b"211 211 58\n"}[form]
+    assert proc.returncode == 3 and err.startswith("error: io:") and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("first", ["relu", "pool"])
@@ -500,6 +587,9 @@ def test_eval_of_a_tensor_checkpoint_whose_first_layer_is_no_conv(tmp_path, caps
         (["tensor", "--word", "abc", "--format", "dense", "--nu-cap", "0"], "nu_cap_len"),
         (["tensor", "--word", "abc", "--nu-cap", "0"], "nu_cap_len"),
         (["tensor", "--word", ""], "empty word"),
+        (["tensor", "--word", "abba", "--nu-cap", "1"], "--format sparse takes no --nu-cap"),
+        (["tensor", "--word", "abba", "--norm", "none"], "--format sparse takes no --norm"),
+        (["tensor", "--word", "abba", "--format", "sparse", "--norm", "log"], "--format sparse takes no --norm"),
         (["equiv", "--a", "", "--b", "ab"], "empty word"),
         (["equiv", "--a", "abcdefghi", "--b", "bcdefghia", "--oracle"], "at most 8 distinct letters"),
         (["train", "--task", "palindrome", "--epochs", "1", "--model", "char"], "word length >= 4"),
@@ -513,6 +603,9 @@ def test_eval_of_a_tensor_checkpoint_whose_first_layer_is_no_conv(tmp_path, caps
         "tensor-cap",
         "tensor-sparse-cap",
         "tensor-word",
+        "tensor-sparse-nu-cap",
+        "tensor-sparse-norm-none",
+        "tensor-sparse-norm-log",
         "equiv-word",
         "equiv-oracle",
         "train-char",

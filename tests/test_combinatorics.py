@@ -135,18 +135,18 @@ def test_entry_aba_full_pair():
     m = combinatorics_map("aba")
     t = m.table
     full = t.index_of("aba")
-    assert m.count(full, full, full) == 1
-    assert m.count(full, full, t.index_of("a")) == 2
-    assert m.count(full, full, 0) == 4
+    assert m.counts.get((full, full, full), 0) == 1
+    assert m.counts.get((full, full, t.index_of("a")), 0) == 2
+    assert m.counts.get((full, full, 0), 0) == 4
     assert int(dense_grid(m)[full, full].sum()) == 7
 
 
 def test_entry_border_rules():
     m = combinatorics_map("ab")
     ab = m.table.index_of("ab")
-    assert m.count(ab, 0, 0) == 2
-    assert m.count(0, ab, 0) == 2
-    assert m.count(0, 0, 0) == 1
+    assert m.counts.get((ab, 0, 0), 0) == 2
+    assert m.counts.get((0, ab, 0), 0) == 2
+    assert m.counts.get((0, 0, 0), 0) == 1
     g = dense_grid(m)
     assert int(g[ab, 0].sum()) == 2 and int(g[0, ab].sum()) == 2 and int(g[0, 0].sum()) == 1
 
@@ -155,19 +155,19 @@ def test_map_aa_values():
     m = combinatorics_map("aa")
     t = m.table
     a, aa = t.index_of("a"), t.index_of("aa")
-    assert m.count(a, a, a) == 1
-    assert m.count(aa, aa, aa) == 1
-    assert m.count(a, aa, a) == 2
-    assert m.count(a, 0, 0) == 1
+    assert m.counts.get((a, a, a), 0) == 1
+    assert m.counts.get((aa, aa, aa), 0) == 1
+    assert m.counts.get((a, aa, a), 0) == 2
+    assert m.counts.get((a, 0, 0), 0) == 1
 
 
 def test_map_ab_values():
     m = combinatorics_map("ab")
     t = m.table
     ab = t.index_of("ab")
-    assert m.count(ab, ab, ab) == 1
-    assert m.count(ab, ab, 0) == 2
-    assert m.count(t.index_of("a"), t.index_of("b"), t.index_of("a")) == 0
+    assert m.counts.get((ab, ab, ab), 0) == 1
+    assert m.counts.get((ab, ab, 0), 0) == 2
+    assert m.counts.get((t.index_of("a"), t.index_of("b"), t.index_of("a")), 0) == 0
     assert (t.index_of("a"), t.index_of("b"), t.index_of("a")) not in m.counts
 
 
@@ -176,7 +176,7 @@ def test_map_ab_values():
 def test_map_main_diagonal_at_least_one(text):
     m = combinatorics_map(text)
     w = m.table.index_of(text)
-    assert m.count(w, w, w) >= 1
+    assert m.counts.get((w, w, w), 0) >= 1
 
 
 @given(words_abc)
@@ -301,7 +301,7 @@ def test_symmetry_and_conservation(text):
     lengths = [e.length for e in t.entries]
     totals: dict[tuple[int, int], int] = {}
     for (li, mi, nu), c in m.counts.items():
-        assert m.count(mi, li, nu) == c
+        assert m.counts.get((mi, li, nu), 0) == c
         if li and mi:
             totals[(li, mi)] = totals.get((li, mi), 0) + (lengths[nu] or 1) * c
     for li in range(1, len(t)):
@@ -319,12 +319,13 @@ def test_every_component_subword_is_in_table(text):
                 assert nu in t
 
 
-def test_sparse_lines_sorted_and_positive():
+def test_sparse_rows_sorted_and_positive():
     m = combinatorics_map("abca")
-    lines = m.sparse_lines()
-    triples = [tuple(map(int, line.split()[:3])) for line in lines]
-    assert triples == sorted(triples)
-    assert all(int(line.split()[3]) > 0 for line in lines)
+    rows = [list(row) for row in m.sparse.rows()]
+    assert len(rows) == m.size
+    triples = [(lam, mu, nu) for lam, row in enumerate(rows) for mu, nu, _ in row]
+    assert triples == sorted(triples) and len(set(triples)) == len(triples)
+    assert all(c > 0 for row in rows for _, _, c in row)
 
 
 def test_stored_counts_positive_and_in_range():

@@ -15,7 +15,6 @@ from combword.encoding import (
     BatchEncoder,
     EncodingConfig,
     channel_count,
-    dense_text_lines,
     encode_batch,
     encode_dense,
     encode_onehot,
@@ -317,15 +316,6 @@ def test_cap_keeps_epsilon_channel():
     t = encode_dense("abab", EncodingConfig.for_length(4, nu_cap_len=1, normalization=NORM_NONE))
     assert t[0, 0, 0] == 1
     assert t[1, 0, 0] == 1
-
-
-def test_dense_text_lines_layout():
-    t = encode_dense("ab", EncodingConfig(word_length=2, pad_to=4, nu_cap_len=None, normalization=NORM_NONE))
-    lines = dense_text_lines(t)
-    assert lines[0] == "4 4 4"
-    assert len(lines) == 1 + 4 * 4 * 4
-    flat = t.ravel()
-    assert lines[1 + 63] == f"{flat[63]:.9g}"
 
 
 def test_onehot_shape_and_content():
