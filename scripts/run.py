@@ -85,10 +85,11 @@ def main() -> int:
     ckpt = str(out / "run" / "model.ckpt")
     if args.preset == "palindrome-desk":
         print("clean validation:")
-        cli(["eval", "--checkpoint", ckpt, "--data", str(data / "val.tsv")])
+        clean = cli(["eval", "--checkpoint", ckpt, "--data", str(data / "val.tsv")])
         print("alphabet-permuted validation:")
-        return cli(["eval", "--checkpoint", ckpt, "--data", str(data / "val.tsv"),
-                    "--permute-seed", str(args.permute_seed)])
+        permuted = cli(["eval", "--checkpoint", ckpt, "--data", str(data / "val.tsv"),
+                        "--permute-seed", str(args.permute_seed)])
+        return clean or permuted
     return cli(["eval", "--checkpoint", ckpt, "--data", str(data / "test.tsv")])
 
 

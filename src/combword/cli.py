@@ -20,6 +20,8 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .combinatorics import combinatorics_map
@@ -162,7 +164,10 @@ def cmd_tensor(args) -> int:
     tensor = encode_dense(word, cfg)
     print(*tensor.shape)
     for plane in tensor:  # one lam row at a time, so the text of the whole tensor is never held
-        sys.stdout.write("".join(f"{v:.9g}\n" for v in plane.ravel().tolist()))
+        # Each distinct value (by its bits, so -0.0 stays apart) is formatted once per row.
+        bits, inverse = np.unique(plane.ravel().view(f"u{plane.itemsize}"), return_inverse=True)
+        text = np.array([f"{v:.9g}\n" for v in bits.view(plane.dtype).tolist()], dtype=object)
+        sys.stdout.write("".join(text[inverse].tolist()))
     return EXIT_OK
 
 

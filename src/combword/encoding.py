@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import SparseCounts, dense_counts
+from .layers import rows_of_planes
 from .words import Alphabet, Word, as_text, distinct_subwords, max_table_size, pattern_key
 
 NORM_NONE = "none"
@@ -217,17 +218,7 @@ class EncodedBatch:
         lo, hi, step = rows.indices(self.shape[0])
         if step != 1:
             raise TypeError("an encoded batch is read by contiguous row slices")
-        per = self._plane_rows
-        hi = max(lo, hi)
-        first, last = lo // per, (hi - 1) // per
-        if lo < hi and first == last:
-            return self._plane(first)[lo - first * per : hi - first * per]
-        out = np.empty((hi - lo, self.shape[1]), dtype=self.dtype)
-        for sample in range(first, last + 1 if lo < hi else first):
-            a, b = max(lo, sample * per), min(hi, (sample + 1) * per)
-            out[a - lo : b - lo] = self._plane(sample)[a - sample * per : b - sample * per]
-        out.flags.writeable = False
-        return out
+        return rows_of_planes(self._plane, self._plane_rows, lo, hi, self.shape[1], self.dtype)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:

@@ -30,9 +30,9 @@ change.
 
 Every ``forward`` takes ``train``. With it (the default), a layer keeps what
 its backward reads: a conv a view of its input (for the first conv, the
-encoded batch itself) and its flat output, a dense layer its input, ReLU
-and sigmoid their output, a pool a view of its input and the index of each
-window's first maximum. It keeps them until ``forget()``, which
+encoded batch itself) and its flat output or the stand-in it hands out, a
+dense layer its input, ReLU and sigmoid their output, a pool a view of its
+input and the index of each window's first maximum. It keeps them until ``forget()``, which
 ``Network.backward`` calls on every layer once the last backward it runs
 has returned, so a training step holds its activations only until its
 backward ends. Without ``train``, the pass is inference only: the layer
@@ -42,12 +42,19 @@ index.
 These are the in-place rules of a pass; ``network`` builds, per layer, the
 keyword arguments that ask for them and nothing else restates them. Every
 conv and pool forward allocates its output, except a 1x1 conv that hands
-out ``ReluRows``. Then:
+out ``ReluRows`` and a conv that a ReLU and a max pool follow. That conv
+runs ``forward(x, pool=(ph, pw))``: it computes the output rows of one
+sample, or of a few whole small ones, at a time into a scratch plane, adds
+the bias, takes the ReLU and pools them there, and hands out a
+``ReluPool``, which holds the pooled output and each window's first-max
+index, marked out of range where that max is not > 0. The ReLU passes it
+on, and the pool hands its ``out`` on and keeps it for backward. Then:
 
 - ReLU rectifies its input in place whenever that input is writable, and
   its backward gates a writable ``dout`` in place;
-- a conv's backward builds its zero-padded output gradient in its flat
-  forward output. Every later layer's backward has read that output by then;
+- a conv with an output plane builds its zero-padded output gradient in
+  that flat forward output. Every later layer's backward has read that
+  output by then;
 - a conv whose input is ``ReluRows`` refills their window tile by tile for
   its weight gradient, sums each TILE_ROWS tile of its input gradient in a
   scratch tile, gates it by ``input > 0`` and hands it to the rows, which
@@ -56,28 +63,30 @@ out ``ReluRows``. Then:
   conv's backward then has nothing left to do. The rows are summed in the
   same order and gated by the same mask as unfused, so the bits do not
   change, and no pass makes the 1x1 conv's output plane or its gradient;
-- a pool right after a conv's ReLU fuses that ReLU's backward into its
-  own: ``backward(dout, gated=True)`` writes each window cell's gradient,
-  gated by that cell's value > 0, over the cell in its input, which is the
-  ReLU's output and so the conv's spent output plane, and zeroes the cells
-  that the floor drops. The ReLU passes it on as above, and the conv finds
-  its output gradient already in its plane: it zeroes only the crop border
-  and copies nothing. Each kept value has the bits the ReLU's gate would
-  give it, and every other cell gets +0.0;
+- the pool after a conv's ReLU hands its output gradient to the
+  ``ReluPool``, whose rows are then the conv's zero-padded output gradient:
+  each block's planes are rebuilt from the index when the conv's tile loop
+  first reaches them, with at most two blocks live, and the bias gradient
+  is one running sum over those planes in row order. The ReLU's
+  ``backward(dout, gated=True)`` passes it on. Each kept value has the bits
+  the ReLU's gate would give it, every other cell gets +0.0, and the tiles
+  and sums are the plane path's, so the bits do not change;
 - a conv right after a pool writes its input gradient with
   ``backward(dout, spent=True)`` into its input, the pool's output, which
   no earlier backward reads. It is summed exactly as into a new array.
 
 A conv after a ReLU whose output is an array, which only custom stacks
 have, takes its own backward into a new input gradient, and the ReLU gates
-that in place. So a training backward of the package's models makes no
-plane-sized array, and no pass makes the tensor model's first plane: a step
-peaks in the backward of the conv that reads the ReLU rows, a little above
-the end of its forward, with that conv's output plane, the later and smaller
-arrays, the window, the two sample planes the batch keeps and scratch tiles
-live.
+that in place. So no pass of the package's models makes the tensor model's
+first plane or any output plane of a conv that a ReLU and a pool follow,
+and a training backward makes no plane-sized array. A tensor model's step
+peaks in the backward of the conv that reads the ReLU rows, with the pooled
+output and index of the pool after it, the later and smaller arrays, the
+window, the two sample planes the batch keeps, the conv's two gradient
+planes and scratch tiles live; its forward ends a little lower, with one
+scratch plane in place of the two gradient planes.
 
-Without ``gated`` or ``spent``, no other layer writes into the ``x`` or
+Without ``spent``, no layer other than ReLU writes into the ``x`` or
 ``dout`` it is given, so a caller whose arrays must stay intact hands ReLU
 read-only views: the network does so with a caller's array batch and loss
 gradient, and the gradient checks with the inputs and projections that they
@@ -115,6 +124,14 @@ TILE_ROWS = 1024
 # depend on the size of its batch, and a full batch of 32 gets the same bits
 # as one whole-batch product.
 DENSE_ROWS = 32
+
+# Rows of a block of whole samples that a conv followed by a ReLU and a pool
+# runs at once (``ReluPool``); a sample with more rows is a block of its own.
+# Each elementwise pass over a block is one numpy call whose fixed cost
+# dominates on small planes (the tensor model's second 3x3 conv, the char
+# model), while a block's scratch plane and its two gradient planes stay a
+# few hundred KB.
+POOL_ROWS = 2048
 
 
 def _gate(values: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -164,15 +181,55 @@ def _shifted_tile(src, mats: np.ndarray, shifts: list[int], r0: int, r1: int, ti
     return tile
 
 
-def _shifted_gemms(src, mats: np.ndarray, shifts: list[int]) -> np.ndarray:
-    """``_shifted_tile`` over every tile of TILE_ROWS result rows, into a new array."""
-    rows = src.shape[0]
-    out = np.empty((rows, mats.shape[2]), dtype=np.result_type(src.dtype, mats.dtype))
-    part = np.empty((min(rows, TILE_ROWS), mats.shape[2]), dtype=out.dtype)
-    for r0 in range(0, rows, TILE_ROWS):
-        r1 = min(r0 + TILE_ROWS, rows)
-        _shifted_tile(src, mats, shifts, r0, r1, out[r0:r1], part)
+def _shifted_gemms(src, mats: np.ndarray, shifts: list[int], lo: int, out: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """Rows [lo, lo + len(out)) of ``_shifted_tile``'s sum, into ``out``, a tile of TILE_ROWS rows at a time."""
+    for r0 in range(0, len(out), TILE_ROWS):
+        r1 = min(r0 + TILE_ROWS, len(out))
+        _shifted_tile(src, mats, shifts, lo + r0, lo + r1, out[r0:r1], part)
     return out
+
+
+def rows_of_planes(plane, per: int, lo: int, hi: int, channels: int, dtype) -> np.ndarray:
+    """Flat rows [lo, hi) of a batch whose sample s is the (per, channels) rows ``plane(s)``.
+
+    A range inside one sample is a view of its plane; one that spans samples
+    is a read-only copy, which reads each sample's plane once, in order.
+    """
+    hi = max(lo, hi)
+    first, last = lo // per, (hi - 1) // per
+    if lo < hi and first == last:
+        return plane(first)[lo - first * per : hi - first * per]
+    out = np.empty((hi - lo, channels), dtype=dtype)
+    for sample in range(first, last + 1 if lo < hi else first):
+        a, b = max(lo, sample * per), min(hi, (sample + 1) * per)
+        out[a - lo : b - lo] = plane(sample)[a - sample * per : b - sample * per]
+    out.flags.writeable = False
+    return out
+
+
+def _cells(x: np.ndarray, ph: int, pw: int) -> list[np.ndarray]:
+    """Strided views of the (..., h, w, c) ``x``, one per cell of a (ph, pw) window in row-major order; odd extents floor."""
+    hc, wc = x.shape[-3] // ph * ph, x.shape[-2] // pw * pw
+    return [x[..., di:hc:ph, dj:wc:pw, :] for di in range(ph) for dj in range(pw)]
+
+
+def _pool(cells: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Each window's max, into ``out``."""
+    np.copyto(out, cells[0])
+    for cell in cells[1:]:
+        np.maximum(cell, out, out=out)  # on equal values this keeps out, the earlier cell
+    return out
+
+
+def _first_max(cells: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Per window, the index of its first cell equal to its max ``out``, by Horner's rule from the last cell back.
+
+    A window whose max is NaN equals no cell and gets the last cell's index.
+    """
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(cells)))
+    for cell in reversed(cells[:-1]):
+        arg = (cell != out) * (arg + 1)
+    return arg
 
 
 class ReluRows:
@@ -234,17 +291,116 @@ class ReluRows:
         out.flags.writeable = False
         return out
 
-    def backward(self, lo: int, grad: np.ndarray) -> None:
-        """Add the gradient of rows [lo, lo + len(grad)) to the 1x1 conv's; tiles come in order from row 0."""
-        conv = self._conv
+    def backward(self, lo: int, rows: np.ndarray) -> None:
+        """Add the gradient ``rows[1:]`` of rows [lo, lo + len(rows) - 1) to the 1x1 conv's; tiles come in order from row 0.
+
+        ``rows[0]`` is scratch: it takes the bias gradient so far, so that one
+        sum over ``rows`` goes on with the running sum.
+        """
+        conv, grad = self._conv, rows[1:]
         x = self._xf[lo : lo + len(grad)]
         dw = conv.dw.reshape(x.shape[1], -1)
         if lo == 0:
             dw[...] = 0
-            conv.db[...] = np.add.reduce(grad, axis=0)
-        else:
-            conv.db[...] = np.add.reduce(np.concatenate([conv.db[None], grad]), axis=0)
+            conv.db[...] = 0
+        rows[0] = conv.db
+        conv.db[...] = np.add.reduce(rows, axis=0)
         dw += x.T @ grad
+
+
+class ReluPool:
+    """A conv's output after its ReLU and a max pool, made a block of whole samples at a time.
+
+    ``Conv2d.forward(x, pool=(ph, pw))`` makes this in place of its output
+    plane. A block is one sample's plane, or as many whole samples as fit in
+    POOL_ROWS rows. Per block, it computes the conv's output rows into one
+    scratch plane, tile by tile as the plane path does, then adds the bias,
+    takes the ReLU and pools, each as the plane path would over the whole
+    batch. So ``out`` and the index have the plane path's bits, and no pass
+    holds the conv's output plane. A training pass also keeps, per window,
+    the index of its first max, or ``ph * pw`` where the value there is not
+    > 0, so that the ReLU's gate drops its gradient. The ReLU passes this
+    on, and the pool hands ``out`` on.
+
+    The pool's backward hands its output gradient to ``backward``, which
+    returns this as the flat (samples * h * w, channels) rows of the conv's
+    zero-padded output gradient, read by row slices like an
+    ``encoding.EncodedBatch``. A block's planes are rebuilt from the index
+    when a slice first reaches them, into one of two buffers that the blocks
+    take in turn, so a slice's rows are valid until the next slice. A block
+    adds its rows, zeros included, to ``db`` the first time it is built:
+    one running sum in row order, as ``sum`` over the whole padded plane
+    adds them.
+    """
+
+    def __init__(self, conv: "Conv2d", xf, in_shape: tuple, window: tuple[int, int], train: bool):
+        n, h, wd, cin = in_shape
+        kh, kw, _, cout = conv.w.shape
+        ph, pw = window
+        oh, ow = h - kh + 1, wd - kw + 1
+        if oh // ph < 1 or ow // pw < 1:
+            raise ValueError(f"maxpool2d: input {oh}x{ow} smaller than window {ph}x{pw}")
+        self.dtype = np.result_type(xf.dtype, conv.w.dtype)
+        self.shape = (n * h * wd, cout)
+        self._plane_shape, self._crop, self._window = (h, wd, cout), (oh, ow), window
+        self._block = max(1, min(n, POOL_ROWS // (h * wd)))  # samples per block
+        self.out = np.empty((n, oh // ph, ow // pw, cout), dtype=self.dtype)
+        self._arg = np.empty(self.out.shape, dtype=np.min_scalar_type(ph * pw)) if train else None
+        plane = np.empty((self._block * h * wd, cout), dtype=self.dtype)
+        part = np.empty((min(len(plane), TILE_ROWS), cout), dtype=self.dtype)
+        mats, shifts = conv.w.reshape(-1, cin, cout), conv._shifts(wd)
+        for s in range(0, n, self._block):
+            m = min(self._block, n - s)
+            rows = _shifted_gemms(xf, mats, shifts, s * h * wd, plane[: m * h * wd], part)
+            rows += conv.b
+            np.maximum(rows, 0, out=rows)
+            cells = _cells(rows.reshape(m, h, wd, cout)[:, :oh, :ow], ph, pw)
+            out = _pool(cells, self.out[s : s + m])
+            if train:
+                # The value at the first max: the max, or for a NaN max the last cell, where its index points.
+                top = np.where(out == out, out, cells[-1])
+                self._arg[s : s + m] = np.where(top > 0, _first_max(cells, out), ph * pw)
+
+    def backward(self, dout: np.ndarray) -> "ReluPool":
+        """These rows as the conv's zero-padded output gradient, for the pool's output gradient ``dout``."""
+        self._dout = dout
+        self._planes: dict[int, np.ndarray] = {}
+        self._summed = 0  # blocks whose rows db holds
+        self.db = np.zeros(self.shape[1], dtype=self.dtype)
+        return self
+
+    def done(self) -> np.ndarray:
+        """The bias gradient, once every row has been read; the planes and the output gradient are dropped."""
+        self._planes = self._dout = None
+        return self.db
+
+    def _plane(self, block: int) -> np.ndarray:
+        """Block ``block``'s read-only (samples * h * w, channels) gradient rows, rebuilt on first use."""
+        buf = self._planes.get(block)
+        if buf is None:
+            h, wd, c = self._plane_shape
+            if len(self._planes) == 2:
+                buf = self._planes.pop(next(iter(self._planes)))
+            else:
+                buf = np.zeros((1 + self._block * h * wd, c), dtype=self.dtype)  # row 0 for db; crop and floor stay +0.0
+            s = block * self._block
+            m = min(self._block, len(self.out) - s)
+            oh, ow = self._crop
+            for k, cell in enumerate(_cells(buf[1 : 1 + m * h * wd].reshape(m, h, wd, c)[:, :oh, :ow], *self._window)):
+                _gate(self._dout[s : s + m], self._arg[s : s + m] == k, out=cell)
+            if block == self._summed:
+                buf[0] = self.db
+                self.db = np.add.reduce(buf[: 1 + m * h * wd], axis=0)
+                self._summed += 1
+            self._planes[block] = buf
+        rows = buf[1:].view()
+        rows.flags.writeable = False
+        return rows
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.shape[0])
+        per = self._block * math.prod(self._plane_shape[:2])
+        return rows_of_planes(self._plane, per, lo, hi, self.shape[1], self.dtype)
 
 
 class Layer:
@@ -303,8 +459,13 @@ class Conv2d(Layer):
         kh, kw = self.w.shape[:2]
         return [ki * wd + kj for ki in range(kh) for kj in range(kw)]
 
-    def forward(self, x, train: bool = True, relu_rows: bool = False):
-        """The output plane; with ``relu_rows`` (a 1x1 conv only), its ReLU as a ``ReluRows`` instead."""
+    def forward(self, x, train: bool = True, relu_rows: bool = False, pool: tuple[int, int] | None = None):
+        """The output plane; with ``relu_rows`` (a 1x1 conv only), its ReLU as a ``ReluRows`` instead.
+
+        With ``pool``, the (ph, pw) window of the max pool after its ReLU,
+        that pool of its ReLU as a ``ReluPool`` instead, made a block of
+        whole samples at a time.
+        """
         kh, kw, cin, cout = self.w.shape
         n, h, wd, c = x.shape
         if c != cin:
@@ -318,12 +479,17 @@ class Conv2d(Layer):
             if (kh, kw) != (1, 1):
                 raise ValueError(f"conv2d: only a 1x1 conv hands out ReLU rows, not a {kh}x{kw} one")
             out = ReluRows(self, xf, (n, h, wd, cout))
+        elif pool:
+            out = ReluPool(self, xf, x.shape, pool, train)
         else:
-            out = _shifted_gemms(xf, self.w.reshape(-1, cin, cout), self._shifts(wd))
+            dtype = np.result_type(xf.dtype, self.w.dtype)
+            rows = xf.shape[0]
+            out = np.empty((rows, cout), dtype=dtype)
+            _shifted_gemms(xf, self.w.reshape(-1, cin, cout), self._shifts(wd), 0, out, np.empty((min(rows, TILE_ROWS), cout), dtype=dtype))
             out += self.b
         if train:
             self._xf, self._in_shape, self._out = xf, x.shape, out
-        if relu_rows:
+        if relu_rows or pool:
             return out
         return out.reshape(n, h, wd, cout)[:, : h - kh + 1, : wd - kw + 1]
 
@@ -331,9 +497,9 @@ class Conv2d(Layer):
         """The parameter gradients, then the input gradient unless ``input_grad`` is false.
 
         The zero-padded output gradient is built in the flat output array the
-        training forward kept; a ``dout`` that already is the view of it the
-        forward returned (a fused pool wrote it there) only gets its border
-        zeroed. With ``spent``, nothing reads the input after this call, and
+        training forward kept, or, for a ``dout`` that is the ``ReluPool``
+        this conv's forward made, read from its rows a sample plane at a
+        time. With ``spent``, nothing reads the input after this call, and
         the input gradient is written into the input's array. If the input is
         a ``ReluRows``, each input gradient tile is gated by ``input > 0`` in
         a scratch tile and handed to their ``backward``, which adds it to the
@@ -349,15 +515,18 @@ class Conv2d(Layer):
             return None
         xf = self._xf
         n, h, wd, cin = self._in_shape
-        oh, ow = dout.shape[1:3]
-        self.db[...] = dout.sum(axis=(0, 1, 2))
-        # The forward output's array, which every later layer's backward has read by now.
-        g = self._out.reshape(n, h, wd, -1)
-        g[:, oh:] = 0
-        g[:, :oh, ow:] = 0
-        if not np.may_share_memory(dout, g):
+        pooled = isinstance(dout, ReluPool)
+        if pooled:
+            gf = dout
+        else:
+            oh, ow = dout.shape[1:3]
+            self.db[...] = dout.sum(axis=(0, 1, 2))
+            # The forward output's array, which every later layer's backward has read by now.
+            g = self._out.reshape(n, h, wd, -1)
+            g[:, oh:] = 0
+            g[:, :oh, ow:] = 0
             g[:, :oh, :ow] = dout
-        gf = g.reshape(xf.shape[0], -1)
+            gf = g.reshape(xf.shape[0], -1)
         rows = gf.shape[0]
         shifts = self._shifts(wd)
         dw = self.dw.reshape(len(shifts), cin, -1)
@@ -367,22 +536,29 @@ class Conv2d(Layer):
             wt = self.w.transpose(0, 1, 3, 2).reshape(len(shifts), -1, cin)  # a contiguous copy
             back = [-s for s in shifts]
             part = np.empty((min(rows, TILE_ROWS), cin), dtype=np.result_type(gf.dtype, wt.dtype))
-            dx = np.empty_like(part) if streamed else xf if spent else np.empty((rows, cin), dtype=part.dtype)
+            # Streamed, a scratch tile after one row for the rows' running bias sum.
+            dx = np.empty((1 + len(part), cin), dtype=part.dtype) if streamed else xf if spent else np.empty((rows, cin), dtype=part.dtype)
         # The weight gradient is summed tile by tile in a fixed order: short
         # GEMMs whose result does not depend on the BLAS thread count.
         for r0 in range(0, rows, TILE_ROWS):
             r1 = min(r0 + TILE_ROWS, rows)
             src = xf[r0 : min(r1 + shifts[-1], rows)]  # the tile's input rows and those its shifts reach
+            # The tile's output gradient rows and those its input gradient's shifts reach, read once.
+            lo = max(r0 - shifts[-1], 0)
+            grad = gf[lo:r1]
             for k, s in enumerate(shifts):
                 e = min(r1, rows - s)
                 if e <= r0:
                     break
-                dw[k] += src[s : e - r0 + s].T @ gf[r0:e]
-            if not input_grad:
-                continue
-            tile = _shifted_tile(gf, wt, back, r0, r1, dx[: r1 - r0] if streamed else dx[r0:r1], part)
-            if streamed:
-                xf.backward(r0, _gate(tile, src[: r1 - r0] > 0, out=tile))
+                dw[k] += src[s : e - r0 + s].T @ grad[r0 - lo : e - lo]
+            if input_grad:
+                tile = _shifted_tile(grad, wt, back, r0 - lo, r1 - lo, dx[1 : 1 + r1 - r0] if streamed else dx[r0:r1], part)
+                if streamed:
+                    _gate(tile, src[: r1 - r0] > 0, out=tile)
+                    xf.backward(r0, dx[: 1 + r1 - r0])
+            del grad  # a copy where the tile spans two samples, freed before the next tile reads
+        if pooled:
+            self.db[...] = gf.done()
         if not input_grad:
             return None
         return xf if streamed else dx.reshape(self._in_shape)
@@ -394,7 +570,9 @@ class MaxPool2d(Layer):
     Each window cell is one strided view of the input. A training forward
     keeps a view of its input and, per output cell, the row-major index of
     the first window cell holding the max, which is where backward sends
-    the whole gradient.
+    the whole gradient. An input that is a ``ReluPool`` was pooled by the
+    conv before: its ``out`` is the output, and backward hands the gradient
+    to it.
     """
 
     kept = ("_arg", "_x")
@@ -403,49 +581,28 @@ class MaxPool2d(Layer):
         super().__init__()
         self.ph, self.pw = ph, pw
 
-    def _cells(self, x: np.ndarray) -> list[np.ndarray]:
-        """Strided views of x, one per window cell in row-major order."""
-        ph, pw = self.ph, self.pw
-        hc, wc = x.shape[1] // ph * ph, x.shape[2] // pw * pw
-        return [x[:, di:hc:ph, dj:wc:pw] for di in range(ph) for dj in range(pw)]
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x, train: bool = True) -> np.ndarray:
+        if not train:
+            self.forget()
+        if isinstance(x, ReluPool):
+            self._x = x if train else None
+            return x.out
         n, h, w, c = x.shape
         if h // self.ph < 1 or w // self.pw < 1:
             raise ValueError(f"maxpool2d: input {h}x{w} smaller than window {self.ph}x{self.pw}")
-        if not train:
-            self.forget()
-        cells = self._cells(x)
-        out = cells[0].copy()
-        for cell in cells[1:]:
-            np.maximum(cell, out, out=out)  # on equal values this keeps out, the earlier cell
-        if not train:
-            return out
-        # Index of the first cell equal to the max, by Horner's rule from the last cell back.
-        arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(cells) - 1))
-        for cell in reversed(cells[:-1]):
-            arg = (cell != out) * (arg + 1)
-        self._arg, self._x = arg, x
+        cells = _cells(x, self.ph, self.pw)
+        out = _pool(cells, np.empty(cells[0].shape, dtype=x.dtype))
+        if train:
+            self._arg, self._x = _first_max(cells, out), x
         return out
 
-    def backward(self, dout: np.ndarray, gated: bool = False):
-        """The input gradient: ``dout`` at each window's first max, +0.0 elsewhere and in floored cells.
-
-        With ``gated``, the input is a ReLU's output that nothing reads after
-        this call: each cell's gradient is also gated by that cell's value
-        > 0, as the ReLU's backward would gate it, and written into the
-        input's array, floored cells zeroed.
-        """
-        dx = self._x if gated else np.zeros(self._x.shape, dtype=dout.dtype)
-        if gated:
-            hc, wc = dx.shape[1] // self.ph * self.ph, dx.shape[2] // self.pw * self.pw
-            dx[:, hc:] = 0
-            dx[:, :hc, wc:] = 0
-        for k, cell in enumerate(self._cells(dx)):
-            mask = self._arg == k
-            if gated:
-                mask &= cell > 0  # read before _gate overwrites the cell
-            _gate(dout, mask, out=cell)
+    def backward(self, dout: np.ndarray):
+        """The input gradient: ``dout`` at each window's first max, +0.0 elsewhere and in floored cells."""
+        if isinstance(self._x, ReluPool):
+            return self._x.backward(dout)
+        dx = np.zeros(self._x.shape, dtype=dout.dtype)
+        for k, cell in enumerate(_cells(dx, self.ph, self.pw)):
+            _gate(dout, self._arg == k, out=cell)
         return dx
 
 
@@ -458,8 +615,8 @@ class ReLU(Layer):
     kept = ("_out",)
 
     def forward(self, x, train: bool = True):
-        """``max(x, 0)``; ``ReluRows`` are rectified already and pass as they are."""
-        out = x if isinstance(x, ReluRows) else np.maximum(x, 0, out=x if x.flags.writeable else None)
+        """``max(x, 0)``; ``ReluRows`` and a ``ReluPool`` are rectified already and pass as they are."""
+        out = x if isinstance(x, (ReluRows, ReluPool)) else np.maximum(x, 0, out=x if x.flags.writeable else None)
         self._out = out if train else None
         return out
 

@@ -19,6 +19,16 @@ nothing behind.
 Which layers work in place is one plan, built once per network: each
 layer's forward and backward keyword arguments, read off its neighbours by
 the rules in the ``layers`` docstring, which also says where a step peaks.
+A first 1x1 conv before a ReLU and a conv hands out ReLU rows
+(``relu_rows``); a conv before a ReLU and a max pool pools its ReLU
+itself, a block of whole samples at a time (``pool``, the pool's window),
+so that neither builds its output plane; the ReLU between passes what they
+hand out on (``gated``); a conv after a pool writes its input gradient
+over the pool's output (``spent``); and the first layer with parameters
+builds no input gradient (``input_grad``). The plan holds only these
+keywords, and no layer keeps a reference to another past a pass: what a
+pass hands from layer to layer (ReLU rows, a pooled record) is dropped by
+``forget()``.
 
 The builders write a model's ``meta``: ``{"model": "combinatorial",
 "encoding": {...}}`` or ``{"model": "char", "word_length", "alphabet_size"}``,
@@ -225,7 +235,9 @@ class Network:
             if isinstance(layer, Conv2d) and isinstance(before, MaxPool2d):
                 plan[i][1]["spent"] = True
             elif i >= 2 and isinstance(layer, MaxPool2d) and isinstance(before, ReLU) and isinstance(layers[i - 2], Conv2d):
-                plan[i][1]["gated"] = plan[i - 1][1]["gated"] = True
+                # The conv pools its ReLU itself, a block of samples at a time; the ReLU passes the record on.
+                plan[i - 2][0]["pool"] = (layer.ph, layer.pw)
+                plan[i - 1][1]["gated"] = True
         # A first 1x1 conv before a ReLU and a conv hands that conv its ReLU's rows, which the ReLU passes on.
         if len(layers) > 2 and isinstance(first, Conv2d) and first.w.shape[:2] == (1, 1):
             if isinstance(layers[1], ReLU) and isinstance(layers[2], Conv2d):

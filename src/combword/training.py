@@ -28,10 +28,13 @@ Everything is sequential, so identical seeds reproduce identical epoch
 records byte for byte.
 
 The encoder returns an ``encoding.EncodedBatch``, not a dense array, so no
-step and no inference pass builds the whole dense batch. A training step's
-forward keeps every layer's activations, and the encoded batch, for its
-backward; ``Network.backward`` drops them all when it is done, so nothing of
-a step outlives ``batch_gradients``. ``predict_probs`` (and so ``evaluate``
+step and no inference pass builds the whole dense batch, and no pass builds
+the output plane of a conv that a ReLU and a pool follow: that conv pools a
+block of whole samples at a time, so the largest arrays of a tensor-model
+step are its first pool's output and index, under a third of that plane. A
+training step's forward keeps every layer's activations, and the encoded
+batch, for its backward; ``Network.backward`` drops them all when it is
+done, so nothing of a step outlives ``batch_gradients``. ``predict_probs`` (and so ``evaluate``
 and each epoch's validation) runs inference passes, which keep nothing. What
 a pass allocates and where a step peaks follow from the in-place rules in
 the ``layers`` docstring. When a step, ``train`` or ``predict_probs``

@@ -145,25 +145,37 @@ def test_maxpool_ties_go_to_first_cell_once_and_floored_cells_get_zero():
     assert np.abs(dx).sum() == np.abs(dout).sum()
 
 
-def test_gated_maxpool_backward_is_the_relu_backward_of_its_input_gradient():
-    # The tie and signed-zero windows above, a NaN, negative cells, and positive floored cells.
-    pool = MaxPool2d(2, 3)
-    x = np.random.default_rng(15).standard_normal((2, 5, 7, 2))
-    x[1, 2:4, 3:6, 1] = [[-0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
-    x[0, 0:2, 0:3, 0] = [[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    x[0, 2:4, 0:3, 1] = [[2.0, np.nan, 1.0], [-1.0, 3.0, 0.5]]
-    x[1, 0:2, 0:3, 0] = -1.0
-    x[:, 4] = x[:, :, 6] = 5.0  # dropped by the floor
-    out = pool.forward(x)
+def test_relu_pool_gradient_rows_are_the_relu_backward_of_the_pools_input_gradient():
+    # The tie and signed-zero windows above, a NaN, negative cells, and positive floored cells,
+    # through a conv whose (0, 0) offset copies its input and whose others see only zeros.
+    conv = Conv2d(2, 2, 2, 2, np.random.default_rng(0), dtype=np.float64)
+    conv.w[...] = 0
+    conv.w[0, 0] = np.eye(2)
+    x = np.zeros((2, 6, 8, 2))
+    core = x[:, :5, :7]  # what the conv's output copies
+    core[...] = np.random.default_rng(15).standard_normal(core.shape)
+    core[1, 2:4, 3:6, 1] = [[-0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+    core[0, 0:2, 0:3, 0] = [[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    core[0, 2:4, 0:3, 1] = [[2.0, np.nan, 1.0], [-1.0, 3.0, 0.5]]
+    core[1, 0:2, 0:3, 0] = -1.0
+    core[:, 4] = core[:, :, 6] = 5.0  # dropped by the floor
+    relu, pool = ReLU(), MaxPool2d(2, 3)
+    plane = relu.forward(conv.forward(x))
+    out = pool.forward(plane)
     dout = -1.0 - np.arange(out.size, dtype=np.float64).reshape(out.shape)
     dout[0, 0, 1] = -0.0
     dout[1, 0, 0] = np.nan
-    expected = np.where(x > 0, pool.backward(dout), 0.0)  # the ReLU's gate on the unfused gradient
-    dx = pool.backward(dout, gated=True)
-    assert dx is x  # written over the spent ReLU output
-    assert dx.tobytes() == expected.tobytes()
-    assert np.isnan(dx).sum() == 1 and np.signbit(dx[0, 0:2, 3:6]).sum() == 2  # a kept NaN; a kept -0.0 per channel
-    assert not np.signbit(dx[:, 4]).any() and not dx[:, 4].any() and not dx[:, :, 6].any()
+    expected = np.zeros((2, 6, 8, 2))  # the plane path's zero-padded output gradient
+    expected[:, :5, :7] = relu.backward(pool.backward(dout))
+    fused = conv.forward(x, pool=(2, 3))
+    assert fused.out.tobytes() == out.tobytes()
+    rows = fused.backward(dout)
+    got = rows[0 : rows.shape[0]].reshape(expected.shape)
+    assert got.tobytes() == expected.tobytes()
+    g = got[:, :5, :7]
+    assert np.isnan(g).sum() == 1 and np.signbit(g[0, 0:2, 3:6]).sum() == 2  # a kept NaN; a kept -0.0 per channel
+    assert not np.signbit(got[:, 4:]).any() and not got[:, 4:].any() and not got[:, :, 6:].any()
+    assert rows.done().tobytes() == expected.sum(axis=(0, 1, 2)).tobytes()
 
 
 def test_relu_and_sigmoid_values():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from combword import layers
 from combword.datasets import TASKS, task_alphabet
 from combword.encoding import BatchEncoder, EncodingConfig, channel_count
 from combword.gradcheck import check_model_gradients
-from combword.layers import ReluRows
+from combword.layers import ReluPool, ReluRows
 from combword.network import (
     Network,
     binary_cross_entropy,
@@ -223,6 +224,27 @@ def test_fused_backward_matches_each_layers_own_backward_over_several_tiles():
         assert fused == plain, batch
 
 
+def random_words(n: int, count: int, seed: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    return ["".join(rng.choice(list("abcdefgh"), n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "n, batch",
+    # At n=6 a 1024-row tile holds two samples' 484-row planes; at n=8 (1369 rows) and n=10
+    # (3136) the tiles straddle samples; one n=15 batch of 14641-row planes.
+    [(6, 1), (6, 9), (8, 1), (8, 7), (10, 1), (10, 6), (15, 3)],
+)
+def test_fused_step_and_inference_match_each_layers_own_on_the_tensor_model(n, batch):
+    cfg = EncodingConfig.for_length(n)
+    model = build_combinatorial_cnn(cfg, seed=n)
+    x = BatchEncoder(cfg)(random_words(n, batch, seed=batch))
+    dprobs = np.random.default_rng(batch).standard_normal(batch).astype(np.float32)
+    fused, plain = fused_and_plain_grads(model, x, dprobs)
+    assert fused == plain
+    assert model.forward(x, train=False).tobytes() == plain_forward(model, x, train=False).tobytes()
+
+
 @pytest.mark.parametrize(
     "specs, shape",
     [
@@ -231,8 +253,12 @@ def test_fused_backward_matches_each_layers_own_backward_over_several_tiles():
         ([relu(), conv(3, 1, 4), relu(), conv(3, 1, 2), relu(), flatten(), dense(1), sigmoid()], (8, 1, 3)),
         # Odd extents at both pools: each floors a column, whose fused gradient must be +0.0.
         ([conv(1, 1, 4), relu(), conv(3, 3, 3), relu(), pool(2, 2), conv(2, 2, 2), relu(), pool(2, 2), flatten(), dense(1), sigmoid()], (12, 11, 3)),
+        # The first layer with parameters pools its ReLU: (2, 3) windows floor a row and two columns.
+        ([conv(3, 3, 4), relu(), pool(2, 3), flatten(), dense(1), sigmoid()], (11, 13, 2)),
+        # (3, 3) windows over ReLU rows floor two rows and a column.
+        ([conv(1, 1, 3), relu(), conv(2, 2, 4), relu(), pool(3, 3), flatten(), dense(1), sigmoid()], (12, 11, 2)),
     ],
-    ids=["conv-first", "relu-first", "odd-extents"],
+    ids=["conv-first", "relu-first", "odd-extents", "pool-2x3-first", "pool-3x3"],
 )
 @pytest.mark.parametrize("batch", [1, 5])
 def test_fused_backward_matches_in_float64(specs, shape, batch, monkeypatch):
@@ -244,7 +270,22 @@ def test_fused_backward_matches_in_float64(specs, shape, batch, monkeypatch):
     x_before, d_before = x.copy(), dprobs.copy()
     fused, plain = fused_and_plain_grads(model, x, dprobs)
     assert fused == plain
+    assert model.forward(x, train=False).tobytes() == plain_forward(model, x, train=False).tobytes()
     assert x.tobytes() == x_before.tobytes() and dprobs.tobytes() == d_before.tobytes()
+
+
+@pytest.mark.parametrize("pool_rows", [1, 300, 10**6])  # 132-row planes: blocks of 1, 2 (the last one short) and 5 samples
+def test_fused_step_and_inference_match_each_layers_own_for_any_block_of_samples(pool_rows, monkeypatch):
+    monkeypatch.setattr(layers, "POOL_ROWS", pool_rows)
+    monkeypatch.setattr(layers, "TILE_ROWS", 50)
+    specs = [conv(1, 1, 4), relu(), conv(3, 3, 3), relu(), pool(2, 2), conv(2, 2, 2), relu(), pool(2, 2), flatten(), dense(1), sigmoid()]
+    model = Network(specs, (12, 11, 3), seed=4, dtype=np.float64)
+    model.layers[0].b[...] = [-0.5, 0.25, 0.0, -1.0]
+    rng = np.random.default_rng(pool_rows)
+    x = rng.standard_normal((5, 12, 11, 3))
+    fused, plain = fused_and_plain_grads(model, x, rng.standard_normal(5))
+    assert fused == plain
+    assert model.forward(x, train=False).tobytes() == plain_forward(model, x, train=False).tobytes()
 
 
 def step_and_plain_bits(model, x, dprobs) -> tuple[list[bytes], list[bytes]]:
@@ -312,8 +353,8 @@ def test_relu_rows_inference_matches_the_plane_path_at_batch_1_7_and_32(tile, mo
         assert rows.tobytes() == plain_forward(model, x, train=False).tobytes(), batch
 
 
-def test_a_1x1_conv_before_a_relu_and_a_pool_keeps_its_plane_and_bits():
-    # No conv reads the ReLU's output, so the 1x1 conv builds its plane as before.
+def test_a_1x1_conv_before_a_relu_and_a_pool_pools_per_sample_with_the_plane_bits():
+    # No conv reads the ReLU's output, so the 1x1 conv hands out no ReLU rows: it pools its ReLU itself.
     model = Network([conv(1, 1, 3), relu(), pool(2, 2), flatten(), dense(1), sigmoid()], (6, 5, 2), seed=2, dtype=np.float64)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, 6, 5, 2))
@@ -321,11 +362,12 @@ def test_a_1x1_conv_before_a_relu_and_a_pool_keeps_its_plane_and_bits():
     network, plane = step_and_plain_bits(model, x, dprobs)
     assert network == plane
     model.forward(x)
-    assert isinstance(model.layers[1]._out, np.ndarray) and model.layers[1]._out.shape == (3, 6, 5, 3)
+    assert isinstance(model.layers[1]._out, ReluPool) and model.layers[0]._out is model.layers[1]._out
     model.backward(dprobs)
 
 
 GATED, SPENT = {"gated": True}, {"spent": True}
+POOL_2X2, POOL_2X1 = {"pool": (2, 2)}, {"pool": (2, 1)}
 
 
 @pytest.mark.parametrize(
@@ -334,18 +376,18 @@ GATED, SPENT = {"gated": True}, {"spent": True}
         (
             lambda: build_combinatorial_cnn(EncodingConfig.for_length(6), seed=0),
             # conv 1x1, relu, conv 3x3, relu, pool, conv 3x3, relu, pool, flatten, dense, relu, dense, sigmoid
-            [({"relu_rows": True}, {"input_grad": False}), ({}, GATED), ({}, {}), ({}, GATED), ({}, GATED), ({}, SPENT)]
-            + [({}, GATED), ({}, GATED)] + [({}, {})] * 5,
+            [({"relu_rows": True}, {"input_grad": False}), ({}, GATED), (POOL_2X2, {}), ({}, GATED), ({}, {}), (POOL_2X2, SPENT)]
+            + [({}, GATED)] + [({}, {})] * 6,
         ),
         (
             lambda: build_char_cnn(6, 4, seed=0),
             # conv, relu, pool, flatten, dense, relu, dense, sigmoid
-            [({}, {"input_grad": False}), ({}, GATED), ({}, GATED)] + [({}, {})] * 5,
+            [(POOL_2X1, {"input_grad": False}), ({}, GATED), ({}, {})] + [({}, {})] * 5,
         ),
         (
             lambda: build_char_cnn(15, 4, seed=0),
             # conv, relu, pool, conv, relu, pool, flatten, dense, relu, dense, sigmoid
-            [({}, {"input_grad": False}), ({}, GATED), ({}, GATED), ({}, SPENT), ({}, GATED), ({}, GATED)] + [({}, {})] * 5,
+            [(POOL_2X1, {"input_grad": False}), ({}, GATED), ({}, {}), (POOL_2X1, SPENT), ({}, GATED), ({}, {})] + [({}, {})] * 5,
         ),
     ],
     ids=["combinatorial", "char-6", "char-15"],
@@ -418,7 +460,7 @@ def test_a_conv_after_an_array_relu_matches_each_layers_own_backward(kernel, til
     model.backward(dprobs)
 
 
-@pytest.mark.parametrize("n", [6, 9, 12, 15])
+@pytest.mark.parametrize("n", [6, 8, 9, 12, 15])
 def test_fused_backward_matches_on_the_char_model(n, monkeypatch):
     # (2, 1) pools after each conv's ReLU; at n=9 and 15 a pool floors an odd length.
     monkeypatch.setattr(layers, "TILE_ROWS", 5)
@@ -428,22 +470,38 @@ def test_fused_backward_matches_on_the_char_model(n, monkeypatch):
     x = rng.standard_normal((6, *model.input_shape))
     fused, plain = fused_and_plain_grads(model, x, rng.standard_normal(6))
     assert fused == plain
+    assert model.forward(x, train=False).tobytes() == plain_forward(model, x, train=False).tobytes()
+
+
+def ties_and_floored_nans(k: int) -> tuple[Network, np.ndarray]:
+    """The tie and zero windows of test_maxpool_ties_go_to_first_cell_once_and_floored_cells_get_zero
+    through a k x k conv that copies its input's centre cell, with NaN in the input's last row and
+    column, which reach only the cells that the pool's floor drops and the conv crops."""
+    model = Network([conv(k, k, 2), relu(), pool(2, 3), flatten(), dense(1), sigmoid()], (4 + k, 6 + k, 2), seed=1, dtype=np.float64)
+    model.layers[0].w[...] = 0
+    model.layers[0].w[k // 2, k // 2] = np.eye(2)
+    x = np.zeros((2, 4 + k, 6 + k, 2))
+    out = x[:, k // 2 :, k // 2 :]  # the conv's output cell (i, j) copies out[i, j]
+    out[1, 2:4, 3:6, 1] = [[-0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+    out[0, 0:2, 0:3, 0] = [[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    out[0, 2:4, 0:3, 1] = [[2.0, -1.0, 1.0], [-1.0, 3.0, 0.5]]
+    x[:, -1] = x[:, :, -1] = np.nan
+    return model, x
 
 
 def test_fused_pool_backward_matches_on_ties_and_drops_a_floored_nan():
-    # The tie and zero windows of test_maxpool_ties_go_to_first_cell_once_and_floored_cells_get_zero,
-    # through an identity 1x1 conv, with NaN in the cells that the pool's floor drops.
-    model = Network([conv(1, 1, 2), relu(), pool(2, 3), flatten(), dense(1), sigmoid()], (5, 7, 2), seed=1, dtype=np.float64)
-    model.layers[0].w[...] = np.eye(2)
-    x = np.zeros((2, 5, 7, 2))
-    x[1, 2:4, 3:6, 1] = [[-0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
-    x[0, 0:2, 0:3, 0] = [[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    x[0, 2:4, 0:3, 1] = [[2.0, -1.0, 1.0], [-1.0, 3.0, 0.5]]
-    x[:, 4] = x[:, :, 6] = np.nan
-    dprobs = np.array([-0.0, -1.5])
-    fused, plain = fused_and_plain_grads(model, x, dprobs)
+    model, x = ties_and_floored_nans(1)
+    fused, plain = fused_and_plain_grads(model, x, np.array([-0.0, -1.5]))
     assert fused == plain
     assert np.isfinite(model.layers[0].db).all()  # the conv's output gradient holds +0.0, not NaN, there
+
+
+def test_fused_pool_backward_matches_on_ties_and_floored_nans_through_a_3x3_conv():
+    model, x = ties_and_floored_nans(3)
+    fused, plain = fused_and_plain_grads(model, x, np.array([-0.0, -1.5]))
+    assert fused == plain
+    assert np.isfinite(model.layers[0].db).all()
+    assert model.forward(x, train=False).tobytes() == plain_forward(model, x, train=False).tobytes()
 
 
 def test_backward_of_a_conv_after_a_relu_allocates_no_plane():
@@ -481,7 +539,7 @@ def test_whole_backward_allocates_less_than_a_quarter_plane():
     model = build_combinatorial_cnn(EncodingConfig.for_length(8), seed=2)
     x = np.random.default_rng(3).random((32, *model.input_shape), dtype=np.float32)
     model.forward(x)
-    plane = model.layers[3]._out.nbytes  # L3's output: L2's cropped plane
+    plane = len(x) * math.prod(sample_shapes(model.specs, model.input_shape)[3]) * x.itemsize  # L2's cropped plane
     tracemalloc.start()
     try:
         model.backward(np.ones(len(x), dtype=np.float32))

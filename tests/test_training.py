@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 import weakref
@@ -7,7 +8,7 @@ import pytest
 
 from combword.datasets import PALINDROME_ALPHABET, LabeledDataset, gen_palindrome_dataset, gen_password_dataset, permute_dataset
 from combword.encoding import BatchEncoder, EncodedBatch, EncodingConfig
-from combword.layers import ReluRows
+from combword.layers import ReluPool, ReluRows
 from combword.network import binary_cross_entropy, build_char_cnn, build_combinatorial_cnn, sample_shapes
 from combword.training import (
     EpochRecord,
@@ -137,7 +138,7 @@ def batch_state(model) -> dict[int, list[str]]:
     out = {}
     for i, layer in enumerate(model.layers):
         own = [id(a) for a in layer.params() + layer.grads()]
-        held = (np.ndarray, EncodedBatch, ReluRows)
+        held = (np.ndarray, EncodedBatch, ReluRows, ReluPool)
         names = [k for k, v in vars(layer).items() if isinstance(v, held) and id(v) not in own]
         if names:
             out[i] = names
@@ -322,6 +323,28 @@ def test_no_batch_array_outlives_train_predict_probs_or_evaluate(tiny_task, kind
     assert held_arrays(model) == []
 
 
+@pytest.mark.parametrize("kind", ["tensor", "char"])
+@pytest.mark.parametrize("use", ["fresh", "step_and_inference", "train"])
+def test_a_dropped_model_is_freed_without_the_cyclic_collector(tiny_task, kind, use):
+    # A reference cycle through a model would keep it, and all its arrays, until the collector runs.
+    tr, va, cfg_enc = tiny_task
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model, enc = model_and_encoder(cfg_enc, kind)
+        if use == "step_and_inference":
+            batch_gradients(model, tr.words()[:8], np.asarray(tr.labels()[:8], dtype=np.float64), enc)
+            predict_probs(model, va, enc, batch_size=7)
+        elif use == "train":
+            model, _ = train(model, tr, va, TrainConfig(epochs=1, batch_size=8, steps_per_epoch=2, seed=1), enc)
+        refs = [weakref.ref(model)] + [weakref.ref(layer) for layer in model.layers]
+        del model
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_diverged_train_leaves_no_batch_array(tiny_task):
     tr, va, cfg_enc = tiny_task
     model = fresh_model(cfg_enc)
@@ -358,34 +381,46 @@ def test_train_and_inference_never_build_the_dense_batch(tiny_task, monkeypatch)
 
 
 def forward_bytes(model) -> tuple[int, int]:
-    """Bytes per sample of the arrays a training and an inference forward allocate: conv and pool outputs."""
+    """Bytes per sample of the arrays that each layer's own training and inference forward allocate: conv and pool outputs.
+
+    These are the plane path's arrays; the network's passes make fewer of them.
+    """
     item = model.dtype.itemsize
     shapes = sample_shapes(model.specs, model.input_shape)
     step = infer = 0
     for spec, shape, out in zip(model.specs, shapes, shapes[1:]):
         if spec.kind == "conv2d":
-            step += math.prod(shape[:2]) * spec.filters * item  # the flat output covers the uncropped plane
-            infer += math.prod(shape[:2]) * spec.filters * item
+            step += conv_plane_bytes(model, shape, spec)
+            infer += conv_plane_bytes(model, shape, spec)
         elif spec.kind == "maxpool2d":
             step += math.prod(out) * (item + 1)  # the output and each window's first-max index
             infer += math.prod(out) * item
     return step, infer
 
 
-def test_a_step_and_an_inference_pass_peak_below_their_forward_arrays_less_half_the_l1_plane():
-    """Traced memory at n=10: no pass holds the first conv's ReLU'd output, the L1 plane.
+def conv_plane_bytes(model, shape: tuple, spec) -> int:
+    """Bytes per sample of a conv's flat output, which covers the uncropped plane."""
+    return math.prod(shape[:2]) * spec.filters * model.dtype.itemsize
 
-    Half of that plane is the room left for what a pass holds besides its
-    forward arrays: the batch's sample planes, a window of ReLU rows and
-    scratch tiles. A pass that builds the plane peaks above its forward arrays.
+
+def test_a_step_and_an_inference_pass_peak_below_their_forward_arrays_less_half_the_l1_plane():
+    """Traced memory at n=10: no pass holds the first conv's ReLU'd output, the L1 plane, nor the 3x3 conv's output plane.
+
+    Half of the L1 plane is the room left for what a pass holds besides its
+    other forward arrays: the batch's sample planes, a window of ReLU rows,
+    a sample's scratch plane and scratch tiles. A pass that builds either
+    plane peaks above that.
     """
     tr = gen_palindrome_dataset(10, (16, 1, 1), seed=12)[0]
     words, labels = tr.words(), np.asarray(tr.labels(), dtype=np.float64)
     cfg_enc = EncodingConfig.for_length(10)
     model = fresh_model(cfg_enc)
     step, infer = forward_bytes(model)
-    l1 = math.prod(sample_shapes(model.specs, model.input_shape)[1]) * model.dtype.itemsize
+    shapes = sample_shapes(model.specs, model.input_shape)
+    l1 = math.prod(shapes[1]) * model.dtype.itemsize
     assert model.specs[0].kernel == (1, 1) and l1 > step / 2  # the L1 plane: the largest forward array
+    assert model.specs[2].kernel == (3, 3)
+    l2 = conv_plane_bytes(model, shapes[2], model.specs[2])  # the 3x3 conv's plane, the next largest
     distinct = list({pattern_key(w.text): w for w in words}.values())
     rows = len(distinct)
 
@@ -398,9 +433,9 @@ def test_a_step_and_an_inference_pass_peak_below_their_forward_arrays_less_half_
             tracemalloc.stop()
 
     stepped = peak(lambda: batch_gradients(model, words, labels, BatchEncoder(cfg_enc)))
-    assert stepped < rows * (step - l1 // 2), (stepped, rows * step, rows * l1)
+    assert stepped < rows * (step - l1 // 2 - l2), (stepped, rows * step, rows * l1, rows * l2)
     inferred = peak(lambda: model.forward(BatchEncoder(cfg_enc)(distinct), train=False))
-    assert inferred < rows * (infer - l1 // 2), (inferred, rows * infer, rows * l1)
+    assert inferred < rows * (infer - l1 // 2 - l2), (inferred, rows * infer, rows * l1, rows * l2)
 
 
 def test_val_accuracy_split_by_pattern_adds_up_to_the_last_record(tiny_task):
