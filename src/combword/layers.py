@@ -8,13 +8,17 @@ row wrap or two samples get wrong sums and are cropped away; backward pads
 the output gradient with zeros onto the input plane, so those rows add
 nothing to the weight or input gradients. The GEMMs run over tiles of
 TILE_ROWS result rows, every offset for one tile before the next tile, so
-that the partial products stay in cache. A row of the output or of the
-input gradient is summed in the same order wherever the tiles fall; the
-weight gradient is summed tile by tile, in a fixed order. A dense layer's
-forward runs as GEMMs of DENSE_ROWS rows. So every layer computes a sample's
-output row the same way whatever the size of its batch and wherever the
-sample sits in it, which lets training run each distinct input once. Pooling
-floors odd extents.
+that the partial products stay in cache. The right operand of every such
+GEMM (``_matmul``) is C-contiguous: a transposed view gives the same bits,
+but OpenBLAS then takes up to twice as long per tile, so backward copies
+the transposed kernel once per call. The weight gradients' ``src.T`` and
+``Dense``'s ``w.T`` stay views, as their copies cost more than they save.
+A row of the output or of the input gradient is summed in the same order
+wherever the tiles fall; the weight gradient is summed tile by tile, in a
+fixed order. A dense layer's forward runs as GEMMs of DENSE_ROWS rows. So
+every layer computes a sample's output row the same way whatever the size
+of its batch and wherever the sample sits in it, which lets training run
+each distinct input once. Pooling floors odd extents.
 
 A conv reads its input only through ``reshape(-1, cin)``, ``shape``,
 ``dtype`` and row slices of the flat form, one slice per tile: the tile's
@@ -533,7 +537,8 @@ class Conv2d(Layer):
         dw[...] = 0
         streamed = isinstance(xf, ReluRows)
         if input_grad:
-            wt = self.w.transpose(0, 1, 3, 2).reshape(len(shifts), -1, cin)  # a contiguous copy
+            # A C-contiguous copy: reshaping the transposed view would merge the kernel axes without copying.
+            wt = np.ascontiguousarray(self.w.transpose(0, 1, 3, 2)).reshape(len(shifts), -1, cin)
             back = [-s for s in shifts]
             part = np.empty((min(rows, TILE_ROWS), cin), dtype=np.result_type(gf.dtype, wt.dtype))
             # Streamed, a scratch tile after one row for the rows' running bias sum.

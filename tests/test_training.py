@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from combword import layers
 from combword.datasets import PALINDROME_ALPHABET, LabeledDataset, gen_palindrome_dataset, gen_password_dataset, permute_dataset
 from combword.encoding import BatchEncoder, EncodedBatch, EncodingConfig
 from combword.layers import ReluPool, ReluRows
@@ -160,7 +161,7 @@ class KeepingEncoder:
 
 def model_and_encoder(cfg_enc, kind: str):
     if kind == "char":
-        return build_char_cnn(6, len(PALINDROME_ALPHABET), seed=8), char_encoder("palindrome")
+        return build_char_cnn(cfg_enc.word_length, len(PALINDROME_ALPHABET), seed=8), char_encoder("palindrome")
     return fresh_model(cfg_enc, seed=8), BatchEncoder(cfg_enc)
 
 
@@ -565,6 +566,26 @@ def test_char_model_runs_pattern_twins_as_separate_rows():
     assert enc.calls == [["abcabc", "xyzxyz", "abccba"]]
     assert probs.tobytes() == model.forward(enc.encode(ds.words())).tobytes()
     assert probs[0] != probs[1]
+
+
+@pytest.mark.parametrize("kind", ["tensor", "char"])
+def test_every_conv_gemm_reads_a_c_contiguous_right_operand(kind, monkeypatch):
+    # A transposed right operand gives the same bits but makes each tile GEMM
+    # up to twice as slow, so only the spy sees it.
+    tr, va, _ = gen_palindrome_dataset(8, (16, 16, 1), seed=25)
+    model, enc = model_and_encoder(EncodingConfig.for_length(8), kind)
+    matmul, seen = layers._matmul, []
+
+    def spy(a, b, out):
+        seen.append((b.shape, b.strides, b.flags.c_contiguous))
+        return matmul(a, b, out)
+
+    monkeypatch.setattr(layers, "_matmul", spy)
+    batch_gradients(model, tr.words()[:8], np.asarray(tr.labels()[:8], dtype=np.float64), enc)
+    after_step = len(seen)
+    predict_probs(model, va, enc)
+    assert 0 < after_step < len(seen)
+    assert [op for op in seen if not op[2]] == []
 
 
 def test_csv_lines_format():
