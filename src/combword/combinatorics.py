@@ -56,16 +56,18 @@ at once.
 ``combinatorics_map`` builds only the word's subword table; the map builds
 the rest over the unpadded, uncapped (D, D, D) layout when first asked for
 it. Channel 0 of the non-empty pairs is the table's ``empty_cells`` grid,
-one small product cached on the table; ``sparse`` is the whole upper half,
-whose chain counts are nearly all of a map's cost, and ``dense_counts``
-takes its channel 0 from that grid and then drops it from the table, since
-the result holds it. ``same_counts`` compares two maps cheapest part first
-and builds the next part only while they agree: the table size D and the
-subword lengths (row 0 of channel 0, free in the table), then the tables'
-``empty_cells`` (the rest of channel 0), then the sparse forms. So two words
-that differ in D, a subword length or an empty-cell count never count their
-chains, and two that agree on all of channel 0 are compared on their full
-maps, each word's grid computed once.
+one small product cached on the table. ``chains`` is the upper half's chain
+counts as ``_chain_keys`` returns them, one key (lam * D + mu) * D + nu and
+one count per entry, and nearly all of a map's cost. ``sparse`` is the
+whole upper half laid out by ``dense_counts``, which counts the chains
+afresh, takes its channel 0 from the grid and then drops it from the table,
+since the result holds it. ``same_counts`` compares two maps cheapest part
+first and builds the next part only while they agree: the table size D and
+the subword lengths (row 0 of channel 0, free in the table), then the
+tables' ``empty_cells`` (the rest of channel 0), then the two maps' chain
+keys and counts, entry by entry. So two words that differ in D, a subword
+length or an empty-cell count never count their chains, and two that agree
+on all of channel 0 count each map's chains once and build no sparse form.
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ class CombinatoricsMap:
     """Raw counts over canonical index triples (lam, mu, nu), upper half kept sparse.
 
     Together with its table this is the word's full combinatorial fingerprint.
-    ``sparse``, the upper half, is built when first asked for; a map made
-    with its ``sparse`` given holds it as is.
+    ``chains`` and ``sparse``, the upper half, are built when first asked
+    for; a map made with its ``sparse`` given holds it as is.
     """
 
     def __init__(self, table: SubwordTable, sparse: SparseCounts | None = None):
@@ -168,6 +170,12 @@ class CombinatoricsMap:
     def sparse(self) -> SparseCounts:
         d = self.size
         return dense_counts(self.table, d, d, None)
+
+    @cached_property
+    def chains(self) -> tuple[np.ndarray, np.ndarray]:
+        """The chain counts of the pairs lam <= mu: ascending keys (lam * D + mu) * D + nu, and counts; read-only."""
+        keys, counts = _chain_keys(self.table, self.size, None)
+        return _read_only(keys), _read_only(counts)
 
     @property
     def size(self) -> int:
@@ -183,14 +191,17 @@ class CombinatoricsMap:
 
         The table size D and the subword lengths are row 0 of channel 0, and
         the tables' ``empty_cells`` grids are the rest of it, so each stage
-        that differs settles the answer ``sparse.same`` would give; the chain
-        counts are built only for two words that agree on all of channel 0.
+        that differs settles the answer ``sparse.same`` would give. The chain
+        counts are built only for two words that agree on all of channel 0,
+        and compared as keys and counts: with D equal, the keys name the same
+        (lam, mu, nu) triples in both maps, so equal keys and counts are
+        equal chain entries, as in ``sparse``, which is not built.
         """
         return (
             self.size == other.size
             and np.array_equal(self.table.lengths, other.table.lengths)
             and np.array_equal(self.table.empty_cells, other.table.empty_cells)
-            and self.sparse.same(other.sparse)
+            and all(map(np.array_equal, self.chains, other.chains))
         )
 
 

@@ -10,7 +10,8 @@ which builds their subword tables, and compares them with
 ``CombinatoricsMap.same_counts``, which builds the rest of each map only as
 far as the two still agree: a pair whose table sizes, subword lengths or
 empty-cell counts differ is settled without counting a chain, and a pair
-that agrees on all of those counts both maps in full.
+that agrees on all of those counts both maps' chains independently and
+compares them entry by entry, without laying either out as a sparse form.
 """
 
 from __future__ import annotations

@@ -228,11 +228,29 @@ def test_same_counts_iff_grids_equal(pair):
 
 def test_same_counts_compares_every_array():
     m = combinatorics_map("abcab")
-    for name in ("sizes", "nus", "counts", "empty"):
-        changed = getattr(m.sparse, name).copy()
-        changed[-1] += 1
-        other = CombinatoricsMap(m.table, dataclasses.replace(m.sparse, **{name: changed}))
-        assert not m.same_counts(other), name
+    keys, counts = m.chains
+
+    def bumped(a: np.ndarray) -> np.ndarray:
+        a = a.copy()
+        a.flat[-1] += 1
+        return a
+
+    def map_with(lengths=m.table.lengths, empty_cells=m.table.empty_cells, chains=m.chains) -> CombinatoricsMap:
+        """A map of m's table with the given parts in place of its own, each seeded as its cached value."""
+        other = CombinatoricsMap(dataclasses.replace(m.table, lengths=lengths))
+        vars(other.table)["empty_cells"] = empty_cells
+        vars(other)["chains"] = chains
+        return other
+
+    assert m.same_counts(map_with())
+    tampered = {
+        "lengths": map_with(lengths=bumped(m.table.lengths)),
+        "empty_cells": map_with(empty_cells=bumped(m.table.empty_cells)),
+        "a chain key": map_with(chains=(bumped(keys), counts)),
+        "a chain count": map_with(chains=(keys, bumped(counts))),
+    }
+    for part, other in tampered.items():
+        assert not m.same_counts(other), part
     assert m.same_counts(combinatorics_map("cabca"))
 
 
@@ -286,9 +304,17 @@ def test_a_related_pair_counts_both_maps_and_each_channel_0_once():
     assert counted_stages("aba", "cdc") == (True, 2, 2)
 
 
+def test_a_related_pair_builds_neither_sparse_form():
+    for a, b in [("aba", "cdc"), seeded_theorem_pairs(15)[0]]:
+        ma, mb = combinatorics_map(a), combinatorics_map(b)
+        assert ma.same_counts(mb), (a, b)
+        assert "sparse" not in vars(ma) and "sparse" not in vars(mb), (a, b)
+
+
 def test_a_map_keeps_no_empty_cell_grid_once_its_sparse_form_is_built():
     ma, mb = combinatorics_map("aba"), combinatorics_map("cdc")
-    assert ma.same_counts(mb)
+    assert ma.same_counts(mb)  # caches both tables' grids
+    ma.sparse, mb.sparse
     assert "empty_cells" not in vars(ma.table) and "empty_cells" not in vars(mb.table)
     assert np.array_equal(ma.table.empty_cells, distinct_subwords("aba").empty_cells)
 
