@@ -158,13 +158,11 @@ class CombinatoricsMap:
 
     Together with its table this is the word's full combinatorial fingerprint.
     ``chains`` and ``sparse``, the upper half, are built when first asked
-    for; a map made with its ``sparse`` given holds it as is.
+    for.
     """
 
-    def __init__(self, table: SubwordTable, sparse: SparseCounts | None = None):
+    def __init__(self, table: SubwordTable):
         self.table = table
-        if sparse is not None:
-            self.sparse = sparse
 
     @cached_property
     def sparse(self) -> SparseCounts:

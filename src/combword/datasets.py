@@ -132,6 +132,19 @@ def _draw_unique(seen: set[str], make, what: str) -> str:
     raise ValueError(f"gave up generating a fresh {what} after {_MAX_ATTEMPTS_PER_ITEM} attempts")
 
 
+def _splits(rng: random.Random, counts: tuple[int, int, int], task: str, seed: int, n: int, positive, negative) -> tuple[LabeledDataset, ...]:
+    """The train, val and test splits: each draws ``count`` label-1 words, then as many label-0 ones, and shuffles them.
+
+    ``positive`` and ``negative`` are the (make, what) draws of ``_draw_unique``; no word is drawn twice.
+    """
+    alphabet, seen, splits = task_alphabet(task), set(), []
+    for split_name, count in zip(("train", "val", "test"), counts):
+        items = [(Word(_draw_unique(seen, make, what), alphabet), label) for (make, what), label in ((positive, 1), (negative, 0)) for _ in range(count)]
+        rng.shuffle(items)
+        splits.append(LabeledDataset(items, task, split_name, seed, n))
+    return tuple(splits)
+
+
 def gen_palindrome_dataset(
     n: int, counts: tuple[int, int, int], seed: int
 ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
@@ -148,7 +161,6 @@ def gen_palindrome_dataset(
     rng = random.Random(seed)
     letters = PALINDROME_ALPHABET.letters
     half = math.ceil(n / 2)
-    seen: set[str] = set()
 
     def palindrome() -> str:
         return _mirror("".join(rng.choice(letters) for _ in range(half)), n)
@@ -157,13 +169,7 @@ def gen_palindrome_dataset(
         w = "".join(rng.choice(letters) for _ in range(n))
         return None if is_palindrome(w) else w
 
-    splits = []
-    for split_name, count in zip(("train", "val", "test"), counts):
-        items = [(Word(_draw_unique(seen, palindrome, "palindrome"), PALINDROME_ALPHABET), 1) for _ in range(count)]
-        items += [(Word(_draw_unique(seen, non_palindrome, "non-palindrome"), PALINDROME_ALPHABET), 0) for _ in range(count)]
-        rng.shuffle(items)
-        splits.append(LabeledDataset(items, TASK_PALINDROME, split_name, seed, n))
-    return tuple(splits)
+    return _splits(rng, counts, TASK_PALINDROME, seed, n, (palindrome, "palindrome"), (non_palindrome, "non-palindrome"))
 
 
 def gen_password_dataset(
@@ -186,7 +192,6 @@ def gen_password_dataset(
         raise ValueError("every split needs at least one item per class")
     rng = random.Random(seed)
     letters = PASSWORD_ALPHABET.letters
-    seen: set[str] = set()
 
     def weak() -> str | None:
         pool = rng.sample(letters, rng.randint(*_WEAK_POOL_RANGE))
@@ -199,13 +204,7 @@ def gen_password_dataset(
             return None
         return w if strength_score(w).strong else None
 
-    splits = []
-    for split_name, count in zip(("train", "val", "test"), counts):
-        items = [(Word(_draw_unique(seen, strong, "strong password"), PASSWORD_ALPHABET), 1) for _ in range(count)]
-        items += [(Word(_draw_unique(seen, weak, "weak password"), PASSWORD_ALPHABET), 0) for _ in range(count)]
-        rng.shuffle(items)
-        splits.append(LabeledDataset(items, TASK_PASSWORD, split_name, seed, n))
-    return tuple(splits)
+    return _splits(rng, counts, TASK_PASSWORD, seed, n, (strong, "strong password"), (weak, "weak password"))
 
 
 def alphabet_permutation(alphabet: Alphabet, seed: int) -> Bijection:

@@ -10,10 +10,11 @@ A tensor depends on the word's repetition pattern alone, so ``BatchEncoder``
 counts each pattern once and keeps the sparse upper half that
 ``combinatorics.dense_counts`` returns. A call returns an ``EncodedBatch``:
 the batch's shape and dtype and its words' cached counts, never the dense
-batch itself. The first conv reads it a tile of flat rows at a time, and the
-batch scatters each sample's plane (the upper half and its mirror, into
-zeros) only when a tile reaches it, keeping at most two planes. So no
-training step or inference pass holds the whole dense batch.
+batch itself. The first conv reads it a tile of flat rows at a time
+(``layers.PlaneRows``), and the batch scatters each sample's plane (the
+upper half and its mirror, into zeros) only when a tile reaches it, keeping
+at most two planes. So no training step or inference pass holds the whole
+dense batch.
 ``np.asarray`` on a batch scatters every sample into one array the same way,
 and ``encode_batch`` and ``encode_dense`` are that array for one fresh
 encoder's call, so there is one way to build a tensor; ``combword tensor
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import SparseCounts, dense_counts
-from .layers import rows_of_planes
+from .layers import PlaneRows
 from .words import Alphabet, Word, as_text, distinct_subwords, max_table_size, pattern_key
 
 NORM_NONE = "none"
@@ -165,39 +166,30 @@ class BatchEncoder:
         return EncodedBatch(self.place, forms, (p, p, self.channels), self.dtype)
 
 
-class EncodedBatch:
+class EncodedBatch(PlaneRows):
     """A batch of encoded words that is read a range of flat rows at a time.
 
-    Holds the batch's ``shape`` and ``dtype`` and each sample's cached count
-    form, and supports only what the first conv asks of its input:
-    ``reshape(-1, channels)`` to the flat (samples * pad_to * pad_to,
-    channels) rows, and ``rows[lo:hi]`` on those, which returns a read-only
-    array. A range inside one sample is a view of that sample's plane; one
-    that spans samples is a copy. A sample's plane is scattered when a range
-    first reaches it, and the batch keeps the last two it scattered, so
-    reading the rows in order scatters each sample once and never holds the
-    whole batch. ``np.asarray(batch)`` builds the whole dense array.
+    Holds each sample's cached count form and gives the first conv the
+    ``layers.PlaneRows`` protocol: a plane is one sample's (pad_to * pad_to,
+    channels) rows. A sample's plane is scattered into fresh zeros when a
+    range first reaches it, and the batch keeps the last two it scattered,
+    so reading the rows in order scatters each sample once and never holds
+    the whole batch. No plane is ever written again, so rows read earlier
+    stay as they were after later reads. ``np.asarray(batch)`` builds the
+    whole dense array.
     """
 
-    def __init__(self, place, forms: list[SparseCounts], plane_shape: tuple[int, int, int], dtype, flat: bool = False):
+    def __init__(self, place, forms: list[SparseCounts], plane_shape: tuple[int, int, int], dtype):
+        super().__init__((len(forms), *plane_shape), dtype, plane_shape[0] * plane_shape[1])
         self._place = place
         self._forms = forms
-        self._plane_shape = plane_shape
-        self._plane_rows = plane_shape[0] * plane_shape[1]
-        self.shape = (len(forms) * self._plane_rows, plane_shape[2]) if flat else (len(forms), *plane_shape)
-        self.dtype = np.dtype(dtype)
+
+    def _reset(self) -> None:
         self._planes: dict[int, np.ndarray] = {}
 
     @property
     def size(self) -> int:
         return math.prod(self.shape)
-
-    def reshape(self, *shape) -> "EncodedBatch":
-        """The flat rows: ``reshape(-1, channels)`` is the only shape offered."""
-        flat = EncodedBatch(self._place, self._forms, self._plane_shape, self.dtype, flat=True)
-        if tuple(shape) not in ((-1, flat.shape[1]), flat.shape):
-            raise ValueError(f"an encoded batch reshapes only to (-1, {flat.shape[1]}), not {shape}")
-        return flat
 
     def _plane(self, sample: int) -> np.ndarray:
         """Sample ``sample``'s read-only (pad_to * pad_to, channels) rows, scattered on first use."""
@@ -205,25 +197,17 @@ class EncodedBatch:
         if plane is None:
             if len(self._planes) == 2:
                 del self._planes[next(iter(self._planes))]  # before the new plane, so that two stay live
-            plane = np.zeros(math.prod(self._plane_shape), dtype=self.dtype)
+            plane = np.zeros(self._per * self.shape[-1], dtype=self.dtype)
             self._place(plane, self._forms[sample])
-            plane = plane.reshape(self._plane_rows, -1)
+            plane = plane.reshape(self._per, -1)
             plane.flags.writeable = False
             self._planes[sample] = plane
         return plane
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        if len(self.shape) != 2 or not isinstance(rows, slice):
-            raise TypeError("an encoded batch is read by row slices of its flat reshape(-1, channels) form")
-        lo, hi, step = rows.indices(self.shape[0])
-        if step != 1:
-            raise TypeError("an encoded batch is read by contiguous row slices")
-        return rows_of_planes(self._plane, self._plane_rows, lo, hi, self.shape[1], self.dtype)
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("an encoded batch has no array to share; np.asarray builds one")
-        out = np.zeros((len(self._forms), math.prod(self._plane_shape)), dtype=self.dtype)
+        out = np.zeros((len(self._forms), self._per * self.shape[-1]), dtype=self.dtype)
         for flat, form in zip(out, self._forms):
             self._place(flat, form)
         out = out.reshape(self.shape)

@@ -20,17 +20,15 @@ every layer computes a sample's output row the same way whatever the size
 of its batch and wherever the sample sits in it, which lets training run
 each distinct input once. Pooling floors odd extents.
 
-A conv reads its input only through ``reshape(-1, cin)``, ``shape``,
-``dtype`` and row slices of the flat form, one slice per tile: the tile's
-rows and those its kernel's shifts reach. So its input may also be an
-``encoding.EncodedBatch``, which scatters each sample's plane when a slice
-first reaches it and hands out read-only rows; the network's first conv
-gets its batch this way. It may also be a ``ReluRows``: the ReLU of a 1x1
-conv's output, which ``Conv2d.forward(x, relu_rows=True)`` hands out
-instead of building its output plane, and which fills a window of those
-rows from the 1x1 conv's input as the slices advance. The GEMMs then read
-the same rows in the same order as from a whole plane, and the bits do not
-change.
+A conv reads its input, and a pooled conv its output gradient, only
+through ``shape``, ``dtype``, ``reshape(-1, channels)`` and row slices of
+the flat form, one slice per tile: the tile's rows and those its kernel's
+shifts reach. So either may be a ``PlaneRows``, a stand-in that makes its
+rows as they are read and never builds the plane: an
+``encoding.EncodedBatch`` (the first conv's batch), ``ReluRows`` or a
+``ReluPool`` (below). The GEMMs read the same rows in the same order as
+from a whole plane, and the bits do not change. A ReLU passes a
+``PlaneRows`` on as it is, forward and backward.
 
 Every ``forward`` takes ``train``. With it (the default), a layer keeps what
 its backward reads: a conv a view of its input (for the first conv, the
@@ -46,13 +44,13 @@ index.
 These are the in-place rules of a pass; ``network`` builds, per layer, the
 keyword arguments that ask for them and nothing else restates them. Every
 conv and pool forward allocates its output, except a 1x1 conv that hands
-out ``ReluRows`` and a conv that a ReLU and a max pool follow. That conv
-runs ``forward(x, pool=(ph, pw))``: it computes the output rows of one
-sample, or of a few whole small ones, at a time into a scratch plane, adds
-the bias, takes the ReLU and pools them there, and hands out a
-``ReluPool``, which holds the pooled output and each window's first-max
-index, marked out of range where that max is not > 0. The ReLU passes it
-on, and the pool hands its ``out`` on and keeps it for backward. Then:
+out ``ReluRows`` (``forward(x, relu_rows=True)``) and a conv that a ReLU
+and a max pool follow. That conv runs ``forward(x, pool=(ph, pw))``: it
+computes the output rows of one sample, or of a few whole small ones, at a
+time into a scratch plane, adds the bias, takes the ReLU and pools them
+there, and hands out a ``ReluPool``, which holds the pooled output and each
+window's first-max index, marked out of range where that max is not > 0.
+The pool hands its ``out`` on and keeps it for backward. Then:
 
 - ReLU rectifies its input in place whenever that input is writable, and
   its backward gates a writable ``dout`` in place;
@@ -62,19 +60,17 @@ on, and the pool hands its ``out`` on and keeps it for backward. Then:
 - a conv whose input is ``ReluRows`` refills their window tile by tile for
   its weight gradient, sums each TILE_ROWS tile of its input gradient in a
   scratch tile, gates it by ``input > 0`` and hands it to the rows, which
-  add it to the 1x1 conv's weight and bias gradients. The ReLU's
-  ``backward(dout, gated=True)`` hands the rows on as they are, and the 1x1
-  conv's backward then has nothing left to do. The rows are summed in the
-  same order and gated by the same mask as unfused, so the bits do not
-  change, and no pass makes the 1x1 conv's output plane or its gradient;
+  add it to the 1x1 conv's weight and bias gradients, so that the 1x1
+  conv's backward has nothing left to do. The rows are summed in the same
+  order and gated by the same mask as unfused, so the bits do not change,
+  and no pass makes the 1x1 conv's output plane or its gradient;
 - the pool after a conv's ReLU hands its output gradient to the
   ``ReluPool``, whose rows are then the conv's zero-padded output gradient:
   each block's planes are rebuilt from the index when the conv's tile loop
   first reaches them, with at most two blocks live, and the bias gradient
-  is one running sum over those planes in row order. The ReLU's
-  ``backward(dout, gated=True)`` passes it on. Each kept value has the bits
-  the ReLU's gate would give it, every other cell gets +0.0, and the tiles
-  and sums are the plane path's, so the bits do not change;
+  is one running sum over those planes in row order. Each kept value has
+  the bits the ReLU's gate would give it, every other cell gets +0.0, and
+  the tiles and sums are the plane path's, so the bits do not change;
 - a conv right after a pool writes its input gradient with
   ``backward(dout, spent=True)`` into its input, the pool's output, which
   no earlier backward reads. It is summed exactly as into a new array.
@@ -105,6 +101,7 @@ float32 for training and float64 for finite-difference checks.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -193,22 +190,62 @@ def _shifted_gemms(src, mats: np.ndarray, shifts: list[int], lo: int, out: np.nd
     return out
 
 
-def rows_of_planes(plane, per: int, lo: int, hi: int, channels: int, dtype) -> np.ndarray:
-    """Flat rows [lo, hi) of a batch whose sample s is the (per, channels) rows ``plane(s)``.
+def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``total`` plus the rows ``rows[1:]``, added one after another; ``rows[0]`` is scratch.
 
-    A range inside one sample is a view of its plane; one that spans samples
-    is a read-only copy, which reads each sample's plane once, in order.
+    A bias gradient summed a tile or a block at a time must have the bits of
+    one ``sum`` over the whole gradient plane, which adds its rows one after
+    another. Adding a block's own sum would round differently, so the total
+    takes row 0 and the reduce goes on from it.
     """
-    hi = max(lo, hi)
-    first, last = lo // per, (hi - 1) // per
-    if lo < hi and first == last:
-        return plane(first)[lo - first * per : hi - first * per]
-    out = np.empty((hi - lo, channels), dtype=dtype)
-    for sample in range(first, last + 1 if lo < hi else first):
-        a, b = max(lo, sample * per), min(hi, (sample + 1) * per)
-        out[a - lo : b - lo] = plane(sample)[a - sample * per : b - sample * per]
-    out.flags.writeable = False
-    return out
+    rows[0] = total
+    return np.add.reduce(rows, axis=0)
+
+
+class PlaneRows:
+    """A stand-in for a plane that a conv reads, making its rows as they are read.
+
+    ``reshape(-1, channels)`` is its only reshape and returns the flat twin,
+    which the subclass's ``_reset`` clears of what earlier reads kept. The
+    twin's ``rows[lo:hi]`` is a read-only (hi - lo, channels) array; any
+    other read raises TypeError. A subclass makes its rows a plane of ``per``
+    rows at a time, ``_plane(i)`` being the read-only rows [i * per,
+    (i + 1) * per): a range inside one plane is a view of it, and one that
+    spans planes is a read-only copy, which reads each plane once, in order.
+    """
+
+    def __init__(self, shape: tuple, dtype, per: int = 0):
+        self.shape = tuple(shape)
+        self.dtype = np.dtype(dtype)
+        self._per = per
+        self._reset()
+
+    def reshape(self, *shape) -> "PlaneRows":
+        c = self.shape[-1]
+        if shape != (-1, c):
+            raise ValueError(f"{type(self).__name__} reshapes only to (-1, {c}), not {shape}")
+        twin = copy.copy(self)
+        twin.shape = (math.prod(self.shape[:-1]), c)
+        twin._reset()
+        return twin
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        if len(self.shape) != 2 or not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError(f"{type(self).__name__} is read by contiguous row slices of its flat reshape(-1, channels) form")
+        lo, hi, _ = rows.indices(self.shape[0])
+        return self._rows(lo, max(lo, hi))
+
+    def _rows(self, lo: int, hi: int) -> np.ndarray:
+        per = self._per
+        first, last = lo // per, (hi - 1) // per
+        if lo < hi and first == last:
+            return self._plane(first)[lo - first * per : hi - first * per]
+        out = np.empty((hi - lo, self.shape[1]), dtype=self.dtype)
+        for i in range(first, last + 1 if lo < hi else first):
+            a, b = max(lo, i * per), min(hi, (i + 1) * per)
+            out[a - lo : b - lo] = self._plane(i)[a - i * per : b - i * per]
+        out.flags.writeable = False
+        return out
 
 
 def _cells(x: np.ndarray, ph: int, pw: int) -> list[np.ndarray]:
@@ -236,47 +273,34 @@ def _first_max(cells: list[np.ndarray], out: np.ndarray) -> np.ndarray:
     return arg
 
 
-class ReluRows:
+class ReluRows(PlaneRows):
     """The ReLU of a 1x1 conv's output, computed a window of flat rows at a time.
 
-    Stands in for that ReLU's output plane as the input of the next conv,
-    with the protocol an ``encoding.EncodedBatch`` gives a conv: ``shape``,
-    ``dtype``, ``reshape(-1, channels)`` and read-only row slices of the
-    flat form. A slice makes its rows the window: it keeps the rows the
-    last slice already holds and fills the others from the 1x1 conv's input,
-    as ``max(x @ w + b, 0)`` one GEMM per fill. A row does not depend on
-    where the fills fall (``_matmul``), so it has the bits of the whole
-    plane's row. The next conv slices each tile's rows and its largest
-    shift in tile order, so every row is filled once per pass and the window
-    holds TILE_ROWS rows plus that shift.
+    Stands in for that ReLU's output plane as the input of the next conv. A
+    slice makes its rows the window: it keeps the rows the last slice
+    already holds and fills the others from the 1x1 conv's input, as
+    ``max(x @ w + b, 0)`` one GEMM per fill. A row does not depend on where
+    the fills fall (``_matmul``), so it has the bits of the whole plane's
+    row. The next conv slices each tile's rows and its largest shift in tile
+    order, so every row is filled once per pass and the window holds
+    TILE_ROWS rows plus that shift.
 
     In backward that conv hands each tile's gated input gradient to
     ``backward``, which adds it to the 1x1 conv's weight gradient, tile by
     tile over the same rows as that conv's own backward, and to its bias
-    gradient as one running sum in row order, as ``sum`` over the plane
-    adds its rows.
+    gradient as one running sum in row order.
     """
 
     def __init__(self, conv: "Conv2d", xf, shape: tuple):
+        super().__init__(shape, np.result_type(xf.dtype, conv.w.dtype))
         self._conv = conv
         self._xf = xf  # the 1x1 conv's flat input rows
-        self.shape = shape
-        self.dtype = np.result_type(xf.dtype, conv.w.dtype)
-        self._window = np.empty((0, conv.w.shape[3]), dtype=self.dtype)
+
+    def _reset(self) -> None:
+        self._window = np.empty((0, self.shape[-1]), dtype=self.dtype)
         self._lo = self._hi = 0  # the window holds rows [_lo, _hi)
 
-    def reshape(self, *shape) -> "ReluRows":
-        """The flat rows: ``reshape(-1, channels)`` is the only shape offered."""
-        flat = (math.prod(self.shape[:-1]), self.shape[-1])
-        if tuple(shape) not in ((-1, flat[1]), flat):
-            raise ValueError(f"ReLU rows reshape only to (-1, {flat[1]}), not {shape}")
-        return ReluRows(self._conv, self._xf, flat)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        if len(self.shape) != 2 or not isinstance(rows, slice) or rows.step not in (None, 1):
-            raise TypeError("ReLU rows are read by contiguous row slices of their flat reshape(-1, channels) form")
-        lo, hi, _ = rows.indices(self.shape[0])
-        hi = max(lo, hi)
+    def _rows(self, lo: int, hi: int) -> np.ndarray:
         kept = max(0, min(hi, self._hi) - lo) if self._lo <= lo else 0
         start = lo - self._lo
         if len(self._window) < hi - lo:
@@ -298,8 +322,7 @@ class ReluRows:
     def backward(self, lo: int, rows: np.ndarray) -> None:
         """Add the gradient ``rows[1:]`` of rows [lo, lo + len(rows) - 1) to the 1x1 conv's; tiles come in order from row 0.
 
-        ``rows[0]`` is scratch: it takes the bias gradient so far, so that one
-        sum over ``rows`` goes on with the running sum.
+        ``rows[0]`` is scratch for ``_running_sum``.
         """
         conv, grad = self._conv, rows[1:]
         x = self._xf[lo : lo + len(grad)]
@@ -307,12 +330,11 @@ class ReluRows:
         if lo == 0:
             dw[...] = 0
             conv.db[...] = 0
-        rows[0] = conv.db
-        conv.db[...] = np.add.reduce(rows, axis=0)
+        conv.db[...] = _running_sum(conv.db, rows)
         dw += x.T @ grad
 
 
-class ReluPool:
+class ReluPool(PlaneRows):
     """A conv's output after its ReLU and a max pool, made a block of whole samples at a time.
 
     ``Conv2d.forward(x, pool=(ph, pw))`` makes this in place of its output
@@ -328,13 +350,11 @@ class ReluPool:
 
     The pool's backward hands its output gradient to ``backward``, which
     returns this as the flat (samples * h * w, channels) rows of the conv's
-    zero-padded output gradient, read by row slices like an
-    ``encoding.EncodedBatch``. A block's planes are rebuilt from the index
-    when a slice first reaches them, into one of two buffers that the blocks
-    take in turn, so a slice's rows are valid until the next slice. A block
-    adds its rows, zeros included, to ``db`` the first time it is built:
-    one running sum in row order, as ``sum`` over the whole padded plane
-    adds them.
+    zero-padded output gradient, a block's rows per plane. A block's planes
+    are rebuilt from the index when a slice first reaches them, into one of
+    two buffers that the blocks take in turn, so a slice's rows are valid
+    until the next slice. A block adds its rows, zeros included, to ``db``
+    the first time it is built (``_running_sum``).
     """
 
     def __init__(self, conv: "Conv2d", xf, in_shape: tuple, window: tuple[int, int], train: bool):
@@ -344,13 +364,12 @@ class ReluPool:
         oh, ow = h - kh + 1, wd - kw + 1
         if oh // ph < 1 or ow // pw < 1:
             raise ValueError(f"maxpool2d: input {oh}x{ow} smaller than window {ph}x{pw}")
-        self.dtype = np.result_type(xf.dtype, conv.w.dtype)
-        self.shape = (n * h * wd, cout)
-        self._plane_shape, self._crop, self._window = (h, wd, cout), (oh, ow), window
         self._block = max(1, min(n, POOL_ROWS // (h * wd)))  # samples per block
+        super().__init__((n * h * wd, cout), np.result_type(xf.dtype, conv.w.dtype), self._block * h * wd)
+        self._plane_shape, self._crop, self._window = (h, wd, cout), (oh, ow), window
         self.out = np.empty((n, oh // ph, ow // pw, cout), dtype=self.dtype)
         self._arg = np.empty(self.out.shape, dtype=np.min_scalar_type(ph * pw)) if train else None
-        plane = np.empty((self._block * h * wd, cout), dtype=self.dtype)
+        plane = np.empty((self._per, cout), dtype=self.dtype)
         part = np.empty((min(len(plane), TILE_ROWS), cout), dtype=self.dtype)
         mats, shifts = conv.w.reshape(-1, cin, cout), conv._shifts(wd)
         for s in range(0, n, self._block):
@@ -365,12 +384,15 @@ class ReluPool:
                 top = np.where(out == out, out, cells[-1])
                 self._arg[s : s + m] = np.where(top > 0, _first_max(cells, out), ph * pw)
 
-    def backward(self, dout: np.ndarray) -> "ReluPool":
-        """These rows as the conv's zero-padded output gradient, for the pool's output gradient ``dout``."""
-        self._dout = dout
+    def _reset(self) -> None:
         self._planes: dict[int, np.ndarray] = {}
         self._summed = 0  # blocks whose rows db holds
         self.db = np.zeros(self.shape[1], dtype=self.dtype)
+
+    def backward(self, dout: np.ndarray) -> "ReluPool":
+        """These rows as the conv's zero-padded output gradient, for the pool's output gradient ``dout``."""
+        self._dout = dout
+        self._reset()
         return self
 
     def done(self) -> np.ndarray:
@@ -386,25 +408,19 @@ class ReluPool:
             if len(self._planes) == 2:
                 buf = self._planes.pop(next(iter(self._planes)))
             else:
-                buf = np.zeros((1 + self._block * h * wd, c), dtype=self.dtype)  # row 0 for db; crop and floor stay +0.0
+                buf = np.zeros((1 + self._per, c), dtype=self.dtype)  # row 0 for db; crop and floor stay +0.0
             s = block * self._block
             m = min(self._block, len(self.out) - s)
             oh, ow = self._crop
             for k, cell in enumerate(_cells(buf[1 : 1 + m * h * wd].reshape(m, h, wd, c)[:, :oh, :ow], *self._window)):
                 _gate(self._dout[s : s + m], self._arg[s : s + m] == k, out=cell)
             if block == self._summed:
-                buf[0] = self.db
-                self.db = np.add.reduce(buf[: 1 + m * h * wd], axis=0)
+                self.db = _running_sum(self.db, buf[: 1 + m * h * wd])
                 self._summed += 1
             self._planes[block] = buf
         rows = buf[1:].view()
         rows.flags.writeable = False
         return rows
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        lo, hi, _ = rows.indices(self.shape[0])
-        per = self._block * math.prod(self._plane_shape[:2])
-        return rows_of_planes(self._plane, per, lo, hi, self.shape[1], self.dtype)
 
 
 class Layer:
@@ -620,14 +636,14 @@ class ReLU(Layer):
     kept = ("_out",)
 
     def forward(self, x, train: bool = True):
-        """``max(x, 0)``; ``ReluRows`` and a ``ReluPool`` are rectified already and pass as they are."""
-        out = x if isinstance(x, (ReluRows, ReluPool)) else np.maximum(x, 0, out=x if x.flags.writeable else None)
+        """``max(x, 0)``; a ``PlaneRows`` (``ReluRows``, a ``ReluPool``) is rectified already and passes as it is."""
+        out = x if isinstance(x, PlaneRows) else np.maximum(x, 0, out=x if x.flags.writeable else None)
         self._out = out if train else None
         return out
 
-    def backward(self, dout, gated: bool = False):
-        """``dout`` where the kept output is > 0; with ``gated``, ``dout`` already is that and comes back as is."""
-        if gated:
+    def backward(self, dout):
+        """``dout`` where the kept output is > 0; a ``PlaneRows`` is gated already and comes back as is."""
+        if isinstance(dout, PlaneRows):
             return dout
         return _gate(dout, self._out > 0, out=dout if dout.flags.writeable else None)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from combword import layers
+from combword.encoding import BatchEncoder, EncodingConfig
 from combword.gradcheck import DEFAULT_TOLERANCE, LAYER_KINDS, check_layer, run_gradcheck
 from combword.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sigmoid
 
@@ -176,6 +177,54 @@ def test_relu_pool_gradient_rows_are_the_relu_backward_of_the_pools_input_gradie
     assert np.isnan(g).sum() == 1 and np.signbit(g[0, 0:2, 3:6]).sum() == 2  # a kept NaN; a kept -0.0 per channel
     assert not np.signbit(got[:, 4:]).any() and not got[:, 4:].any() and not got[:, :, 6:].any()
     assert rows.done().tobytes() == expected.sum(axis=(0, 1, 2)).tobytes()
+
+
+def encoded_batch_and_plane():
+    batch = BatchEncoder(EncodingConfig.for_length(6))(["abcabd", "aaaaaa", "abccba"])
+    return batch, np.asarray(batch)
+
+
+def relu_rows_and_plane():
+    rng = np.random.default_rng(7)
+    conv = Conv2d(1, 1, 3, 4, rng)
+    x = rng.standard_normal((3, 5, 6, 3)).astype(np.float32)
+    return conv.forward(x, relu_rows=True), ReLU().forward(conv.forward(x))
+
+
+def relu_pool_and_plane():
+    rng = np.random.default_rng(8)
+    conv = Conv2d(2, 2, 3, 4, rng)
+    x = rng.standard_normal((3, 6, 7, 3)).astype(np.float32)
+    relu, pool = ReLU(), MaxPool2d(2, 2)
+    out = pool.forward(relu.forward(conv.forward(x)))
+    dout = rng.standard_normal(out.shape).astype(np.float32)
+    plane = np.zeros((3, 6, 7, 4), dtype=np.float32)  # the conv's zero-padded output gradient
+    plane[:, :5, :6] = relu.backward(pool.backward(dout))
+    return conv.forward(x, pool=(2, 2)).backward(dout), plane
+
+
+@pytest.mark.parametrize("make", [encoded_batch_and_plane, relu_rows_and_plane, relu_pool_and_plane], ids=lambda f: f.__name__)
+def test_every_stand_in_is_read_only_by_contiguous_row_slices_of_its_flat_form(make, monkeypatch):
+    monkeypatch.setattr(layers, "POOL_ROWS", 64)  # a pooled block of one 6x7 sample, so that reads span blocks
+    stand_in, plane = make()
+    c = plane.shape[-1]
+    expected = plane.reshape(-1, c)
+    for shape in [(-1,), (2, -1), (-1, c + 1), expected.shape, plane.shape]:
+        with pytest.raises(ValueError, match="reshapes only"):
+            stand_in.reshape(*shape)
+    flat = stand_in.reshape(-1, c)
+    assert flat.shape == expected.shape and flat.dtype == expected.dtype
+    if stand_in.shape != flat.shape:
+        with pytest.raises(TypeError):
+            stand_in[0:1]
+    for index in [slice(0, 4, 2), slice(None, None, -1), 3, np.int64(3), (slice(0, 2), 0)]:
+        with pytest.raises(TypeError):
+            flat[index]
+    total, per = len(expected), plane.shape[1] * plane.shape[2]
+    for lo, hi in [(0, 5), (per - 3, per + 4), (per + 1, 2 * per), (0, total), (4, 4), (total - 2, total + 9), (2, 9)]:
+        got = flat[lo:hi]
+        assert isinstance(got, np.ndarray) and not got.flags.writeable
+        assert got.tobytes() == expected[lo:hi].tobytes(), (lo, hi)
 
 
 def test_relu_and_sigmoid_values():

@@ -366,7 +366,7 @@ def test_a_1x1_conv_before_a_relu_and_a_pool_pools_per_sample_with_the_plane_bit
     model.backward(dprobs)
 
 
-GATED, SPENT = {"gated": True}, {"spent": True}
+GATED, SPENT = {}, {"spent": True}
 POOL_2X2, POOL_2X1 = {"pool": (2, 2)}, {"pool": (2, 1)}
 
 
