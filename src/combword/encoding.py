@@ -10,15 +10,19 @@ A tensor depends on the word's repetition pattern alone, so ``BatchEncoder``
 counts each pattern once and keeps the sparse upper half that
 ``combinatorics.dense_counts`` returns. A call returns an ``EncodedBatch``:
 the batch's shape and dtype and its words' cached counts, never the dense
-batch itself. The first conv reads it a tile of flat rows at a time
-(``layers.PlaneRows``), and the batch scatters each sample's plane (the
-upper half and its mirror, into zeros) only when a tile reaches it, keeping
+batch itself. A sample is laid out from its counts as compact rows and a
+plane index (``BatchEncoder.layout``): the plane's row at each cell is the
+compact row the index names, so a mirror cell and every chainless cell
+share rows, and no dense plane is scattered. The first 1x1 conv runs its
+GEMM on the compact rows only and gathers its ReLU rows by the index
+(``layers.ReluRows``); any other reader gets a sample's plane gathered
+when a tile of flat rows (``layers.PlaneRows``) first reaches it, keeping
 at most two planes. So no training step or inference pass holds the whole
-dense batch.
-``np.asarray`` on a batch scatters every sample into one array the same way,
-and ``encode_batch`` and ``encode_dense`` are that array for one fresh
-encoder's call, so there is one way to build a tensor; ``combword tensor
---format dense`` prints ``encode_dense``'s, one lam row at a time.
+dense batch. ``np.asarray`` on a batch gathers every sample into one array
+the same way, and ``encode_batch`` and ``encode_dense`` are that array for
+one fresh encoder's call, so there is one way to lay out a tensor;
+``combword tensor --format dense`` prints ``encode_dense``'s, one lam row
+at a time.
 """
 
 from __future__ import annotations
@@ -82,13 +86,13 @@ def channel_count(cfg: EncodingConfig) -> int:
     return min(cfg.pad_to, 1 + cap * (n + 1) - cap * (cap + 1) // 2)
 
 
-def _norm_lookup(cfg: EncodingConfig, dtype) -> np.ndarray | None:
-    """Normalized value of every raw count 0..n^2, rounded to float32, then cast to dtype."""
-    if cfg.normalization == NORM_NONE:
-        return None
+def _norm_lookup(cfg: EncodingConfig, dtype) -> np.ndarray:
+    """Value of every raw count 0..n^2 in ``dtype``: the count itself, or its normalization rounded to float32 first."""
     top = cfg.word_length * cfg.word_length
-    lut = np.log1p(np.arange(top + 1, dtype=np.float64)) / np.log1p(float(top))
-    return lut.astype(np.float32).astype(dtype)
+    counts = np.arange(top + 1, dtype=np.float64)
+    if cfg.normalization == NORM_NONE:
+        return counts.astype(dtype)
+    return (np.log1p(counts) / np.log1p(float(top))).astype(np.float32).astype(dtype)
 
 
 def encode_dense(word: Word | str, cfg: EncodingConfig, dtype=np.float32) -> np.ndarray:
@@ -112,11 +116,18 @@ class BatchEncoder:
     A word's tensor depends only on its pattern (``words.pattern_key``), so
     the encoder keeps one read-only ``SparseCounts`` per pattern it has seen.
     A call looks up (or counts and stores) each word's form and returns them
-    as an ``EncodedBatch``; ``place`` builds a sample's plane from its form:
-    scatter the upper half and its mirror into zeros, mapping the counts
-    through the normalization table. A pattern seen for the first time is
-    placed like any other, so a batch's bits never depend on what the
-    encoder saw before.
+    as an ``EncodedBatch``. ``layout`` lays a sample out from its form as
+    compact rows and a plane index, and no dense plane: a pattern seen for
+    the first time is laid out like any other, so a batch's bits never
+    depend on what the encoder saw before.
+
+    The compact rows start with ``shared``, one row per channel-0 value
+    0..n^2 (its normalized value at channel 0, zeros elsewhere), the same
+    for every sample. Then comes one row per upper-half cell that holds a
+    chain: channel 0 and the chains, through the normalization table. The
+    index gives, for each of the pad_to^2 cells of the plane, the compact
+    row it reads: a chainless cell, padding included, reads the shared row
+    of its channel-0 value, and a mirror cell reads its upper cell's row.
     """
 
     def __init__(self, cfg: EncodingConfig, dtype=np.float32):
@@ -125,10 +136,14 @@ class BatchEncoder:
         self.channels = channel_count(cfg)
         # The table comes in the output dtype, rounded as float32 first.
         self._lut = _norm_lookup(cfg, self.dtype)
-        p, c = cfg.pad_to, self.channels
+        self.shared = np.zeros((len(self._lut), self.channels), dtype=self.dtype)
+        self.shared[:, 0] = self._lut
+        self.shared.flags.writeable = False
+        p = cfg.pad_to
         rows, cols = np.triu_indices(p)
-        # Flat offset of channel 0 at every upper-half cell and at its mirror.
-        self._cells = ((rows * p + cols) * c, (cols * p + rows) * c)
+        upper = np.empty((p, p), dtype=np.intp)
+        upper[rows, cols] = upper[cols, rows] = np.arange(len(rows))
+        self._upper = upper.ravel()  # each cell's upper-half cell, in np.triu_indices order
         self._patterns: dict[tuple[int, ...], SparseCounts] = {}
 
     def __len__(self) -> int:
@@ -151,19 +166,33 @@ class BatchEncoder:
             self._patterns[key] = found
         return found
 
-    def place(self, flat: np.ndarray, form: SparseCounts) -> None:
-        """Scatter a form and its mirror into ``flat``, one sample's zeroed (pad_to * pad_to * channels) plane."""
-        upper, lower = self._cells
-        chains, empty = (form.counts, form.empty) if self._lut is None else (self._lut[form.counts], self._lut[form.empty])
-        flat[upper] = empty
-        flat[lower] = empty
-        flat[np.repeat(upper, form.sizes) + form.nus] = chains
-        flat[np.repeat(lower, form.sizes) + form.nus] = chains
+    def layout(self, form: SparseCounts, rows: np.ndarray | None = None, index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """A form's compact rows, at the head of ``rows``, and its plane index, into ``index``.
+
+        ``rows`` holds at least ``len(shared)`` plus the form's chain cells
+        rows and ``index`` pad_to^2 entries of the intp type; each defaults
+        to a new array of just that size.
+        """
+        shared, lut = len(self.shared), self._lut
+        chained = np.flatnonzero(form.sizes)
+        if rows is None:
+            rows = np.empty((shared + len(chained), self.channels), dtype=self.dtype)
+        if index is None:
+            index = np.empty(len(self._upper), dtype=np.intp)
+        row = form.empty.astype(np.intp)
+        row[chained] = np.arange(shared, shared + len(chained))
+        np.take(row, self._upper, out=index, mode="clip")
+        out = rows[: shared + len(chained)]
+        out[:shared] = self.shared
+        chains = out[shared:]
+        chains[...] = 0
+        chains[:, 0] = lut.take(form.empty[chained])
+        starts = np.repeat(np.arange(0, chains.size, self.channels), form.sizes[chained])
+        chains.reshape(-1)[starts + form.nus] = lut.take(form.counts)
+        return out, index
 
     def __call__(self, words) -> "EncodedBatch":
-        forms = [self.counts(w) for w in words]
-        p = self.cfg.pad_to
-        return EncodedBatch(self.place, forms, (p, p, self.channels), self.dtype)
+        return EncodedBatch(self, [self.counts(w) for w in words])
 
 
 class EncodedBatch(PlaneRows):
@@ -171,18 +200,24 @@ class EncodedBatch(PlaneRows):
 
     Holds each sample's cached count form and gives the first conv the
     ``layers.PlaneRows`` protocol: a plane is one sample's (pad_to * pad_to,
-    channels) rows. A sample's plane is scattered into fresh zeros when a
-    range first reaches it, and the batch keeps the last two it scattered,
-    so reading the rows in order scatters each sample once and never holds
-    the whole batch. No plane is ever written again, so rows read earlier
-    stay as they were after later reads. ``np.asarray(batch)`` builds the
-    whole dense array.
+    channels) rows. ``compact`` lays a sample out (``BatchEncoder.layout``);
+    a sample's plane is its compact rows gathered by its index, into a new
+    array when a range first reaches it. The batch keeps the last two it
+    gathered, so reading the rows in order lays each sample out once and
+    never holds the whole batch, and rows read earlier stay as they were
+    after later reads. ``np.asarray(batch)`` gathers the whole dense array.
+    ``ReluRows`` reads the compact rows themselves and builds no plane.
     """
 
-    def __init__(self, place, forms: list[SparseCounts], plane_shape: tuple[int, int, int], dtype):
-        super().__init__((len(forms), *plane_shape), dtype, plane_shape[0] * plane_shape[1])
-        self._place = place
+    def __init__(self, encoder: BatchEncoder, forms: list[SparseCounts]):
+        p = encoder.cfg.pad_to
+        super().__init__((len(forms), p, p, encoder.channels), encoder.dtype, p * p)
+        self._encoder = encoder
         self._forms = forms
+        self.shared = encoder.shared
+        # The most compact rows a sample can have, when every upper-half cell holds a chain. Buffers reused
+        # across samples take this size, so every pass makes the same allocations.
+        self.compact_rows = len(self.shared) + p * (p + 1) // 2
 
     def _reset(self) -> None:
         self._planes: dict[int, np.ndarray] = {}
@@ -191,15 +226,18 @@ class EncodedBatch(PlaneRows):
     def size(self) -> int:
         return math.prod(self.shape)
 
+    def compact(self, sample: int, rows: np.ndarray | None = None, index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Sample ``sample``'s compact rows and plane index (``BatchEncoder.layout``)."""
+        return self._encoder.layout(self._forms[sample], rows, index)
+
     def _plane(self, sample: int) -> np.ndarray:
-        """Sample ``sample``'s read-only (pad_to * pad_to, channels) rows, scattered on first use."""
+        """Sample ``sample``'s read-only (pad_to * pad_to, channels) rows, gathered on first use."""
         plane = self._planes.get(sample)
         if plane is None:
             if len(self._planes) == 2:
                 del self._planes[next(iter(self._planes))]  # before the new plane, so that two stay live
-            plane = np.zeros(self._per * self.shape[-1], dtype=self.dtype)
-            self._place(plane, self._forms[sample])
-            plane = plane.reshape(self._per, -1)
+            rows, index = self.compact(sample)
+            plane = rows.take(index, axis=0)
             plane.flags.writeable = False
             self._planes[sample] = plane
         return plane
@@ -207,9 +245,10 @@ class EncodedBatch(PlaneRows):
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("an encoded batch has no array to share; np.asarray builds one")
-        out = np.zeros((len(self._forms), self._per * self.shape[-1]), dtype=self.dtype)
-        for flat, form in zip(out, self._forms):
-            self._place(flat, form)
+        out = np.empty((len(self._forms), self._per, self.shape[-1]), dtype=self.dtype)
+        for sample, plane in enumerate(out):
+            rows, index = self.compact(sample)
+            np.take(rows, index, axis=0, out=plane, mode="clip")
         out = out.reshape(self.shape)
         return out if dtype is None else out.astype(dtype, copy=False)
 

@@ -8,10 +8,12 @@ row wrap or two samples get wrong sums and are cropped away; backward pads
 the output gradient with zeros onto the input plane, so those rows add
 nothing to the weight or input gradients. The GEMMs run over tiles of
 TILE_ROWS result rows, every offset for one tile before the next tile, so
-that the partial products stay in cache. The right operand of every such
-GEMM (``_matmul``) is C-contiguous: a transposed view gives the same bits,
-but OpenBLAS then takes up to twice as long per tile, so backward copies
-the transposed kernel once per call. The weight gradients' ``src.T`` and
+that the partial products stay in cache; a forward tile holds as many
+rows as fit 32 * TILE_ROWS input values, so a narrower input gets longer
+tiles. The right operand of every such GEMM (``_matmul``) is
+C-contiguous: a transposed view gives the same bits, but OpenBLAS then
+takes up to twice as long per tile, so backward copies the transposed
+kernel once per call. The weight gradients' ``src.T`` and
 ``Dense``'s ``w.T`` stay views, as their copies cost more than they save.
 A row of the output or of the input gradient is summed in the same order
 wherever the tiles fall; the weight gradient is summed tile by tile, in a
@@ -28,7 +30,10 @@ rows as they are read and never builds the plane: an
 ``encoding.EncodedBatch`` (the first conv's batch), ``ReluRows`` or a
 ``ReluPool`` (below). The GEMMs read the same rows in the same order as
 from a whole plane, and the bits do not change. A ReLU passes a
-``PlaneRows`` on as it is, forward and backward.
+``PlaneRows`` on as it is, forward and backward. A first 1x1 conv reads
+an encoded batch in its compact layout instead (``ReluRows``): one GEMM
+row per channel-0 value and per upper-half cell that holds a chain,
+gathered into the plane's rows by each sample's plane index.
 
 Every ``forward`` takes ``train``. With it (the default), a layer keeps what
 its backward reads: a conv a view of its input (for the first conv, the
@@ -57,13 +62,14 @@ The pool hands its ``out`` on and keeps it for backward. Then:
 - a conv with an output plane builds its zero-padded output gradient in
   that flat forward output. Every later layer's backward has read that
   output by then;
-- a conv whose input is ``ReluRows`` refills their window tile by tile for
+- a conv whose input is ``ReluRows`` reads them again tile by tile for
   its weight gradient, sums each TILE_ROWS tile of its input gradient in a
   scratch tile, gates it by ``input > 0`` and hands it to the rows, which
   add it to the 1x1 conv's weight and bias gradients, so that the 1x1
   conv's backward has nothing left to do. The rows are summed in the same
   order and gated by the same mask as unfused, so the bits do not change,
-  and no pass makes the 1x1 conv's output plane or its gradient;
+  and no pass makes the 1x1 conv's input plane, its output plane or its
+  gradient;
 - the pool after a conv's ReLU hands its output gradient to the
   ``ReluPool``, whose rows are then the conv's zero-padded output gradient:
   each block's planes are rebuilt from the index when the conv's tile loop
@@ -82,9 +88,9 @@ first plane or any output plane of a conv that a ReLU and a pool follow,
 and a training backward makes no plane-sized array. A tensor model's step
 peaks in the backward of the conv that reads the ReLU rows, with the pooled
 output and index of the pool after it, the later and smaller arrays, the
-window, the two sample planes the batch keeps, the conv's two gradient
-planes and scratch tiles live; its forward ends a little lower, with one
-scratch plane in place of the two gradient planes.
+two samples' compact rows and ReLU rows, a tile of gathered rows, the
+conv's two gradient planes and scratch tiles live; its forward ends a
+little lower, with one scratch plane in place of the two gradient planes.
 
 Without ``spent``, no layer other than ReLU writes into the ``x`` or
 ``dout`` it is given, so a caller whose arrays must stay intact hands ReLU
@@ -115,6 +121,9 @@ SIGMOID_CLAMP = 1e-7
 # per offset. It also keeps each weight-gradient GEMM short enough that
 # OpenBLAS gives the same bits at one and two threads, so checkpoints do not
 # depend on the thread count; with 2048-row tiles n=10 gradients differed.
+# So backward tiles hold TILE_ROWS rows, and forward tiles, whose rows do not
+# depend on where the tiles fall, as many rows as hold that many 32-channel
+# rows' values (``_forward_rows``).
 TILE_ROWS = 1024
 
 # Rows of every forward GEMM of a dense layer: the batch is copied into whole
@@ -166,8 +175,8 @@ def _shifted_tile(src, mats: np.ndarray, shifts: list[int], r0: int, r1: int, ti
 
     Terms whose source row falls outside ``src`` are left out. ``shifts[0]``
     must be 0 and the shifts' magnitudes ascend. The tile's source rows are
-    read as one slice, so a source that computes its rows (``ReluRows``)
-    fills each row once; every row's terms are added in offset order, each
+    read as one slice, so a source that makes its rows (``ReluRows``) makes
+    them once per tile; every row's terms are added in offset order, each
     offset's product made in the scratch ``part``.
     """
     rows = src.shape[0]
@@ -182,10 +191,16 @@ def _shifted_tile(src, mats: np.ndarray, shifts: list[int], r0: int, r1: int, ti
     return tile
 
 
+def _forward_rows(cin: int) -> int:
+    """Rows of a forward tile: as many as hold the 32 * TILE_ROWS input values that TILE_ROWS was sized for."""
+    return max(1, TILE_ROWS * 32 // cin)
+
+
 def _shifted_gemms(src, mats: np.ndarray, shifts: list[int], lo: int, out: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """Rows [lo, lo + len(out)) of ``_shifted_tile``'s sum, into ``out``, a tile of TILE_ROWS rows at a time."""
-    for r0 in range(0, len(out), TILE_ROWS):
-        r1 = min(r0 + TILE_ROWS, len(out))
+    """Rows [lo, lo + len(out)) of ``_shifted_tile``'s sum, into ``out``, a tile of ``_forward_rows`` rows at a time."""
+    step = _forward_rows(mats.shape[1])
+    for r0 in range(0, len(out), step):
+        r1 = min(r0 + step, len(out))
         _shifted_tile(src, mats, shifts, lo + r0, lo + r1, out[r0:r1], part)
     return out
 
@@ -200,6 +215,11 @@ def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """
     rows[0] = total
     return np.add.reduce(rows, axis=0)
+
+
+def _scratch(buf: np.ndarray | None, rows: int, channels: int, dtype) -> np.ndarray:
+    """``buf`` if it has at least ``rows`` rows, else a new (rows, channels) array."""
+    return buf if buf is not None and len(buf) >= rows else np.empty((rows, channels), dtype=dtype)
 
 
 class PlaneRows:
@@ -274,16 +294,17 @@ def _first_max(cells: list[np.ndarray], out: np.ndarray) -> np.ndarray:
 
 
 class ReluRows(PlaneRows):
-    """The ReLU of a 1x1 conv's output, computed a window of flat rows at a time.
+    """The ReLU of a 1x1 conv's output, made a range of flat rows at a time.
 
-    Stands in for that ReLU's output plane as the input of the next conv. A
-    slice makes its rows the window: it keeps the rows the last slice
-    already holds and fills the others from the 1x1 conv's input, as
-    ``max(x @ w + b, 0)`` one GEMM per fill. A row does not depend on where
-    the fills fall (``_matmul``), so it has the bits of the whole plane's
-    row. The next conv slices each tile's rows and its largest shift in tile
-    order, so every row is filled once per pass and the window holds
-    TILE_ROWS rows plus that shift.
+    Stands in for that ReLU's output plane as the input of the next conv. An
+    array input's range is computed as ``max(x @ w + b, 0)``, one GEMM per
+    read. An ``encoding.EncodedBatch`` is read in its compact layout: its
+    shared rows' ReLU is computed once per pass, and each sample's chain
+    rows' when a read first reaches it, into one of two buffers that the
+    samples take in turn; a range is those ReLU rows gathered by the
+    sample's plane index. A row does not depend on the GEMM it is made in
+    (``_matmul``), so it has the bits of the whole plane's row. A range is
+    valid until the next read.
 
     In backward that conv hands each tile's gated input gradient to
     ``backward``, which adds it to the 1x1 conv's weight gradient, tile by
@@ -292,40 +313,80 @@ class ReluRows(PlaneRows):
     """
 
     def __init__(self, conv: "Conv2d", xf, shape: tuple):
-        super().__init__(shape, np.result_type(xf.dtype, conv.w.dtype))
+        super().__init__(shape, np.result_type(xf.dtype, conv.w.dtype), shape[1] * shape[2])
         self._conv = conv
         self._xf = xf  # the 1x1 conv's flat input rows
+        self._w = conv.w.reshape(conv.w.shape[2:])
+        if not isinstance(xf, np.ndarray):
+            self._shared = self._relu(xf.shared, np.empty((len(xf.shared), shape[-1]), dtype=self.dtype))
 
     def _reset(self) -> None:
-        self._window = np.empty((0, self.shape[-1]), dtype=self.dtype)
-        self._lo = self._hi = 0  # the window holds rows [_lo, _hi)
+        self._out = self._in = None  # a read's rows, and backward's input rows
+        self._samples: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def _relu(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``max(x @ w + b, 0)`` into ``out``, a GEMM of at most TILE_ROWS rows at a time.
+
+        Longer GEMMs wake a second BLAS thread, which then keeps a few MB of
+        its buffers resident.
+        """
+        for r0 in range(0, len(x), TILE_ROWS):
+            rows = out[r0 : r0 + TILE_ROWS]
+            _matmul(x[r0 : r0 + TILE_ROWS], self._w, rows)
+            rows += self._conv.b
+            np.maximum(rows, 0, out=rows)
+        return out
+
+    def _sample(self, sample: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sample ``sample``'s compact input rows, plane index and ReLU rows, made on first use, each in a whole buffer."""
+        found = self._samples.get(sample)
+        if found is None:
+            xf, shared = self._xf, len(self._shared)
+            if len(self._samples) == 2:
+                found = self._samples.pop(next(iter(self._samples)))
+            else:
+                relu = np.empty((xf.compact_rows, self.shape[-1]), dtype=self.dtype)
+                relu[:shared] = self._shared
+                found = np.empty((xf.compact_rows, xf.shape[-1]), dtype=xf.dtype), np.empty(self._per, dtype=np.intp), relu
+            rows, index, relu = found
+            used = len(xf.compact(sample, rows, index)[0])
+            self._relu(rows[shared:used], relu[shared:used])
+            self._samples[sample] = found
+        return found
+
+    def _gather(self, lo: int, hi: int, out: np.ndarray, relu: bool) -> np.ndarray:
+        """Rows [lo, hi) of the input plane, or with ``relu`` of its ReLU, gathered from the samples' compact rows into ``out``."""
+        per = self._per
+        for s in range(lo // per, (hi - 1) // per + 1) if lo < hi else ():
+            a, b = max(lo, s * per), min(hi, (s + 1) * per)
+            rows, index, relus = self._sample(s)
+            np.take(relus if relu else rows, index[a - s * per : b - s * per], axis=0, out=out[a - lo : b - lo], mode="clip")
+        return out
 
     def _rows(self, lo: int, hi: int) -> np.ndarray:
-        kept = max(0, min(hi, self._hi) - lo) if self._lo <= lo else 0
-        start = lo - self._lo
-        if len(self._window) < hi - lo:
-            window = np.empty((hi - lo, self._window.shape[1]), dtype=self.dtype)
-            window[:kept] = self._window[start : start + kept]
-            self._window = window
-        elif kept and start:
-            self._window[:kept] = self._window[start : start + kept]
-        if lo + kept < hi:
-            conv, new = self._conv, self._window[kept : hi - lo]
-            _matmul(self._xf[lo + kept : hi], conv.w.reshape(conv.w.shape[2:]), new)
-            new += conv.b
-            np.maximum(new, 0, out=new)
-        self._lo, self._hi = lo, hi
-        out = self._window[: hi - lo].view()
+        self._out = _scratch(self._out, hi - lo, self.shape[-1], self.dtype)
+        out = self._out[: hi - lo]
+        if isinstance(self._xf, np.ndarray):
+            self._relu(self._xf[lo:hi], out)
+        else:
+            self._gather(lo, hi, out, relu=True)
+        out = out.view()
         out.flags.writeable = False
         return out
 
     def backward(self, lo: int, rows: np.ndarray) -> None:
         """Add the gradient ``rows[1:]`` of rows [lo, lo + len(rows) - 1) to the 1x1 conv's; tiles come in order from row 0.
 
-        ``rows[0]`` is scratch for ``_running_sum``.
+        ``rows[0]`` is scratch for ``_running_sum``. The input rows are a
+        slice of an array input, or gathered from the compact rows.
         """
         conv, grad = self._conv, rows[1:]
-        x = self._xf[lo : lo + len(grad)]
+        hi = lo + len(grad)
+        if isinstance(self._xf, np.ndarray):
+            x = self._xf[lo:hi]
+        else:
+            self._in = _scratch(self._in, len(grad), self._xf.shape[-1], self._xf.dtype)
+            x = self._gather(lo, hi, self._in[: len(grad)], relu=False)
         dw = conv.dw.reshape(x.shape[1], -1)
         if lo == 0:
             dw[...] = 0
@@ -370,7 +431,7 @@ class ReluPool(PlaneRows):
         self.out = np.empty((n, oh // ph, ow // pw, cout), dtype=self.dtype)
         self._arg = np.empty(self.out.shape, dtype=np.min_scalar_type(ph * pw)) if train else None
         plane = np.empty((self._per, cout), dtype=self.dtype)
-        part = np.empty((min(len(plane), TILE_ROWS), cout), dtype=self.dtype)
+        part = np.empty((min(len(plane), _forward_rows(cin)), cout), dtype=self.dtype)
         mats, shifts = conv.w.reshape(-1, cin, cout), conv._shifts(wd)
         for s in range(0, n, self._block):
             m = min(self._block, n - s)
@@ -451,11 +512,12 @@ class Conv2d(Layer):
 
     Forward and backward both run one GEMM per kernel offset on row-shifted
     slices of the flat input plane (see the module docstring), tile by tile
-    of TILE_ROWS rows. Untiled, each offset's whole-batch product (60 MB for
-    a 32x121x121x32 float32 input) would stream through memory once per
-    offset; a tile's products stay in cache for all offsets. There is no
-    im2col copy: one GEMM per tile over its concatenated offsets was ~2.7x
-    slower in forward at that shape.
+    (TILE_ROWS rows in backward, ``_forward_rows`` in forward). Untiled,
+    each offset's whole-batch product (60 MB for a 32x121x121x32 float32
+    input) would stream through memory once per offset; a tile's products
+    stay in cache for all offsets. There is no im2col copy: one GEMM per
+    tile over its concatenated offsets was ~2.7x slower in forward at that
+    shape.
     """
 
     kept = ("_xf", "_in_shape", "_out")
@@ -505,7 +567,7 @@ class Conv2d(Layer):
             dtype = np.result_type(xf.dtype, self.w.dtype)
             rows = xf.shape[0]
             out = np.empty((rows, cout), dtype=dtype)
-            _shifted_gemms(xf, self.w.reshape(-1, cin, cout), self._shifts(wd), 0, out, np.empty((min(rows, TILE_ROWS), cout), dtype=dtype))
+            _shifted_gemms(xf, self.w.reshape(-1, cin, cout), self._shifts(wd), 0, out, np.empty((min(rows, _forward_rows(cin)), cout), dtype=dtype))
             out += self.b
         if train:
             self._xf, self._in_shape, self._out = xf, x.shape, out

@@ -7,9 +7,10 @@ binary cross-entropy with probabilities clamped away from 0 and 1.
 
 ``Network.forward(x, train)`` takes an array or, as the tensor model gets
 from ``encoding.BatchEncoder``, an ``EncodedBatch``, which the first conv
-reads tile by tile without the dense batch ever being built. It passes
-``train`` to every layer. A training pass leaves each layer holding what
-backward reads (see ``layers``), the first conv its input among it.
+reads without the dense batch ever being built: a first 1x1 conv in its
+compact layout, any other tile by tile. It passes ``train`` to every
+layer. A training pass leaves each layer holding what backward reads (see
+``layers``), the first conv its input among it.
 ``Network.backward`` runs every layer's backward once, last to first, and
 then makes every layer forget what the forward kept. So a training step
 holds one set of activations, and it is freed when its backward returns
@@ -20,15 +21,16 @@ Which layers work in place is one plan, built once per network: each
 layer's forward and backward keyword arguments, read off its neighbours by
 the rules in the ``layers`` docstring, which also says where a step peaks.
 A first 1x1 conv before a ReLU and a conv hands out ReLU rows
-(``relu_rows``); a conv before a ReLU and a max pool pools its ReLU
-itself, a block of whole samples at a time (``pool``, the pool's window),
-so that neither builds its output plane, and the ReLU between passes what
-they hand out on by its type, ``layers.PlaneRows``; a conv after a pool
-writes its input gradient over the pool's output (``spent``); and the
-first layer with parameters builds no input gradient (``input_grad``). The
-plan holds only these keywords, and no layer keeps a reference to another
-past a pass: what a pass hands from layer to layer (ReLU rows, a pooled
-record) is dropped by ``forget()``.
+(``relu_rows``), made from an encoded batch's compact rows; a conv before
+a ReLU and a max pool pools its ReLU itself, a block of whole samples at a
+time (``pool``, the pool's window), so that neither builds its output
+plane, and the ReLU between passes what they hand out on by its type,
+``layers.PlaneRows``; a conv after a pool writes its input gradient over
+the pool's output (``spent``); and the first layer with parameters builds
+no input gradient (``input_grad``). The plan holds only these keywords,
+and no layer keeps a reference to another past a pass: what a pass hands
+from layer to layer (ReLU rows, a pooled record) is dropped by
+``forget()``.
 
 The builders write a model's ``meta``: ``{"model": "combinatorial",
 "encoding": {...}}`` or ``{"model": "char", "word_length", "alphabet_size"}``,
@@ -246,11 +248,10 @@ class Network:
         """Per-sample probabilities, shape (batch,); without ``train`` no layer keeps anything.
 
         ``x`` is an array or an ``encoding.EncodedBatch``. Only a first conv
-        reads the batch as it is, tile by tile; any other first layer (one
-        whose backward never runs) gets ``np.asarray(x)``. The layers get a
-        read-only view of an array, which an inference pass's ReLUs
-        therefore never rectify in place. Each layer's forward gets its
-        entry of the plan.
+        reads the batch as it is; any other first layer (one whose backward
+        never runs) gets ``np.asarray(x)``. The layers get a read-only view
+        of an array, which an inference pass's ReLUs therefore never
+        rectify in place. Each layer's forward gets its entry of the plan.
         """
         if tuple(x.shape[1:]) != self.input_shape:
             raise ValueError(f"input shape {x.shape[1:]} does not match model input {self.input_shape}")

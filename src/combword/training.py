@@ -28,14 +28,17 @@ Everything is sequential, so identical seeds reproduce identical epoch
 records byte for byte.
 
 The encoder returns an ``encoding.EncodedBatch``, not a dense array, so no
-step and no inference pass builds the whole dense batch, and no pass builds
-the output plane of a conv that a ReLU and a pool follow: that conv pools a
-block of whole samples at a time, so the largest arrays of a tensor-model
-step are its first pool's output and index, under a third of that plane. A
-training step's forward keeps every layer's activations, and the encoded
-batch, for its backward; ``Network.backward`` drops them all when it is
-done, so nothing of a step outlives ``batch_gradients``. ``predict_probs`` (and so ``evaluate``
-and each epoch's validation) runs inference passes, which keep nothing. What
+step and no inference pass builds the whole dense batch. The tensor model's
+first conv multiplies each sample's compact rows, one per channel-0 value
+and per upper-half cell with a chain, so no pass builds a sample's input
+plane either. No pass builds the output plane of a conv that a ReLU and a
+pool follow: that conv pools a block of whole samples at a time, so the
+largest arrays of a tensor-model step are its first pool's output and
+index, under a third of that plane. A training step's forward keeps every
+layer's activations, and the encoded batch, for its backward;
+``Network.backward`` drops them all when it is done, so nothing of a step
+outlives ``batch_gradients``. ``predict_probs`` (and so ``evaluate`` and
+each epoch's validation) runs inference passes, which keep nothing. What
 a pass allocates and where a step peaks follow from the in-place rules in
 the ``layers`` docstring. When a step, ``train`` or ``predict_probs``
 returns, or ``train`` stops on a diverged loss, the model holds no
@@ -201,11 +204,12 @@ def predict_probs(model: Network, ds: LabeledDataset, encoder, batch_size: int =
     ran, and runs them forward; a batch with none calls the encoder on no
     words and runs nothing, so a wrapped encoder still sees one call per
     batch. A row does not depend on its batch, so the bits are those of any
-    other batching.
+    other batching. A split with no words gets an empty array of the
+    model's dtype.
     """
     words = ds.words()
     key, slots = input_key(model), {}
-    rows, inv = [], []
+    rows, inv = [np.empty(0, dtype=model.dtype)], [np.empty(0, dtype=np.intp)]
     for i in range(0, len(words), batch_size):
         reps, batch_inv = _rows_of(words[i : i + batch_size], key, slots)
         x = encoder(reps)

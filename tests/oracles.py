@@ -151,3 +151,32 @@ def conv2d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray, dout: np.ndarray 
     if dout is None:
         return out
     return dw, np.asarray(dout, dtype=np.float64).sum(axis=(0, 1, 2)), dx
+
+
+def scatter_plane(form, pad_to: int, channels: int, values: np.ndarray) -> np.ndarray:
+    """A sample's (pad_to, pad_to, channels) plane scattered from its upper-half count form (``SparseCounts``).
+
+    Zeros, then channel 0 and the chains of each upper-half cell (in
+    ``np.triu_indices`` order) at the cell and at its mirror; ``values[c]``
+    is what a raw count c becomes.
+    """
+    rows, cols = np.triu_indices(pad_to)
+    upper, lower = (rows * pad_to + cols) * channels, (cols * pad_to + rows) * channels
+    flat = np.zeros(pad_to * pad_to * channels, dtype=values.dtype)
+    chains, empty = values[form.counts], values[form.empty]
+    flat[upper] = empty
+    flat[lower] = empty
+    flat[np.repeat(upper, form.sizes) + form.nus] = chains
+    flat[np.repeat(lower, form.sizes) + form.nus] = chains
+    return flat.reshape(pad_to, pad_to, channels)
+
+
+def repetition_patterns(n: int):
+    """Every repetition pattern of length n, as a word over letters a, b, ...: each letter at most one past the largest so far."""
+    if n == 0:
+        yield ""
+        return
+    for head in repetition_patterns(n - 1):
+        top = max(map(ord, head), default=ord("a") - 1)
+        for letter in range(ord("a"), top + 2):
+            yield head + chr(letter)

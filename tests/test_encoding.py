@@ -22,7 +22,7 @@ from combword.encoding import (
 from combword.layers import TILE_ROWS
 from combword import words
 from combword.words import Alphabet, Bijection, apply_bijection, distinct_subwords, word_over_own_letters
-from oracles import brute_map, enum_subwords
+from oracles import brute_map, enum_subwords, repetition_patterns, scatter_plane
 
 words_abcd = st.text(alphabet="abcd", min_size=2, max_size=9)
 
@@ -163,6 +163,49 @@ def test_encode_batch_equals_stacked_encode_dense(dtype, normalization, nu_cap_l
     assert len(encoder) == len(words)
 
 
+def raw_count_values(cfg: EncodingConfig, dtype) -> np.ndarray:
+    """What each raw count 0..n^2 encodes to: itself, or log(1+c)/log(1+n^2) rounded to float32."""
+    top = cfg.word_length**2
+    counts = np.arange(top + 1, dtype=np.float64)
+    if cfg.normalization == NORM_NONE:
+        return counts.astype(dtype)
+    return (np.log1p(counts) / math.log1p(top)).astype(np.float32).astype(dtype)
+
+
+def compact_layout_words(nu_cap_len):
+    """Every repetition pattern of length <= 7, then seeded words of each length 1 to 20 over 1 to 6 letters.
+
+    Uncapped planes grow as n^3, so uncapped seeded words stop at n=15.
+    """
+    rng = random.Random(38)
+    for n in range(1, 8):
+        yield n, list(repetition_patterns(n))
+    for n in range(1, 21 if nu_cap_len else 16):
+        yield n, ["".join(rng.choice("abcdef"[: rng.randint(1, 6)]) for _ in range(n)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("nu_cap_len", [1, 2, 3, None])
+def test_compact_rows_gathered_by_the_plane_index_are_the_scattered_plane(nu_cap_len):
+    for n, texts in compact_layout_words(nu_cap_len):
+        counting = BatchEncoder(EncodingConfig.for_length(n, nu_cap_len=nu_cap_len))
+        forms = [counting.counts(t) for t in texts]
+        p, c = counting.cfg.pad_to, counting.channels
+        for normalization in (NORM_NONE, NORM_LOG):
+            cfg = EncodingConfig.for_length(n, nu_cap_len=nu_cap_len, normalization=normalization)
+            for dtype in (np.float32, np.float64):
+                encoder, values = BatchEncoder(cfg, dtype), raw_count_values(cfg, dtype)
+                for text, form in zip(texts, forms):
+                    # One row per channel-0 value, then one per upper-half cell with a chain.
+                    size = len(values) + np.count_nonzero(form.sizes)
+                    rows, index = np.full((size + 1, c), np.nan, dtype=dtype), np.empty(p * p, dtype=np.intp)
+                    compact, _ = encoder.layout(form, rows, index)
+                    assert len(compact) == size, (text, cfg)
+                    plane = scatter_plane(form, p, c, values)
+                    assert compact[index].reshape(p, p, c).tobytes() == plane.tobytes(), (text, cfg, dtype)
+                dense = np.asarray(encoder(texts[:3]))
+                assert dense.tobytes() == np.stack([scatter_plane(f, p, c, values) for f in forms[:3]]).tobytes(), (n, cfg)
+
+
 def encoded_rows_cases():
     """Seeded batches for the row-slice tests: float32 and float64 at n=5 to 10, and one n=15 batch."""
     for n, dtype in ((5, np.float32), (6, np.float64), (8, np.float32), (10, np.float64), (10, np.float32)):
@@ -202,7 +245,7 @@ def test_encoded_batch_rows_stay_put_after_later_reads():
 
 
 def test_reading_an_encoded_batch_sample_by_sample_keeps_at_most_two_planes_live():
-    # The oldest plane goes before the next is scattered; the rest of the room is the scatter's index arrays.
+    # The oldest plane goes before the next is gathered; the rest of the room is the sample's compact rows and index.
     cfg = EncodingConfig.for_length(10)
     batch = BatchEncoder(cfg)(["abcdefghij", "abcabcabca", "aabbccddee", "abcdeedcba", "aaaaabbbbb"])
     flat = batch.reshape(-1, batch.shape[-1])

@@ -298,8 +298,8 @@ def step_and_plain_bits(model, x, dprobs) -> tuple[list[bytes], list[bytes]]:
     return steps[0], steps[1]
 
 
-# A window of ReLU rows spans TILE_ROWS rows plus L2's largest shift: 1 and 7 rows, one row
-# below a sample's plane (so that windows straddle two samples), and the default.
+# A read of ReLU rows spans a tile plus L2's largest shift: tiles of 1 and 7 rows, one row
+# below a sample's plane (so that reads straddle two samples), and the default.
 RELU_ROW_TILES = ["default", 1, 7, "below_a_plane"]
 
 

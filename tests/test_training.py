@@ -1,7 +1,11 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,15 @@ def model_and_encoder(cfg_enc, kind: str):
     if kind == "char":
         return build_char_cnn(cfg_enc.word_length, len(PALINDROME_ALPHABET), seed=8), char_encoder("palindrome")
     return fresh_model(cfg_enc, seed=8), BatchEncoder(cfg_enc)
+
+
+@pytest.mark.parametrize("kind", ["tensor", "char"])
+def test_predict_probs_of_an_empty_split_is_an_empty_array(tiny_task, kind):
+    tr, _, cfg_enc = tiny_task
+    model, enc = model_and_encoder(cfg_enc, kind)
+    empty = LabeledDataset([], tr.task, "val", None, tr.word_length)
+    probs = predict_probs(model, empty, enc)
+    assert probs.shape == (0,) and probs.dtype == model.dtype
 
 
 @pytest.mark.parametrize("kind", ["tensor", "char"])
@@ -381,6 +394,35 @@ def test_train_and_inference_never_build_the_dense_batch(tiny_task, monkeypatch)
     assert evaluate(model, va, enc) == records[-1].val_acc
 
 
+def test_the_first_conv_multiplies_only_compact_rows_and_no_pass_builds_the_dense_batch(monkeypatch):
+    """A step's and an inference pass's GEMMs of the first conv: the shared rows once, each sample's chain cells once per pass."""
+    cfg = EncodingConfig.for_length(10)
+    tr = gen_palindrome_dataset(10, (6, 1, 1), seed=38)[0]
+    words, labels = tr.words(), np.asarray(tr.labels(), dtype=np.float64)
+    model = fresh_model(cfg)
+    first, matmul, read = model.layers[0].w, layers._matmul, []
+
+    def spy(a, b, out):
+        if np.shares_memory(b, first):
+            read.append(len(a))
+        return matmul(a, b, out)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the dense batch was built")
+
+    monkeypatch.setattr(layers, "_matmul", spy)
+    monkeypatch.setattr(EncodedBatch, "__array__", refuse)
+    encoder = BatchEncoder(cfg)
+    forms = {pattern_key(w.text): encoder.counts(w) for w in words}
+    assert len(forms) > 2  # so that no sample's ReLU rows outlive the forward into the backward
+    shared, chained, per = cfg.word_length**2 + 1, sum(np.count_nonzero(f.sizes) for f in forms.values()), cfg.pad_to**2
+    batch_gradients(model, words, labels, encoder)
+    assert sum(read) == shared + 2 * chained and max(read) < per and sum(read) < len(forms) * per, (read, per)
+    read.clear()
+    predict_probs(model, tr, encoder)
+    assert sum(read) == shared + chained and max(read) < per, (read, per)
+
+
 def forward_bytes(model) -> tuple[int, int]:
     """Bytes per sample of the arrays that each layer's own training and inference forward allocate: conv and pool outputs.
 
@@ -408,7 +450,7 @@ def test_a_step_and_an_inference_pass_peak_below_their_forward_arrays_less_half_
     """Traced memory at n=10: no pass holds the first conv's ReLU'd output, the L1 plane, nor the 3x3 conv's output plane.
 
     Half of the L1 plane is the room left for what a pass holds besides its
-    other forward arrays: the batch's sample planes, a window of ReLU rows,
+    other forward arrays: two samples' compact rows and ReLU rows, a tile of gathered rows,
     a sample's scratch plane and scratch tiles. A pass that builds either
     plane peaks above that.
     """
@@ -608,3 +650,34 @@ def test_sgd_momentum_trains(tiny_task):
     _, records = train(fresh_model(cfg_enc), tr, va, cfg, BatchEncoder(cfg_enc))
     assert len(records) == 2
     assert all(np.isfinite(r.train_loss) for r in records)
+
+
+BLAS_CHILD = """
+import hashlib, json
+import numpy as np
+from combword.datasets import gen_password_dataset
+from combword.encoding import BatchEncoder, EncodingConfig
+from combword.network import build_combinatorial_cnn
+from combword.training import batch_gradients, predict_probs
+
+tr = gen_password_dataset((4, 1, 1), 15, n=15)[0]
+cfg = EncodingConfig.for_length(15)
+model, encoder = build_combinatorial_cnn(cfg, seed=15), BatchEncoder(cfg)
+probs, _ = batch_gradients(model, tr.words(), np.asarray(tr.labels(), dtype=np.float64), encoder)
+digests = [hashlib.sha1(a.tobytes()).hexdigest() for a in [probs, predict_probs(model, tr, encoder), *model.grads()]]
+print(json.dumps([len(tr), *digests]))
+"""
+
+
+def test_an_n15_step_and_inference_pass_are_identical_across_blas_thread_counts():
+    # At n=15 the first conv's GEMMs have thousands of rows, where OpenBLAS may split a product across threads.
+    # BLAS fixes its thread count when numpy loads, so each count runs in its own process.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", BLAS_CHILD], env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
+    assert runs[0].startswith("[8, ")
